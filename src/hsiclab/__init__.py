@@ -19,7 +19,9 @@ from .analytic import (
 )
 from .data import BlockStructure, Dataset
 from .estimators import (
+    BlockStats,
     CrossCovEstimate,
+    block_stats,
     hsic_nystrom,
     hsic_u,
     hsic_v,
@@ -42,6 +44,7 @@ from .kernels import (
     ProductKernel,
     eval_kernel,
     gram,
+    lag_sum,
     product_gram,
     spectral_sample,
 )
@@ -64,6 +67,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdversarialPair",
+    "BlockStats",
     "BlockStructure",
     "CrossCovEstimate",
     "DEFAULT_N_GRID",
@@ -81,6 +85,7 @@ __all__ = [
     "RateFit",
     "RiskResult",
     "adversarial_hsic2",
+    "block_stats",
     "build_pair",
     "char_fn",
     "critical_slope",
@@ -96,6 +101,7 @@ __all__ = [
     "kl_adversarial_bound",
     "kl_adversarial_exact",
     "kl_gaussians",
+    "lag_sum",
     "lecam_bound",
     "make_adversarial_cov",
     "minimax_constant",

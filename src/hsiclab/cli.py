@@ -19,14 +19,14 @@ import numpy as np
 from . import rng
 from .analytic import adversarial_hsic2, hsic2_gaussian, minimax_constant
 from .data import BlockStructure, Dataset
-from .estimators import hsic_nystrom, hsic_u, hsic_v
+from .estimators import TILE_ROWS, hsic_nystrom, hsic_u, hsic_v
 from .gaussian import (
     GaussianMeasure,
     kl_adversarial_bound,
     kl_adversarial_exact,
     make_adversarial_cov,
 )
-from .kernels import KernelFamily, KernelSpec, ProductKernel
+from .kernels import KernelFamily, KernelSpec, ProductKernel, lag_sum
 from .lecam import (
     DEFAULT_N_GRID,
     KL_BUDGET,
@@ -252,15 +252,18 @@ def _median_heuristic(spec_family: KernelFamily, block_values: np.ndarray, seed:
     if x.shape[0] > MEDIAN_HEURISTIC_CAP:
         idx = rng.stream(seed, "median").choice(x.shape[0], size=MEDIAN_HEURISTIC_CAP, replace=False)
         x = x[idx]
-    if spec_family is KernelFamily.GAUSSIAN:
-        dists = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
-    else:
-        dists = np.abs(x[:, None, :] - x[None, :, :]).sum(axis=2)
-    upper = dists[np.triu_indices(x.shape[0], k=1)]
-    positive = upper[upper > 0]
-    if positive.size == 0:
+    m = x.shape[0]
+    positive = np.empty(m * (m - 1) // 2)
+    count = 0
+    # strict upper triangle, one row tile at a time; the median ignores order
+    for i0 in range(0, m, TILE_ROWS):
+        lags = lag_sum(spec_family, x[i0 : i0 + TILE_ROWS], x[i0:])
+        picked = lags[np.triu(lags > 0, k=1)]
+        positive[count : count + picked.size] = picked
+        count += picked.size
+    if count == 0:
         return float("nan")
-    return float(1.0 / np.median(positive))
+    return float(1.0 / np.median(positive[:count], overwrite_input=True))
 
 
 def cmd_estimate(args) -> int:

@@ -1,5 +1,6 @@
 """Sample-based HSIC and MMD estimators.
 
+* ``block_stats``: the sums the V and U forms share, in one tiled pass.
 * ``hsic_v``: biased V-statistic for any number of blocks (for two blocks it
   equals trace(K H L H)/n^2 with H the centering matrix).
 * ``hsic_u``: unbiased U-statistic, two blocks only.
@@ -10,13 +11,21 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import rng
 from .data import Dataset
 from .kernels import KernelSpec, ProductKernel, gram
+
+# Rows per Gram tile in ``block_stats``.  A (64, n) float64 tile is 2 MiB at
+# n = 4096, so the tiles of two blocks fit a 4 MiB per-core L2 cache; up to
+# n = 256 a tile is at most 128 KiB and is reused by the allocator instead of
+# being faulted in on every call.  32 and 128 rows measured slower.
+TILE_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,43 +49,70 @@ class CrossCovEstimate:
         return float(np.linalg.norm(self.matrix))
 
 
-def _block_grams(pk: ProductKernel, data: Dataset) -> tuple[np.ndarray, ...]:
+@dataclass(frozen=True, eq=False)
+class BlockStats:
+    """Sufficient statistics of the V and U forms for one dataset:
+    ``total`` = sum_ij prod_m K_m[i,j] and ``rows[m]`` = K_m 1, shape (M, n).
+
+    Every Gram diagonal is exactly 1 (zero lag), so nothing else is needed.
+    """
+
+    total: float
+    rows: np.ndarray
+
+    def v_statistic(self) -> float:
+        """Biased V-statistic of HSIC^2 (see ``hsic_v``)."""
+        m, n = self.rows.shape
+        term1 = self.total / (n * n)
+        term2 = float(np.prod(self.rows.sum(axis=1))) / n ** (2 * m)
+        term3 = float(reduce(np.multiply, self.rows[:-1]) @ self.rows[-1]) / n ** (m + 1)
+        return term1 + term2 - 2.0 * term3
+
+    def u_statistic(self) -> float:
+        """Unbiased U-statistic of HSIC^2 for exactly two blocks and n >= 4
+        (see ``hsic_u``)."""
+        k_rows, l_rows = self.rows
+        n = k_rows.shape[0]
+        # zeroed-diagonal quantities expressed through the plain Gram sums
+        t1 = self.total - n
+        sk = k_rows - 1.0
+        sl = l_rows - 1.0
+        t2 = float(sk.sum()) * float(sl.sum()) / ((n - 1) * (n - 2))
+        t3 = 2.0 * float(sk @ sl) / (n - 2)
+        return (t1 + t2 - t3) / (n * (n - 3))
+
+
+def block_stats(pk: ProductKernel, data: Dataset) -> BlockStats:
+    """Fused pass over upper-triangle row tiles of the symmetric block Grams.
+
+    Tile i holds rows [i0, i1) against columns [i0, n) of every block Gram;
+    its off-diagonal columns also stand in for the mirrored lower-triangle
+    entries.  Memory is O(n * TILE_ROWS) instead of O(n^2).
+    """
     if data.block != pk.block:
         raise ValueError(
             f"dataset blocks {data.block.dims} do not match kernel blocks {pk.block.dims}"
         )
-    return tuple(
-        gram(spec, data.block_values(m), data.block_values(m))
-        for m, spec in enumerate(pk.specs)
-    )
-
-
-def _two_block_stats(k: np.ndarray, l: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Elementwise dot and row sums shared by the two-block V and U forms."""
-    total = float(np.dot(k.ravel(), l.ravel()))
-    return total, k.sum(axis=1), l.sum(axis=1)
-
-
-def _hsic_v_from_stats(n: int, total: float, k_rows: np.ndarray, l_rows: np.ndarray) -> float:
-    term1 = total / (n * n)
-    term2 = float(k_rows.sum()) * float(l_rows.sum()) / n**4
-    term3 = float(k_rows @ l_rows) / n**3
-    return term1 + term2 - 2.0 * term3
-
-
-def _hsic_v_from_grams(grams: tuple[np.ndarray, ...]) -> float:
-    if len(grams) == 2:
-        return _hsic_v_from_stats(grams[0].shape[0], *_two_block_stats(grams[0], grams[1]))
-    prod = grams[0].copy()
-    for g in grams[1:]:
-        prod *= g
-    term1 = float(prod.mean())
-    term2 = 1.0
-    for g in grams:
-        term2 *= float(g.mean())
-    row_means = np.stack([g.mean(axis=1) for g in grams])
-    term3 = float(np.prod(row_means, axis=0).mean())
-    return term1 + term2 - 2.0 * term3
+    n = data.n
+    blocks = [data.block_values(m) for m in range(pk.block.m)]
+    rows = np.zeros((pk.block.m, n))
+    partials = []
+    for i0 in range(0, n, TILE_ROWS):
+        i1 = min(i0 + TILE_ROWS, n)
+        tiles = [gram(spec, x[i0:i1], x[i0:]) for spec, x in zip(pk.specs, blocks)]
+        head = reduce(np.multiply, tiles[:-1])
+        tile_sum = float(np.dot(head.ravel(), tiles[-1].ravel()))
+        rows[:, i0:i1] += [tile.sum(axis=1) for tile in tiles]
+        if i1 < n:
+            t = i1 - i0
+            diag_sum = float(np.sum(head[:, :t] * tiles[-1][:, :t]))
+            tile_sum = 2.0 * tile_sum - diag_sum
+            rows[:, i1:] += [tile[:, t:].sum(axis=0) for tile in tiles]
+        partials.append(tile_sum)
+        # free this tile before the next is built, so the allocator reuses
+        # its pages instead of faulting in fresh ones
+        del tiles, head
+    return BlockStats(math.fsum(partials), rows)
 
 
 def hsic_v(pk: ProductKernel, data: Dataset) -> float:
@@ -90,31 +126,7 @@ def hsic_v(pk: ProductKernel, data: Dataset) -> float:
     pk.block.require_multiblock()
     if data.n < 2:
         raise ValueError(f"V-statistic needs at least 2 samples, got {data.n}")
-    return _hsic_v_from_grams(_block_grams(pk, data))
-
-
-def _hsic_u_from_stats(
-    n: int,
-    total: float,
-    k_rows: np.ndarray,
-    l_rows: np.ndarray,
-    k_diag: np.ndarray,
-    l_diag: np.ndarray,
-) -> float:
-    # zeroed-diagonal quantities expressed through the plain Gram sums
-    t1 = total - float(k_diag @ l_diag)
-    sk = k_rows - k_diag
-    sl = l_rows - l_diag
-    t2 = float(sk.sum()) * float(sl.sum()) / ((n - 1) * (n - 2))
-    t3 = 2.0 * float(sk @ sl) / (n - 2)
-    return (t1 + t2 - t3) / (n * (n - 3))
-
-
-def _hsic_u_from_grams(k: np.ndarray, l: np.ndarray) -> float:
-    total, k_rows, l_rows = _two_block_stats(k, l)
-    return _hsic_u_from_stats(
-        k.shape[0], total, k_rows, l_rows, np.diagonal(k), np.diagonal(l)
-    )
+    return block_stats(pk, data).v_statistic()
 
 
 def hsic_u(pk: ProductKernel, data: Dataset) -> float:
@@ -129,8 +141,7 @@ def hsic_u(pk: ProductKernel, data: Dataset) -> float:
         raise ValueError(f"U-statistic requires exactly 2 blocks, got {pk.block.m}")
     if data.n < 4:
         raise ValueError(f"U-statistic requires n >= 4, got {data.n}")
-    grams = _block_grams(pk, data)
-    return _hsic_u_from_grams(grams[0], grams[1])
+    return block_stats(pk, data).u_statistic()
 
 
 def _inv_sqrt_psd(w: np.ndarray) -> np.ndarray:

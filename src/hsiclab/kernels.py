@@ -74,26 +74,20 @@ def eval_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.exp(-spec.gamma * float(np.sum(np.abs(delta)))))
 
 
-def gram(spec: KernelSpec, x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Gram matrix of shape (n, m) with entry (i, j) = k(x_i, y_j).
+def lag_sum(family: KernelFamily, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Lag matrix of shape (n, m): entry (i, j) is |x_i - y_j|_2^2 for the
+    Gaussian family and |x_i - y_j|_1 for the Laplace family.
 
-    Distances are accumulated coordinate by coordinate from explicit
-    differences, so translated inputs produce (numerically) identical output.
-    ``out``, when given, is used as the result buffer; reusing one buffer
-    across repeated calls of the same shape avoids large reallocations.
+    Lags are accumulated coordinate by coordinate from explicit differences,
+    so translated inputs produce (numerically) identical output and no
+    (n, m, d) difference tensor is formed.
     """
     xm = np.atleast_2d(np.asarray(x, dtype=float))
     ym = np.atleast_2d(np.asarray(y, dtype=float))
     if xm.shape[1] != ym.shape[1]:
         raise ValueError(f"column counts differ: {xm.shape[1]} vs {ym.shape[1]}")
     shape = (xm.shape[0], ym.shape[0])
-    if out is None:
-        acc = np.empty(shape)
-    else:
-        if out.shape != shape or out.dtype != np.float64:
-            raise ValueError(f"out must be a float64 array of shape {shape}")
-        acc = out
-    gaussian = spec.family is KernelFamily.GAUSSIAN
+    gaussian = KernelFamily(family) is KernelFamily.GAUSSIAN
 
     def lag_into(buf, q):
         np.subtract(xm[:, q, None], ym[None, :, q], out=buf)
@@ -102,14 +96,23 @@ def gram(spec: KernelSpec, x: np.ndarray, y: np.ndarray, out: np.ndarray | None 
         else:
             np.abs(buf, out=buf)
 
+    acc = np.empty(shape)
     lag_into(acc, 0)
     if xm.shape[1] > 1:
         scratch = np.empty(shape)
         for q in range(1, xm.shape[1]):
             lag_into(scratch, q)
             acc += scratch
-    factor = -0.5 * spec.gamma if gaussian else -spec.gamma
-    acc *= factor
+    return acc
+
+
+def gram(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gram matrix of shape (n, m) with entry (i, j) = k(x_i, y_j).
+
+    Built from ``lag_sum``, so k(x_i, x_i) is exactly 1 for finite x_i.
+    """
+    acc = lag_sum(spec.family, x, y)
+    acc *= -0.5 * spec.gamma if spec.family is KernelFamily.GAUSSIAN else -spec.gamma
     np.exp(acc, out=acc)
     return acc
 

@@ -15,14 +15,7 @@ import numpy as np
 from . import rng
 from .analytic import adversarial_hsic2, hsic2_gaussian, lecam_bound, minimax_constant
 from .data import BlockStructure
-from .estimators import (
-    _block_grams,
-    _hsic_u_from_stats,
-    _hsic_v_from_grams,
-    _hsic_v_from_stats,
-    _two_block_stats,
-    hsic_nystrom,
-)
+from .estimators import block_stats, hsic_nystrom
 from .gaussian import (
     AdversarialPair,
     GaussianMeasure,
@@ -31,7 +24,7 @@ from .gaussian import (
     make_adversarial_cov,
     sample,
 )
-from .kernels import KernelFamily, ProductKernel, gram
+from .kernels import KernelFamily, ProductKernel
 
 KL_BUDGET = 1.25
 DEFAULT_N_GRID = (64, 128, 256, 512, 1024, 2048, 4096)
@@ -86,7 +79,6 @@ class DistributionRisk:
     mean_error: float
     rmse: float
     exceed_prob: float
-    rmse_sq_scale: float
 
 
 @dataclass(frozen=True)
@@ -133,51 +125,27 @@ def _simulate(
         raise ValueError(f"need at least 2 replicates, got {reps}")
     _validate_estimators(estimators, pair.block, pair.n)
     pk = ProductKernel.homogeneous(pair.block, KernelFamily.GAUSSIAN, pair.gamma)
-    needs_grams = any(est.kind in ("v", "u") for est in estimators)
-    two_block = pair.block.m == 2
+    needs_stats = any(est.kind in ("v", "u") for est in estimators)
     threshold = minimax_constant(pair.gamma, pair.block.total) / math.sqrt(pair.n)
-
-    # shared per-replicate Gram buffers: every estimator sees the same draws,
-    # and reuse keeps the n x n allocations out of the replicate loop
-    buffers = None
-    if needs_grams and two_block:
-        buffers = (np.empty((pair.n, pair.n)), np.empty((pair.n, pair.n)))
 
     per_dist: dict[str, list[DistributionRisk]] = {est.name: [] for est in estimators}
     for label, measure in (("null", pair.p0), ("alt", pair.p1)):
         true_sq = hsic2_gaussian(measure, pair.block, pair.gamma).value
         true_hsic = math.sqrt(max(0.0, true_sq))
         errors = {est.name: np.empty(reps) for est in estimators}
-        errors_sq = {est.name: np.empty(reps) for est in estimators}
         for r in range(reps):
             ds = sample(measure, pair.n, rng.derive(seed, label, r), pair.block)
-            grams = stats = None
-            if needs_grams:
-                if two_block:
-                    k = gram(pk.specs[0], ds.block_values(0), ds.block_values(0), out=buffers[0])
-                    l = gram(pk.specs[1], ds.block_values(1), ds.block_values(1), out=buffers[1])
-                    stats = _two_block_stats(k, l)
-                else:
-                    grams = _block_grams(pk, ds)
+            stats = block_stats(pk, ds) if needs_stats else None
             for est in estimators:
                 if est.kind == "v":
-                    if two_block:
-                        raw = _hsic_v_from_stats(pair.n, *stats)
-                    else:
-                        raw = _hsic_v_from_grams(grams)
-                    est_hsic = math.sqrt(max(0.0, raw))
+                    est_hsic = math.sqrt(max(0.0, stats.v_statistic()))
                 elif est.kind == "u":
-                    raw = _hsic_u_from_stats(
-                        pair.n, *stats, np.diagonal(buffers[0]), np.diagonal(buffers[1])
-                    )
-                    est_hsic = math.sqrt(max(0.0, raw))
+                    est_hsic = math.sqrt(max(0.0, stats.u_statistic()))
                 else:
                     est_hsic, _ = hsic_nystrom(
                         pk, ds, est.landmarks, rng.derive(seed, label, r, "nystrom")
                     )
-                    raw = est_hsic * est_hsic
                 errors[est.name][r] = abs(est_hsic - true_hsic)
-                errors_sq[est.name][r] = abs(raw - true_sq)
         for est in estimators:
             err = errors[est.name]
             per_dist[est.name].append(
@@ -187,7 +155,6 @@ def _simulate(
                     mean_error=float(err.mean()),
                     rmse=float(np.sqrt(np.mean(err * err))),
                     exceed_prob=float(np.mean(err >= threshold)),
-                    rmse_sq_scale=float(np.sqrt(np.mean(errors_sq[est.name] ** 2))),
                 )
             )
     return {
@@ -201,7 +168,7 @@ def risk_sim(est: Estimator, pair: AdversarialPair, reps: int, seed: int) -> Ris
 
     Errors are measured on the HSIC scale (V/U outputs pass through
     sqrt(max(0, .))); the exceedance threshold is the explicit constant over
-    sqrt(n).  Squared-scale errors are kept as diagnostics.
+    sqrt(n).
     """
     return _simulate((est,), pair, reps, seed)[est.name]
 

@@ -72,6 +72,26 @@ def trace_form_hsic_v(k: np.ndarray, l: np.ndarray) -> float:
     return float(np.trace(k @ h @ l @ h) / n**2)
 
 
+def dense_hsic_v(grams) -> float:
+    """M-block V-statistic from dense Grams: means of the Hadamard product,
+    of each Gram, and of the product of the per-block row means."""
+    term1 = np.prod(np.stack(grams), axis=0).mean()
+    term2 = np.prod([g.mean() for g in grams])
+    term3 = np.prod(np.stack([g.mean(axis=1) for g in grams]), axis=0).mean()
+    return float(term1 + term2 - 2.0 * term3)
+
+
+def dense_hsic_u(k: np.ndarray, l: np.ndarray) -> float:
+    """Two-block U-statistic from dense Grams with explicitly zeroed diagonals."""
+    n = k.shape[0]
+    kt = k - np.diag(np.diag(k))
+    lt = l - np.diag(np.diag(l))
+    t1 = np.sum(kt * lt)
+    t2 = kt.sum() * lt.sum() / ((n - 1) * (n - 2))
+    t3 = 2.0 * float(kt.sum(axis=1) @ lt.sum(axis=1)) / (n - 2)
+    return float((t1 + t2 - t3) / (n * (n - 3)))
+
+
 def random_spd(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
     """Random symmetric positive definite matrix with a safe spectral floor."""
     a = rng.normal(size=(d, d))

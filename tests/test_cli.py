@@ -80,6 +80,23 @@ class TestEstimate:
         assert len(lines) == 4
         assert "median-heuristic gamma" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kernel", ["gaussian", "laplace"])
+    def test_median_gamma_matches_dense_pairwise_distances(self, tmp_path, capsys, kernel):
+        # 150 rows span several row tiles; blocks of width <= 2 sum their
+        # coordinates in the same order as the dense difference tensor
+        x = np.random.default_rng(3).normal(size=(150, 3))
+        path = tmp_path / "wide.csv"
+        write_csv(path, x.tolist())
+        argv = ["estimate", "--input", str(path), "--blocks", "2,1", "--kernel", kernel]
+        assert main(argv + ["--median-gamma", "--output", str(tmp_path / "o.json")]) == 0
+        out = capsys.readouterr().out
+        for m, cols in enumerate((x[:, :2], x[:, 2:])):
+            diff = cols[:, None, :] - cols[None, :, :]
+            dists = (diff**2 if kernel == "gaussian" else np.abs(diff)).sum(axis=2)
+            upper = dists[np.triu_indices(len(cols), k=1)]
+            expected = float(1.0 / np.median(upper[upper > 0]))
+            assert f"median-heuristic gamma for block {m}: {expected!r} (not applied)" in out
+
     def test_block_sum_mismatch_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "three.csv"
         write_csv(path, np.zeros((5, 3)).tolist())

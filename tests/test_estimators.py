@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hsiclab import (
     KernelFamily,
     KernelSpec,
     ProductKernel,
+    block_stats,
     embedding_inner,
     hsic2_gaussian,
     hsic_nystrom,
@@ -18,10 +20,12 @@ from hsiclab import (
     make_adversarial_cov,
     mmd_v,
     nystrom_cross_cov,
+    product_gram,
     sample,
 )
 from hsiclab import rng as rnglib
-from helpers import naive_hsic_u, naive_hsic_v, trace_form_hsic_v
+from hsiclab.estimators import TILE_ROWS
+from helpers import dense_hsic_u, dense_hsic_v, naive_hsic_u, naive_hsic_v, trace_form_hsic_v
 
 B11 = BlockStructure((1, 1))
 PK11 = ProductKernel.homogeneous(B11, KernelFamily.GAUSSIAN, 1.0)
@@ -34,6 +38,49 @@ def alt_measure(rho=0.6, block=B11):
 def random_dataset(seed, n=30, block=B11, rho=0.0):
     g = alt_measure(rho, block) if rho else GaussianMeasure.standard(block.total)
     return sample(g, n, seed, block)
+
+
+class TestBlockStats:
+    """The tiled statistics against dense Grams, around the tile boundaries."""
+
+    @staticmethod
+    def _case(n, dims, family):
+        # dependent blocks keep V and U well away from zero, so relative
+        # agreement is meaningful
+        block = BlockStructure(dims)
+        z = np.random.default_rng(n * 10 + len(dims)).normal(size=(n, block.total))
+        z[:, -1] = 0.6 * z[:, 0] + 0.8 * z[:, -1]
+        gammas = (0.7, 1.3, 2.0)[: len(dims)]
+        pk = ProductKernel(block, tuple(KernelSpec(family, g) for g in gammas))
+        return pk, Dataset(z, block)
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 1), (1, 2, 1)])
+    @pytest.mark.parametrize("n", [5, TILE_ROWS, TILE_ROWS + 1, 3 * TILE_ROWS + 17])
+    def test_matches_dense_grams(self, n, dims, family):
+        pk, ds = self._case(n, dims, family)
+        grams, prod = product_gram(pk, ds)
+        stats = block_stats(pk, ds)
+        assert stats.total == pytest.approx(float(prod.sum()), rel=1e-10)
+        np.testing.assert_allclose(stats.rows, [g.sum(axis=1) for g in grams], rtol=1e-10)
+        assert hsic_v(pk, ds) == pytest.approx(dense_hsic_v(grams), rel=1e-10)
+        if len(dims) == 2:
+            assert hsic_u(pk, ds) == pytest.approx(dense_hsic_u(*grams), rel=1e-10)
+
+    def test_block_mismatch(self):
+        with pytest.raises(ValueError):
+            block_stats(PK11, Dataset(np.zeros((4, 3)), BlockStructure((2, 1))))
+
+    def test_memory_is_tile_sized(self):
+        n = 3000
+        ds = random_dataset(40, n=n, rho=0.6)
+        tracemalloc.start()
+        try:
+            hsic_v(PK11, ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 8 * n * n
 
 
 class TestHsicV:

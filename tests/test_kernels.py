@@ -11,6 +11,7 @@ from hsiclab import (
     ProductKernel,
     eval_kernel,
     gram,
+    lag_sum,
     product_gram,
     spectral_sample,
 )
@@ -90,6 +91,20 @@ class TestGram:
     def test_column_mismatch(self):
         with pytest.raises(ValueError):
             gram(GAUSS1, np.zeros((2, 2)), np.zeros((2, 3)))
+
+
+class TestLagSum:
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_matches_pairwise_distances(self, family):
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(7, 3)), rng.normal(size=(4, 3))
+        diff = x[:, None, :] - y[None, :, :]
+        expected = (diff**2 if family is KernelFamily.GAUSSIAN else np.abs(diff)).sum(axis=2)
+        np.testing.assert_allclose(lag_sum(family, x, y), expected, rtol=1e-14, atol=0)
+
+    def test_column_mismatch(self):
+        with pytest.raises(ValueError):
+            lag_sum(KernelFamily.LAPLACE, np.zeros((2, 2)), np.zeros((2, 3)))
 
 
 class TestProductGram:
