@@ -50,20 +50,21 @@ def embedding_inner(g1: GaussianMeasure, g2: GaussianMeasure, gamma: float) -> f
     return math.exp(-0.5 * float(v @ v) - 0.5 * logdet)
 
 
-def _clamp_sq(value: float) -> float:
-    # squared RKHS distances are nonnegative; absorb round-off in (-1e-12, 0)
-    if -1e-12 < value < 0.0:
-        return 0.0
-    return value
+def _clamp_sq(value):
+    # squared RKHS distances are nonnegative; absorb round-off in (-1e-12, 0),
+    # elementwise for arrays
+    return np.where((value > -1e-12) & (value < 0.0), 0.0, value)
 
 
 def mmd2_gaussian(g1: GaussianMeasure, g2: GaussianMeasure, gamma: float) -> float:
     """Closed-form squared maximum mean discrepancy of two Gaussians under the
     Gaussian kernel; zero iff the measures coincide."""
-    return _clamp_sq(
-        embedding_inner(g1, g1, gamma)
-        + embedding_inner(g2, g2, gamma)
-        - 2.0 * embedding_inner(g1, g2, gamma)
+    return float(
+        _clamp_sq(
+            embedding_inner(g1, g1, gamma)
+            + embedding_inner(g2, g2, gamma)
+            - 2.0 * embedding_inner(g1, g2, gamma)
+        )
     )
 
 
@@ -91,8 +92,12 @@ class Hsic2Decomposition:
         return math.sqrt(max(0.0, self.value))
 
 
+def _hsic2_value(term_i, term_ii, term_iii):
+    return _clamp_sq(term_i + term_ii - 2.0 * term_iii)
+
+
 def _decomposition(term_i: float, term_ii: float, term_iii: float) -> Hsic2Decomposition:
-    return Hsic2Decomposition(term_i, term_ii, term_iii, _clamp_sq(term_i + term_ii - 2.0 * term_iii))
+    return Hsic2Decomposition(term_i, term_ii, term_iii, float(_hsic2_value(term_i, term_ii, term_iii)))
 
 
 def _block_diagonal(cov: np.ndarray, block: BlockStructure) -> np.ndarray:
@@ -125,6 +130,15 @@ def hsic2_gaussian(g: GaussianMeasure, block: BlockStructure, gamma: float) -> H
     return _decomposition(term_i, term_ii, term_iii)
 
 
+def _adversarial_terms(gamma: float, d: int, rho):
+    z = 2.0 * gamma + 1.0
+    log_z = math.log(z)
+    term_i = np.exp(-0.5 * ((d - 2) * log_z + np.log(z * z - (2.0 * gamma * rho) ** 2)))
+    term_ii = math.exp(-0.5 * d * log_z)
+    term_iii = np.exp(-0.5 * ((d - 2) * log_z + np.log(z * z - (gamma * rho) ** 2)))
+    return term_i, term_ii, term_iii
+
+
 def adversarial_hsic2(
     gamma: float, d: int, rho: float | None = None, n: int | None = None
 ) -> Hsic2Decomposition:
@@ -152,12 +166,13 @@ def adversarial_hsic2(
     rho = float(rho)
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
-    z = 2.0 * gamma + 1.0
-    log_z = math.log(z)
-    term_i = math.exp(-0.5 * ((d - 2) * log_z + math.log(z * z - (2.0 * gamma * rho) ** 2)))
-    term_ii = math.exp(-0.5 * d * log_z)
-    term_iii = math.exp(-0.5 * ((d - 2) * log_z + math.log(z * z - (gamma * rho) ** 2)))
-    return _decomposition(term_i, term_ii, term_iii)
+    return _decomposition(*(float(t) for t in _adversarial_terms(gamma, d, rho)))
+
+
+def adversarial_hsic2_values(gamma: float, d: int, rho) -> np.ndarray:
+    """The ``value`` of ``adversarial_hsic2`` elementwise over an array of
+    correlations ``rho``, from the same closed form; unvalidated."""
+    return _hsic2_value(*_adversarial_terms(gamma, d, np.asarray(rho, dtype=float)))
 
 
 def minimax_constant(gamma: float, d: int) -> float:
@@ -193,12 +208,8 @@ def f_c(x: float, gamma: float, d: int, c: float) -> float:
     limit = (1.0 + 1.0 / (2.0 * gamma)) ** 2
     if not 0.0 <= x < limit:
         raise ValueError(f"x must lie in [0, {limit}), got {x}")
-    z = 2.0 * gamma + 1.0
-    log_z = math.log(z)
-    t1 = math.exp(-0.5 * ((d - 2) * log_z + math.log(z * z - 4.0 * gamma * gamma * x)))
-    t2 = math.exp(-0.5 * d * log_z)
-    t3 = math.exp(-0.5 * ((d - 2) * log_z + math.log(z * z - gamma * gamma * x)))
-    return t1 + t2 - 2.0 * t3 - float(c) * x
+    t1, t2, t3 = _adversarial_terms(gamma, d, math.sqrt(x))
+    return float(t1 + t2 - 2.0 * t3) - float(c) * x
 
 
 def lecam_bound(alpha: float) -> float:

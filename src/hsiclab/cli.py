@@ -17,23 +17,12 @@ import sys
 import numpy as np
 
 from . import rng
-from .analytic import adversarial_hsic2, hsic2_gaussian, minimax_constant
+from .analytic import hsic2_gaussian
 from .data import BlockStructure, Dataset
 from .estimators import TILE_ROWS, hsic_nystrom, hsic_u, hsic_v
-from .gaussian import (
-    GaussianMeasure,
-    kl_adversarial_bound,
-    kl_adversarial_exact,
-    make_adversarial_cov,
-)
+from .gaussian import GaussianMeasure, make_adversarial_cov
 from .kernels import KernelFamily, KernelSpec, ProductKernel, lag_sum
-from .lecam import (
-    DEFAULT_N_GRID,
-    KL_BUDGET,
-    Estimator,
-    ExperimentConfig,
-    run_experiment,
-)
+from .lecam import DEFAULT_N_GRID, Estimator, ExperimentConfig, certificate_table, run_experiment
 from .spectral import verify_gap_partii
 
 EXIT_OK = 0
@@ -43,32 +32,18 @@ EXIT_USAGE = 3
 
 CERTIFY_SPECTRAL_FREQS = 200_000
 MEDIAN_HEURISTIC_CAP = 2048
+# largest number of budgets an --n-grid may expand to
+MAX_GRID_BUDGETS = 10**6
 
 ESTIMATE_CSV_COLUMNS = ("estimator", "scale", "value", "n", "d", "blocks", "gamma", "seed")
 MINIMAX_CSV_COLUMNS = (
-    "n",
-    "rho",
-    "estimator",
-    "sup_risk",
-    "exceed_prob",
-    "rmse_null",
-    "rmse_alt",
-    "threshold",
-    "kl_exact",
-    "kl_bound",
-    "analytic_gap",
-    "gap_floor",
+    "n", "rho", "estimator", "sup_risk", "exceed_prob", "rmse_null", "rmse_alt", "threshold",
+    "kl_exact", "kl_bound", "analytic_gap", "gap_floor",
 )
+# every column after n is a certificate-table column
 CERTIFY_CSV_COLUMNS = (
-    "n",
-    "rho",
-    "kl_exact",
-    "kl_bound",
-    "kl_budget",
-    "analytic_gap",
-    "gap_floor",
-    "partii_bound",
-    "partii_margin",
+    "n", "rho", "kl_exact", "kl_bound", "kl_budget", "analytic_gap", "gap_floor",
+    "partii_bound", "partii_margin",
 )
 
 
@@ -90,6 +65,17 @@ class _Parser(argparse.ArgumentParser):
 # ----------------------------- parsing helpers -----------------------------
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for bandwidths: a positive finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def _parse_blocks(text: str) -> BlockStructure:
     try:
         dims = tuple(int(tok) for tok in text.split(","))
@@ -109,11 +95,13 @@ def _parse_n_grid(text: str) -> tuple[int, ...]:
                 lo, hi = int(lo_s), int(hi_s)
                 if hi < lo:
                     raise ValueError(f"empty range {tok!r}")
-                out.extend(range(lo, hi + 1))
             else:
-                out.append(int(tok))
+                lo = hi = int(tok)
         except ValueError as exc:
             raise CliError(EXIT_USAGE, f"invalid --n-grid token {tok!r}") from exc
+        if len(out) + hi - lo + 1 > MAX_GRID_BUDGETS:
+            raise CliError(EXIT_USAGE, f"--n-grid expands to more than {MAX_GRID_BUDGETS} budgets")
+        out.extend(range(lo, hi + 1))
     if not out:
         raise CliError(EXIT_USAGE, "empty --n-grid")
     return tuple(out)
@@ -180,11 +168,15 @@ def read_matrix(path: str, header: bool = False) -> np.ndarray:
             cells = line.strip().split(",")
             try:
                 row = [float(cell) for cell in cells]
+                finite = all(map(math.isfinite, row))
             except ValueError:
-                bad = next(c for c in cells if not _is_float(c))
+                finite = False
+            if not finite:
+                column = next(j for j, cell in enumerate(cells) if not _is_finite_number(cell))
                 raise CliError(
-                    EXIT_DATA, f"{path}: line {lineno}: could not parse {bad.strip()!r} as a number"
-                ) from None
+                    EXIT_DATA,
+                    f"{path}: line {lineno}, column {column + 1}: {cells[column].strip()!r} is not a finite number",
+                )
             if width is None:
                 width = len(row)
             elif len(row) != width:
@@ -198,10 +190,9 @@ def read_matrix(path: str, header: bool = False) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def _is_float(cell: str) -> bool:
+def _is_finite_number(cell: str) -> bool:
     try:
-        float(cell)
-        return True
+        return math.isfinite(float(cell))
     except ValueError:
         return False
 
@@ -232,7 +223,10 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:  # NaN or infinity has no JSON form
+        raise CliError(EXIT_DATA, f"cannot write JSON: {exc}") from exc
 
 
 def _csv_text(columns, rows) -> str:
@@ -399,29 +393,12 @@ def cmd_minimax(args) -> int:
     n_grid = _parse_n_grid(args.n_grid) if args.n_grid else DEFAULT_N_GRID
     if len(n_grid) < 3:
         raise CliError(EXIT_USAGE, "rate fit needs ≥ 3 grid points")
-    if any(n < 2 for n in n_grid):
-        raise CliError(EXIT_USAGE, f"all --n-grid budgets must be ≥ 2, got {min(n_grid)}")
-    if args.reps < 2:
-        raise CliError(EXIT_USAGE, f"--reps must be ≥ 2, got {args.reps}")
-
-    kinds = args.est or ["v", "u"]
-    estimators = []
-    for kind in dict.fromkeys(kinds):
-        if kind == "nystrom":
-            if args.landmarks is None:
-                raise CliError(EXIT_USAGE, "nystrom estimator requires --landmarks")
-            estimators.append(Estimator(name=kind, kind=kind, landmarks=args.landmarks))
-        else:
-            estimators.append(Estimator(name=kind, kind=kind))
     try:
-        config = ExperimentConfig(
-            gamma=gamma,
-            block=block,
-            n_grid=n_grid,
-            estimators=tuple(estimators),
-            reps=args.reps,
-            seed=seed,
+        estimators = tuple(
+            Estimator(name=kind, kind=kind, landmarks=args.landmarks if kind == "nystrom" else None)
+            for kind in dict.fromkeys(args.est or ["v", "u"])
         )
+        config = ExperimentConfig(gamma, block, n_grid, estimators, args.reps, seed)
         report = run_experiment(config)
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc)) from exc
@@ -434,12 +411,7 @@ def cmd_minimax(args) -> int:
 
     rows = []
     for rec in report.records:
-        common = (
-            repr(rec.kl_exact),
-            repr(rec.kl_bound),
-            repr(rec.analytic_gap),
-            repr(rec.gap_floor),
-        )
+        common = tuple(repr(v) for v in (rec.kl_exact, rec.kl_bound, rec.analytic_gap, rec.gap_floor))
         if rec.risks:
             for name, risk in rec.risks.items():
                 rows.append(
@@ -465,21 +437,10 @@ def cmd_minimax(args) -> int:
     print(f"certificates = {report.certificates}")
     print(f"wrote {base}.json and {base}.csv")
 
-    if not all(report.certificates.values()):
-        for rec in report.records:
-            if not rec.kl_exact <= rec.kl_bound:
-                print(f"certificate violated at n={rec.n}: kl_exact={rec.kl_exact!r} > kl_bound={rec.kl_bound!r}")
-                return EXIT_CERTIFICATE
-            if not rec.kl_bound <= KL_BUDGET:
-                print(f"certificate violated at n={rec.n}: kl_bound={rec.kl_bound!r} > {KL_BUDGET}")
-                return EXIT_CERTIFICATE
-            if not rec.analytic_gap >= rec.gap_floor:
-                print(
-                    f"certificate violated at n={rec.n}: analytic_gap={rec.analytic_gap!r} < gap_floor={rec.gap_floor!r}"
-                )
-                return EXIT_CERTIFICATE
-        return EXIT_CERTIFICATE
-    return EXIT_OK
+    violations = [ineq.violation() for ineq in report.inequalities if not ineq.ok]
+    for line in violations:
+        print(line)
+    return EXIT_CERTIFICATE if violations else EXIT_OK
 
 
 def cmd_certify(args) -> int:
@@ -498,66 +459,32 @@ def cmd_certify(args) -> int:
     if not kept:
         raise CliError(EXIT_USAGE, "no usable budgets in --n-grid (all below 2)")
 
-    cert = verify_gap_partii(gamma, block, kept, CERTIFY_SPECTRAL_FREQS, rng.derive(seed, "partii"))
-    c = minimax_constant(gamma, block.total)
+    partii = verify_gap_partii(gamma, block, kept, CERTIFY_SPECTRAL_FREQS, rng.derive(seed, "partii"))
+    columns, inequalities = certificate_table(gamma, block, kept, partii)
     print(
-        f"part-(ii) gap constant estimate: {cert.estimate!r} ± {cert.standard_error!r} (1 SE), "
+        f"part-(ii) gap constant estimate: {partii.estimate!r} ± {partii.standard_error!r} (1 SE), "
         f"N={CERTIFY_SPECTRAL_FREQS}"
     )
 
-    rows = []
-    ok_kl_pair = ok_kl_budget = ok_gap = ok_partii = True
-    for margin in cert.margins:
-        n = margin.n
-        kl_e = kl_adversarial_exact(n, margin.rho, block)
-        kl_b = kl_adversarial_bound(n, margin.rho)
-        gap = adversarial_hsic2(gamma, block.total, n=n).hsic
-        floor = 2.0 * c / math.sqrt(n)
-        ok_kl_pair &= kl_e <= kl_b
-        ok_kl_budget &= kl_b <= KL_BUDGET
-        ok_gap &= gap >= floor
-        ok_partii &= margin.ok
-        rows.append(
-            (
-                n,
-                repr(margin.rho),
-                repr(kl_e),
-                repr(kl_b),
-                repr(KL_BUDGET),
-                repr(gap),
-                repr(floor),
-                repr(margin.bound),
-                repr(margin.margin),
-            )
-        )
-
-    table = _csv_text(CERTIFY_CSV_COLUMNS, rows)
-    if args.output is not None:
-        if args.format == "json":
-            payload = {
-                "gamma": gamma,
-                "blocks": list(block.dims),
-                "partii_estimate": cert.estimate,
-                "partii_se": cert.standard_error,
-                "rows": [dict(zip(CERTIFY_CSV_COLUMNS, row)) for row in rows],
-                "pass": {
-                    "kl_exact_le_bound": ok_kl_pair,
-                    "kl_bound_le_budget": ok_kl_budget,
-                    "gap_ge_floor": ok_gap,
-                    "hsic2_ge_partii": ok_partii,
-                },
-            }
-            _write_text(args.output, _json_text(payload))
-        else:
-            _write_text(args.output, table)
+    # tolist() yields Python floats: the repr of an np.float64 is "np.float64(...)"
+    cells = [[repr(v) for v in columns[name].tolist()] for name in CERTIFY_CSV_COLUMNS[1:]]
+    rows = list(zip(kept, *cells))
+    if args.output is not None and args.format == "json":
+        payload = {
+            "gamma": gamma,
+            "blocks": list(block.dims),
+            "partii_estimate": partii.estimate,
+            "partii_se": partii.standard_error,
+            "rows": [dict(zip(CERTIFY_CSV_COLUMNS, row)) for row in rows],
+            "pass": {ineq.family: ineq.ok for ineq in inequalities},
+        }
+        _write_text(args.output, _json_text(payload))
     else:
-        sys.stdout.write(table)
+        _write_text(args.output, _csv_text(CERTIFY_CSV_COLUMNS, rows))
 
-    print(f"kl_exact ≤ kl_bound: {'PASS' if ok_kl_pair else 'FAIL'}")
-    print(f"kl_bound ≤ 5/4: {'PASS' if ok_kl_budget else 'FAIL'}")
-    print(f"hsic gap ≥ 2c/√n: {'PASS' if ok_gap else 'FAIL'}")
-    print(f"hsic² ≥ ρ²·(part-(ii) estimate − 4 SE): {'PASS' if ok_partii else 'FAIL'}")
-    return EXIT_OK if (ok_kl_pair and ok_kl_budget and ok_gap and ok_partii) else EXIT_CERTIFICATE
+    for ineq in inequalities:
+        print(f"{ineq.statement}: {'PASS' if ineq.ok else 'FAIL'}")
+    return EXIT_OK if all(ineq.ok for ineq in inequalities) else EXIT_CERTIFICATE
 
 
 # --------------------------------- parser ----------------------------------
@@ -567,7 +494,7 @@ def _add_common(sub: argparse.ArgumentParser, *, input_required: bool = False) -
     sub.add_argument("--blocks", required=True, help="comma-separated block dims, e.g. 1,1")
     sub.add_argument("--kernel", choices=["gaussian", "laplace"], default="gaussian")
     sub.add_argument(
-        "--gamma", action="append", type=float, default=None, help="bandwidth; repeat per block"
+        "--gamma", action="append", type=_positive_float, default=None, help="bandwidth; repeat per block"
     )
     sub.add_argument("--seed", type=int, default=0, help="unsigned 64-bit master seed")
     sub.add_argument("--output", default=None, help="output path (default: stdout)")

@@ -7,7 +7,6 @@ rejected up front unless they are symmetric and strictly positive definite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +46,8 @@ class GaussianMeasure:
             raise ValueError(
                 f"mean has length {mean.shape[0]} but cov is {cov.shape[0]}x{cov.shape[1]}"
             )
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise ValueError("mean and cov must be finite")
         if cov.size and float(np.max(np.abs(cov - cov.T))) > _SYM_TOL:
             raise ValueError("cov must be symmetric to within 1e-12 per entry")
         chol = cholesky_spd(cov)
@@ -190,22 +191,30 @@ def _check_adversarial_args(n: int, rho: float) -> None:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
 
 
+def adversarial_kl(n, rho) -> tuple[np.ndarray, np.ndarray]:
+    """Exact n-fold product KL of the adversarial pair, 1/(2n) + (n/2) ln(1/(1 - rho^2)),
+    and its budget bound 1/(2n) + (n/2) rho^2/(1 - rho^2), elementwise over float
+    arrays or scalars ``n`` and ``rho``.  Unvalidated: ``kl_adversarial_exact``
+    and ``kl_adversarial_bound`` are the checked scalar forms."""
+    base = 1.0 / (2.0 * n)
+    exact = base - 0.5 * n * np.log1p(-rho * rho)
+    bound = base + 0.5 * n * rho * rho / (1.0 - rho * rho)
+    return exact, bound
+
+
 def kl_adversarial_exact(n: int, rho: float, block: BlockStructure) -> float:
-    """Exact n-fold product KL of the adversarial pair:
-    1/(2n) + (n/2) ln(1/(1 - rho^2)).
+    """Exact n-fold product KL of the adversarial pair (see ``adversarial_kl``).
 
     Equals n times the per-sample KL (product measures add), independent of
     how the dimension splits across blocks.
     """
     _check_adversarial_args(n, rho)
     block.require_multiblock()
-    n = int(n)
-    return 1.0 / (2 * n) - 0.5 * n * math.log1p(-rho * rho)
+    return float(adversarial_kl(n, rho)[0])
 
 
 def kl_adversarial_bound(n: int, rho: float) -> float:
-    """Budget bound 1/(2n) + (n/2) rho^2/(1 - rho^2); at rho^2 = 1/n it is
-    at most 5/4 for every n >= 2 (ln x <= x - 1)."""
+    """Budget bound on the adversarial KL (see ``adversarial_kl``); at
+    rho^2 = 1/n it is at most 5/4 for every n >= 2 (ln x <= x - 1)."""
     _check_adversarial_args(n, rho)
-    n = int(n)
-    return 1.0 / (2 * n) + 0.5 * n * rho * rho / (1.0 - rho * rho)
+    return float(adversarial_kl(n, rho)[1])

@@ -13,22 +13,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .analytic import adversarial_hsic2, hsic2_gaussian, lecam_bound, minimax_constant
+from .analytic import adversarial_hsic2_values, hsic2_gaussian, lecam_bound, minimax_constant
 from .data import BlockStructure
 from .estimators import block_stats, hsic_nystrom
-from .gaussian import (
-    AdversarialPair,
-    GaussianMeasure,
-    kl_adversarial_bound,
-    kl_adversarial_exact,
-    make_adversarial_cov,
-    sample,
-)
+from .gaussian import AdversarialPair, GaussianMeasure, adversarial_kl, make_adversarial_cov, sample
 from .kernels import KernelFamily, ProductKernel
+from .spectral import GapCertificate
 
 KL_BUDGET = 1.25
 DEFAULT_N_GRID = (64, 128, 256, 512, 1024, 2048, 4096)
 ESTIMATOR_KINDS = ("v", "u", "nystrom")
+# certificate families as (family, statement, lower column, upper column):
+# each one asserts lower <= upper at every budget
+CERTIFICATE_FAMILIES = (
+    ("kl_exact_le_bound", "kl_exact ≤ kl_bound", "kl_exact", "kl_bound"),
+    ("kl_bound_le_budget", "kl_bound ≤ 5/4", "kl_bound", "kl_budget"),
+    ("gap_ge_floor", "hsic gap ≥ 2c/√n", "gap_floor", "analytic_gap"),
+    ("hsic2_ge_partii", "hsic² ≥ ρ²·(part-(ii) estimate − 4 SE)", "partii_bound", "hsic2"),
+)
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,80 @@ def build_pair(n: int, gamma: float, block: BlockStructure) -> AdversarialPair:
         np.full(d, 1.0 / (math.sqrt(d) * n)), make_adversarial_cov(block, rho)
     )
     return AdversarialPair(p0=p0, p1=p1, n=n, rho=rho, gamma=float(gamma), block=block)
+
+
+@dataclass(frozen=True)
+class Inequality:
+    """One certificate family, ``lower <= upper`` at every budget of a grid.
+
+    ``n`` is the first budget, in grid order, where it fails (None if it
+    never does); ``lower_value`` and ``upper_value`` are the two sides there.
+    """
+
+    family: str
+    statement: str
+    lower: str
+    upper: str
+    n: int | None = None
+    lower_value: float = math.nan
+    upper_value: float = math.nan
+
+    @property
+    def ok(self) -> bool:
+        return self.n is None
+
+    def violation(self) -> str:
+        return (
+            f"certificate violated at n={self.n}: "
+            f"{self.lower}={self.lower_value!r} > {self.upper}={self.upper_value!r}"
+        )
+
+
+def certificate_table(
+    gamma: float, block: BlockStructure, n_grid, partii: GapCertificate | None = None
+) -> tuple[dict[str, np.ndarray], tuple[Inequality, ...]]:
+    """The two-point certificates at every budget n of the grid, from one
+    vectorised pass over the closed forms: columns ``rho`` = n^{-1/2},
+    ``kl_exact``, ``kl_bound``, ``kl_budget``, the adversarial ``hsic2``, its
+    square root ``analytic_gap`` and the ``gap_floor`` 2c/sqrt(n) (plus
+    ``partii_bound`` and ``partii_margin`` from a part-(ii) check over the
+    same grid), and one ``Inequality`` per family whose columns are present.
+    """
+    grid = tuple(n_grid)
+    n = tuple(int(v) for v in grid)
+    if not n or min(n) < 2 or n != grid:
+        raise ValueError("grid budgets must be integers >= 2")
+    block.require_multiblock()
+    c = minimax_constant(gamma, block.total)
+    budgets = np.asarray(n, dtype=float)
+    rho = 1.0 / np.sqrt(budgets)
+    kl_exact, kl_bound = adversarial_kl(budgets, rho)
+    hsic2 = adversarial_hsic2_values(gamma, block.total, rho)
+    columns = {
+        "rho": rho,
+        "kl_exact": kl_exact,
+        "kl_bound": kl_bound,
+        "kl_budget": np.full(len(n), KL_BUDGET),
+        "hsic2": hsic2,
+        "analytic_gap": np.sqrt(np.maximum(hsic2, 0.0)),
+        "gap_floor": 2.0 * c / np.sqrt(budgets),
+    }
+    if partii is not None:
+        if not np.array_equal(partii.n, budgets):
+            raise ValueError("the part-(ii) check covers a different grid")
+        columns["partii_bound"] = partii.bound
+        columns["partii_margin"] = partii.margin
+    rows = []
+    for family, statement, lower, upper in CERTIFICATE_FAMILIES:
+        if lower in columns:
+            failing = np.flatnonzero(~(columns[lower] <= columns[upper]))
+            if failing.size == 0:
+                rows.append(Inequality(family, statement, lower, upper))
+            else:
+                i = int(failing[0])
+                values = float(columns[lower][i]), float(columns[upper][i])
+                rows.append(Inequality(family, statement, lower, upper, n[i], *values))
+    return columns, tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -225,12 +301,8 @@ class PerNRecord:
     kl_bound: float
     analytic_gap: float
     minimax_c: float
+    gap_floor: float
     risks: dict[str, RiskResult] = field(default_factory=dict)
-
-    @property
-    def gap_floor(self) -> float:
-        """Certified lower bound 2c/sqrt(n) on the HSIC gap."""
-        return 2.0 * self.minimax_c / math.sqrt(self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,6 +311,7 @@ class ExperimentReport:
     records: tuple[PerNRecord, ...]
     rate_fits: dict[str, RateFit]
     certificates: dict[str, bool]
+    inequalities: tuple[Inequality, ...]
     lecam_value: float
 
     def to_dict(self) -> dict:
@@ -287,37 +360,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     Deterministic in the configuration, including its seed.
     """
-    if not config.n_grid:
-        raise ValueError("n_grid must not be empty")
-    if any(n < 2 for n in config.n_grid):
-        raise ValueError(f"all grid budgets must be >= 2, got {config.n_grid}")
+    columns, inequalities = certificate_table(config.gamma, config.block, config.n_grid)
     if config.reps < 2:
         raise ValueError(f"need at least 2 replicates, got {config.reps}")
     if config.estimators:
         _validate_estimators(config.estimators, config.block, min(config.n_grid))
 
-    d = config.block.total
-    c = minimax_constant(config.gamma, d)
+    c = minimax_constant(config.gamma, config.block.total)
+    fields = ("rho", "kl_exact", "kl_bound", "analytic_gap", "gap_floor")
     records = []
-    for n in config.n_grid:
+    for n, cert in zip(config.n_grid, zip(*(columns[name].tolist() for name in fields))):
         pair = build_pair(n, config.gamma, config.block)
-        gap = adversarial_hsic2(config.gamma, d, n=n).hsic
         risks = (
             _simulate(config.estimators, pair, config.reps, rng.derive(config.seed, "risk", n))
             if config.estimators
             else {}
         )
-        records.append(
-            PerNRecord(
-                n=n,
-                rho=pair.rho,
-                kl_exact=kl_adversarial_exact(n, pair.rho, config.block),
-                kl_bound=kl_adversarial_bound(n, pair.rho),
-                analytic_gap=gap,
-                minimax_c=c,
-                risks=risks,
-            )
-        )
+        records.append(PerNRecord(n=n, **dict(zip(fields, cert)), minimax_c=c, risks=risks))
 
     rate_fits = {}
     if len(config.n_grid) >= 3:
@@ -327,14 +386,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             if all(r > 0 for r in risks):
                 rate_fits[est.name] = rate_fit(ns, risks)
 
+    ok = {ineq.family: ineq.ok for ineq in inequalities}
     certificates = {
-        "kl_budget": all(rec.kl_exact <= rec.kl_bound <= KL_BUDGET for rec in records),
-        "hsic_gap": all(rec.analytic_gap >= rec.gap_floor for rec in records),
+        "kl_budget": ok["kl_exact_le_bound"] and ok["kl_bound_le_budget"],
+        "hsic_gap": ok["gap_ge_floor"],
     }
     return ExperimentReport(
         config=config,
         records=tuple(records),
         rate_fits=rate_fits,
         certificates=certificates,
+        inequalities=inequalities,
         lecam_value=lecam_bound(KL_BUDGET),
     )

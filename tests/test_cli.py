@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hsiclab import BlockStructure, Dataset, KernelFamily, ProductKernel, hsic_v
+from hsiclab import BlockStructure, Dataset, KernelFamily, ProductKernel, cli, hsic_v, lecam
 from hsiclab.cli import main, read_dataset, write_dataset
 
 B11 = BlockStructure((1, 1))
@@ -138,6 +139,16 @@ class TestEstimate:
         assert main(args) == 2  # header line is malformed data without the flag
         assert main(args + ["--header"]) == 0
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_is_data_error(self, tmp_path, capsys, cell):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"1.0,2.0\n0.5,{cell}\n3.0,4.0\n")
+        out = tmp_path / "out.json"
+        code = main(["estimate", "--input", str(path), "--blocks", "1,1", "--output", str(out)])
+        assert code == 2
+        assert f"line 2, column 2: {cell!r} is not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag_exits_three(self, two_col_csv):
         with pytest.raises(SystemExit) as err:
             main(["estimate", "--input", str(two_col_csv), "--blocks", "1,1", "--bogus"])
@@ -235,6 +246,19 @@ class TestMinimax:
         assert code == 3
         assert "rate fit needs ≥ 3 grid points" in capsys.readouterr().err
 
+    def test_injected_certificate_failure_names_family_and_n(self, tmp_path, monkeypatch, capsys):
+        # kl_bound is 0.5646 at n = 16 and 0.5317 at n = 32, below 0.53 from n = 64 on
+        monkeypatch.setattr(lecam, "KL_BUDGET", 0.53)
+        code, json_path, _ = self.run_small(tmp_path, "failing")
+        assert code == 1
+        out = capsys.readouterr().out
+        violations = [line for line in out.splitlines() if "violated" in line]
+        assert len(violations) == 1
+        assert violations[0].startswith("certificate violated at n=16: kl_bound=0.564")
+        assert violations[0].endswith(" > kl_budget=0.53")
+        payload = json.loads(json_path.read_text())
+        assert payload["certificates"] == {"hsic_gap": True, "kl_budget": False}
+
     def test_laplace_kernel_rejected(self, tmp_path):
         code = main(
             [
@@ -291,6 +315,66 @@ class TestCertify:
             "gap_ge_floor": True,
             "hsic2_ge_partii": True,
         }
+
+    def test_injected_failure_fails_one_family(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(lecam, "KL_BUDGET", 0.53)
+        code = main(["certify", "--blocks", "1,1", "--n-grid", "8..64", "--output", str(tmp_path / "c.csv")])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "kl_bound ≤ 5/4: FAIL" in out
+        assert out.count("PASS") == 3
+
+    def test_byte_identical_reruns(self, tmp_path, capsys):
+        outputs = []
+        for name in ("a.json", "b.json"):
+            argv = ["certify", "--blocks", "3,1,2", "--gamma", "0.5", "--n-grid", "2..300,1000"]
+            assert main(argv + ["--seed", "9", "--output", str(tmp_path / name)]) == 0
+            outputs.append((tmp_path / name).read_bytes())
+        assert outputs[0] == outputs[1]
+        assert b"np.float64" not in outputs[0]
+        assert "np.float64" not in capsys.readouterr().out
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("subcommand", ["estimate", "analytic", "minimax", "certify"])
+    @pytest.mark.parametrize("gamma", ["-1", "0", "nan", "inf", "one"])
+    def test_gamma_must_be_positive_finite(self, two_col_csv, capsys, subcommand, gamma):
+        argv = [subcommand, "--blocks", "1,1", "--gamma", gamma, "--input", str(two_col_csv)]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 3
+        assert "--gamma" in capsys.readouterr().err
+
+    def test_json_output_rejects_non_finite_numbers(self):
+        with pytest.raises(cli.CliError) as err:
+            cli._json_text({"value": float("nan")})
+        assert err.value.code == 2
+
+    def test_invalid_landmarks_is_usage_error(self, tmp_path, capsys):
+        argv = ["minimax", "--blocks", "1,1", "--est", "nystrom", "--landmarks", "1", "--n-grid", "8,16,32"]
+        assert main(argv + ["--reps", "2", "--output", str(tmp_path / "x")]) == 3
+        assert "landmark count >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["minimax", "certify"])
+    def test_huge_n_grid_is_usage_error_before_allocating(self, tmp_path, capsys, subcommand):
+        argv = [subcommand, "--blocks", "1,1", "--n-grid", "2..100000000000", "--output", str(tmp_path / "x")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert f"--n-grid expands to more than {cli.MAX_GRID_BUDGETS} budgets" in capsys.readouterr().err
+        assert peak < 1_000_000
+
+    def test_grid_cap_counts_every_token(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_GRID_BUDGETS", 10)
+        base = ["certify", "--blocks", "1,1", "--output", str(tmp_path / "c.csv"), "--n-grid"]
+        assert main(base + ["2..11"]) == 0
+        assert main(base + ["2..6,7..11,12"]) == 3
+        assert main(base + ["2..12"]) == 3
+        assert "more than 10 budgets" in capsys.readouterr().err
 
 
 class TestDatasetRoundTrip:

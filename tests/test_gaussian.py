@@ -70,6 +70,15 @@ class TestGaussianMeasure:
         with pytest.raises(ValueError):
             GaussianMeasure(np.zeros(3), np.eye(2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_mean_or_cov(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianMeasure(np.array([0.0, bad]), np.eye(2))
+        cov = np.eye(2)
+        cov[0, 1] = cov[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GaussianMeasure(np.zeros(2), cov)
+
     def test_cholesky_reconstructs_cov(self):
         rng = np.random.default_rng(5)
         cov = random_spd(rng, 4)

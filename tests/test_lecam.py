@@ -10,17 +10,23 @@ from hsiclab import (
     ExperimentConfig,
     KernelFamily,
     ProductKernel,
+    adversarial_hsic2,
     build_pair,
     hsic2_gaussian,
     hsic_v,
+    kl_adversarial_bound,
     kl_adversarial_exact,
     lecam_bound,
+    minimax_constant,
     rate_fit,
     risk_sim,
     run_experiment,
     sample,
+    verify_gap_partii,
 )
+from hsiclab import lecam
 from hsiclab import rng as rnglib
+from hsiclab.lecam import certificate_table
 
 B11 = BlockStructure((1, 1))
 
@@ -171,3 +177,81 @@ class TestRunExperiment:
             run_experiment(ExperimentConfig(gamma=1.0, block=B11, n_grid=(), reps=2))
         with pytest.raises(ValueError):
             run_experiment(ExperimentConfig(gamma=1.0, block=B11, n_grid=(1, 4, 8), reps=2))
+
+
+# the gamma x blocks combinations of the benchmark's certify sweep
+SWEEP_GAMMAS = (0.25, 0.5, 1.0, 2.0, 4.0)
+SWEEP_BLOCKS = ((1, 1), (2, 2), (3, 1, 2), (4, 4))
+
+
+def _math_hsic2(gamma, d, rho):
+    """Adversarial HSIC^2 from its closed form, evaluated with math alone."""
+    z = 2.0 * gamma + 1.0
+    t1 = (z ** (d - 2) * (z * z - (2.0 * gamma * rho) ** 2)) ** -0.5
+    t3 = (z ** (d - 2) * (z * z - (gamma * rho) ** 2)) ** -0.5
+    return t1 + z ** (-d / 2.0) - 2.0 * t3
+
+
+class TestCertificateTable:
+    @pytest.mark.parametrize("dims", SWEEP_BLOCKS)
+    def test_columns_match_scalar_closed_forms(self, dims):
+        block = BlockStructure(dims)
+        d = block.total
+        grid = range(2, 5001)
+        for gamma in SWEEP_GAMMAS:
+            partii = verify_gap_partii(gamma, block, grid, 2_000, 5)
+            columns, inequalities = certificate_table(gamma, block, grid, partii)
+            cols = {name: col.tolist() for name, col in columns.items()}
+            low = max(0.0, partii.estimate - 4.0 * partii.standard_error)
+            c = minimax_constant(gamma, d)
+            for i, n in enumerate(grid):
+                rho = 1.0 / math.sqrt(n)
+                hsic2 = _math_hsic2(gamma, d, rho)
+                expected = {
+                    "rho": rho,
+                    "kl_exact": 1.0 / (2 * n) + 0.5 * n * math.log(1.0 / (1.0 - rho * rho)),
+                    "kl_bound": 1.0 / (2 * n) + 0.5 * n * rho * rho / (1.0 - rho * rho),
+                    "kl_budget": 1.25,
+                    "hsic2": hsic2,
+                    "analytic_gap": math.sqrt(hsic2),
+                    "gap_floor": 2.0 * c / math.sqrt(n),
+                    "partii_bound": rho * rho * low,
+                    "partii_margin": hsic2 - rho * rho * low,
+                }
+                for name, value in expected.items():
+                    assert abs(cols[name][i] - value) <= 1e-9 * abs(value), (name, gamma, n)
+                # the public scalar forms are views of the same formulas
+                assert cols["kl_exact"][i] == kl_adversarial_exact(n, rho, block)
+                assert cols["kl_bound"][i] == kl_adversarial_bound(n, rho)
+                assert cols["hsic2"][i] == adversarial_hsic2(gamma, d, n=n).value
+                assert cols["analytic_gap"][i] == adversarial_hsic2(gamma, d, n=n).hsic
+            assert [ineq.family for ineq in inequalities] == [family[0] for family in lecam.CERTIFICATE_FAMILIES]
+            assert all(ineq.ok for ineq in inequalities)
+
+    def test_inequality_rows_report_first_failure(self, monkeypatch):
+        # kl_bound is 0.5646 at n = 16, 0.5317 at n = 32 and 0.5157 at n = 64
+        monkeypatch.setattr(lecam, "KL_BUDGET", 0.53)
+        columns, inequalities = certificate_table(1.0, B11, (64, 32, 16, 8))
+        rows = {ineq.family: ineq for ineq in inequalities}
+        assert list(rows) == ["kl_exact_le_bound", "kl_bound_le_budget", "gap_ge_floor"]
+        assert rows["kl_exact_le_bound"].ok and rows["gap_ge_floor"].ok
+        budget = rows["kl_bound_le_budget"]
+        assert not budget.ok and budget.n == 32
+        assert budget.lower_value == columns["kl_bound"][1] > budget.upper_value == 0.53
+        assert budget.violation() == f"certificate violated at n=32: kl_bound={budget.lower_value!r} > kl_budget=0.53"
+
+    def test_rejects_bad_grids(self):
+        for grid in ((), (1, 4), (4.5, 8)):
+            with pytest.raises(ValueError):
+                certificate_table(1.0, B11, grid)
+        partii = verify_gap_partii(1.0, B11, (4, 8), 100, 0)
+        with pytest.raises(ValueError, match="different grid"):
+            certificate_table(1.0, B11, (4, 16), partii)
+
+    def test_report_carries_the_table_rows(self):
+        report = run_experiment(ExperimentConfig(gamma=1.0, block=B11, n_grid=(4, 8, 16), reps=2))
+        columns, inequalities = certificate_table(1.0, B11, (4, 8, 16))
+        assert report.inequalities == inequalities
+        for i, rec in enumerate(report.records):
+            assert rec.kl_exact == columns["kl_exact"][i]
+            assert rec.gap_floor == columns["gap_floor"][i]

@@ -127,25 +127,23 @@ class TestDerivativeMonotonicity:
 class TestVerifyGapPartII:
     def test_worked_margin_at_n_four(self):
         cert = verify_gap_partii(1.0, B11, [4], 400_000, 17)
-        row = cert.margins[0]
-        assert row.hsic2 == pytest.approx(adversarial_hsic2(1.0, 2, rho=0.5).value, rel=1e-12)
-        assert row.hsic2 == pytest.approx(0.010763, abs=1e-6)
+        hsic2, bound, margin = cert.hsic2[0], cert.bound[0], cert.margin[0]
+        assert hsic2 == pytest.approx(adversarial_hsic2(1.0, 2, rho=0.5).value, rel=1e-12)
+        assert hsic2 == pytest.approx(0.010763, abs=1e-6)
         # bound is rho^2 (estimate - 4 SE), slightly below 0.25/54
-        assert row.bound <= 0.25 * (1.0 / 54.0) + 1e-4
-        assert row.margin == pytest.approx(row.hsic2 - row.bound, abs=1e-15)
-        assert row.margin > 0.006
-        assert cert.all_ok
+        assert bound <= 0.25 * (1.0 / 54.0) + 1e-4
+        assert margin == pytest.approx(hsic2 - bound, abs=1e-15)
+        assert margin > 0.006
 
     def test_margins_nonnegative_on_doubling_grid(self):
         grid = [2**k for k in range(2, 13)]
         cert = verify_gap_partii(1.0, B11, grid, 200_000, 23)
-        assert cert.all_ok
-        assert all(row.margin >= 0 for row in cert.margins)
+        assert all(margin >= 0 for margin in cert.margin)
 
     def test_ratio_bounded_below_by_one(self):
         cert = verify_gap_partii(1.0, B11, [4, 64, 1024, 4096], 200_000, 29)
-        for row in cert.margins:
-            assert row.hsic2 / max(row.bound, 1e-300) >= 1.0
+        for hsic2, bound in zip(cert.hsic2, cert.bound):
+            assert hsic2 / max(bound, 1e-300) >= 1.0
 
     def test_rejects_small_budgets(self):
         with pytest.raises(ValueError):
