@@ -20,7 +20,6 @@ from .analytic import (
 from .data import BlockStructure, Dataset
 from .estimators import (
     BlockStats,
-    CrossCovEstimate,
     block_stats,
     hsic_nystrom,
     hsic_u,
@@ -45,7 +44,6 @@ from .kernels import (
     eval_kernel,
     gram,
     lag_sum,
-    product_gram,
     spectral_sample,
 )
 from .lecam import (
@@ -69,7 +67,6 @@ __all__ = [
     "AdversarialPair",
     "BlockStats",
     "BlockStructure",
-    "CrossCovEstimate",
     "DEFAULT_N_GRID",
     "Dataset",
     "Estimator",
@@ -109,7 +106,6 @@ __all__ = [
     "mmd2_spectral",
     "mmd_v",
     "nystrom_cross_cov",
-    "product_gram",
     "rate_fit",
     "risk_sim",
     "run_experiment",

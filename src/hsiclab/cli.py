@@ -19,7 +19,7 @@ import numpy as np
 from . import rng
 from .analytic import hsic2_gaussian
 from .data import BlockStructure, Dataset
-from .estimators import TILE_ROWS, hsic_nystrom, hsic_u, hsic_v
+from .estimators import TILE_ROWS, block_stats, hsic_nystrom
 from .gaussian import GaussianMeasure, make_adversarial_cov
 from .kernels import KernelFamily, KernelSpec, ProductKernel, lag_sum
 from .lecam import DEFAULT_N_GRID, Estimator, ExperimentConfig, certificate_table, run_experiment
@@ -34,6 +34,8 @@ CERTIFY_SPECTRAL_FREQS = 200_000
 MEDIAN_HEURISTIC_CAP = 2048
 # largest number of budgets an --n-grid may expand to
 MAX_GRID_BUDGETS = 10**6
+# largest budget; every integer up to 2^53 is exact in float64
+MAX_BUDGET = 2**53
 
 ESTIMATE_CSV_COLUMNS = ("estimator", "scale", "value", "n", "d", "blocks", "gamma", "seed")
 MINIMAX_CSV_COLUMNS = (
@@ -99,6 +101,8 @@ def _parse_n_grid(text: str) -> tuple[int, ...]:
                 lo = hi = int(tok)
         except ValueError as exc:
             raise CliError(EXIT_USAGE, f"invalid --n-grid token {tok!r}") from exc
+        if hi > MAX_BUDGET:
+            raise CliError(EXIT_USAGE, f"--n-grid budgets above 2^53 = {MAX_BUDGET} are not exact in float64")
         if len(out) + hi - lo + 1 > MAX_GRID_BUDGETS:
             raise CliError(EXIT_USAGE, f"--n-grid expands to more than {MAX_GRID_BUDGETS} budgets")
         out.extend(range(lo, hi + 1))
@@ -140,12 +144,12 @@ def _require_multiblock(block: BlockStructure) -> None:
         raise CliError(EXIT_USAGE, str(exc)) from exc
 
 
-def _check_threads(threads: int) -> int:
-    # accepted for interface stability; computation is vectorized in-process
-    # and the output never depends on the value
-    if threads < 1:
-        raise CliError(EXIT_USAGE, f"--threads must be >= 1, got {threads}")
-    return threads
+def _require_gaussian(kernel: str, subcommand: str) -> None:
+    if KernelFamily(kernel) is not KernelFamily.GAUSSIAN:
+        raise CliError(
+            EXIT_USAGE,
+            f"{subcommand} relies on the closed-form Gaussian oracle; --kernel laplace is not supported here",
+        )
 
 
 # ------------------------------- dataset io --------------------------------
@@ -262,8 +266,8 @@ def _median_heuristic(spec_family: KernelFamily, block_values: np.ndarray, seed:
 
 def cmd_estimate(args) -> int:
     block = _parse_blocks(args.blocks)
+    _require_multiblock(block)
     seed = _check_seed(args.seed)
-    _check_threads(args.threads)
     family = KernelFamily(args.kernel)
     gammas = _gammas_for(block, args.gamma)
     data = read_dataset(args.input, block, header=args.header)
@@ -275,6 +279,7 @@ def cmd_estimate(args) -> int:
             print(f"median-heuristic gamma for block {m}: {suggestion!r} (not applied)")
 
     pk = ProductKernel(block, tuple(KernelSpec(family, g) for g in gammas))
+    stats = None  # one tiled pass serves both the V and the U record
     records = []
     for kind in kinds:
         if kind in ("u", "nystrom") and block.m != 2:
@@ -290,11 +295,13 @@ def cmd_estimate(args) -> int:
         if kind == "v":
             if data.n < 2:
                 raise CliError(EXIT_USAGE, f"V-statistic requires n ≥ 2, got {data.n}")
-            record["value_hsic2"] = hsic_v(pk, data)
+            stats = stats or block_stats(pk, data)
+            record["value_hsic2"] = stats.v_statistic()
         elif kind == "u":
             if data.n < 4:
                 raise CliError(EXIT_USAGE, f"U-statistic requires n ≥ 4, got {data.n}")
-            record["value_hsic2"] = hsic_u(pk, data)
+            stats = stats or block_stats(pk, data)
+            record["value_hsic2"] = stats.u_statistic()
         else:
             if args.landmarks is None:
                 raise CliError(EXIT_USAGE, "nystrom estimator requires --landmarks")
@@ -302,8 +309,7 @@ def cmd_estimate(args) -> int:
                 raise CliError(
                     EXIT_USAGE, f"--landmarks must lie in [2, {data.n}], got {args.landmarks}"
                 )
-            value, _ = hsic_nystrom(pk, data, args.landmarks, rng.derive(seed, "nystrom"))
-            record["value_hsic"] = value
+            record["value_hsic"] = hsic_nystrom(pk, data, args.landmarks, rng.derive(seed, "nystrom"))
             record["landmarks"] = args.landmarks
         records.append(record)
 
@@ -332,6 +338,7 @@ def cmd_estimate(args) -> int:
 def cmd_analytic(args) -> int:
     block = _parse_blocks(args.blocks)
     _require_multiblock(block)
+    _require_gaussian(args.kernel, "analytic")
     gamma = _single_gamma(args.gamma)
     if (args.rho is None) == (args.input is None):
         raise CliError(EXIT_USAGE, "give exactly one of --rho and --input")
@@ -375,21 +382,12 @@ def cmd_analytic(args) -> int:
     return EXIT_OK
 
 
-def _require_gaussian(kernel: str, subcommand: str) -> None:
-    if KernelFamily(kernel) is not KernelFamily.GAUSSIAN:
-        raise CliError(
-            EXIT_USAGE,
-            f"{subcommand} relies on the closed-form Gaussian oracle; --kernel laplace is not supported here",
-        )
-
-
 def cmd_minimax(args) -> int:
     block = _parse_blocks(args.blocks)
     _require_multiblock(block)
     _require_gaussian(args.kernel, "minimax")
     gamma = _single_gamma(args.gamma)
     seed = _check_seed(args.seed)
-    _check_threads(args.threads)
     n_grid = _parse_n_grid(args.n_grid) if args.n_grid else DEFAULT_N_GRID
     if len(n_grid) < 3:
         raise CliError(EXIT_USAGE, "rate fit needs ≥ 3 grid points")
@@ -490,29 +488,27 @@ def cmd_certify(args) -> int:
 # --------------------------------- parser ----------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, *, input_required: bool = False) -> None:
+def _add_shared(sub: argparse.ArgumentParser, output_help: str) -> None:
+    """The flags every subcommand reads."""
     sub.add_argument("--blocks", required=True, help="comma-separated block dims, e.g. 1,1")
-    sub.add_argument("--kernel", choices=["gaussian", "laplace"], default="gaussian")
     sub.add_argument(
         "--gamma", action="append", type=_positive_float, default=None, help="bandwidth; repeat per block"
     )
-    sub.add_argument("--seed", type=int, default=0, help="unsigned 64-bit master seed")
-    sub.add_argument("--output", default=None, help="output path (default: stdout)")
-    sub.add_argument("--format", choices=["csv", "json"], default="json")
-    sub.add_argument("--threads", type=int, default=1)
-    sub.add_argument("--header", action="store_true", help="skip one header line on input")
-    if input_required:
-        sub.add_argument("--input", required=True, help="CSV input path")
-    else:
-        sub.add_argument("--input", default=None, help="CSV input path")
+    sub.add_argument("--output", default=None, help=output_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hsiclab", description=__doc__)
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
+    kernels = [family.value for family in KernelFamily]
 
-    est = subparsers.add_parser("estimate", parents=[], help="run estimators on a CSV dataset")
-    _add_common(est, input_required=True)
+    est = subparsers.add_parser("estimate", help="run estimators on a CSV dataset")
+    _add_shared(est, "output path (default: stdout)")
+    est.add_argument("--input", required=True, help="CSV input path")
+    est.add_argument("--header", action="store_true", help="skip one header line on input")
+    est.add_argument("--kernel", choices=kernels, default="gaussian")
+    est.add_argument("--seed", type=int, default=0, help="unsigned 64-bit master seed")
+    est.add_argument("--format", choices=["csv", "json"], default="json")
     est.add_argument("--est", action="append", choices=["v", "u", "nystrom"], default=None)
     est.add_argument("--landmarks", type=int, default=None)
     est.add_argument(
@@ -523,12 +519,18 @@ def build_parser() -> argparse.ArgumentParser:
     est.set_defaults(func=cmd_estimate)
 
     ana = subparsers.add_parser("analytic", help="closed-form HSIC for a Gaussian")
-    _add_common(ana)
+    _add_shared(ana, "also write the result to this path")
+    ana.add_argument("--input", default=None, help="CSV covariance path")
+    ana.add_argument("--header", action="store_true", help="skip one header line on input")
+    ana.add_argument("--kernel", choices=kernels, default="gaussian", help="gaussian only")
+    ana.add_argument("--format", choices=["csv", "json"], default="json")
     ana.add_argument("--rho", type=float, default=None, help="single-correlation covariance shorthand")
     ana.set_defaults(func=cmd_analytic)
 
     mini = subparsers.add_parser("minimax", help="risk simulation over an n-grid")
-    _add_common(mini)
+    _add_shared(mini, "report path without suffix (default: minimax_report)")
+    mini.add_argument("--kernel", choices=kernels, default="gaussian", help="gaussian only")
+    mini.add_argument("--seed", type=int, default=0, help="unsigned 64-bit master seed")
     mini.add_argument("--n-grid", default=None, help="e.g. 64,128,256 or 64..256")
     mini.add_argument("--reps", type=int, default=200)
     mini.add_argument("--est", action="append", choices=["v", "u", "nystrom"], default=None)
@@ -536,7 +538,10 @@ def build_parser() -> argparse.ArgumentParser:
     mini.set_defaults(func=cmd_minimax)
 
     cert = subparsers.add_parser("certify", help="tabulate the KL and gap certificates")
-    _add_common(cert)
+    _add_shared(cert, "output path (default: stdout)")
+    cert.add_argument("--kernel", choices=kernels, default="gaussian", help="gaussian only")
+    cert.add_argument("--seed", type=int, default=0, help="unsigned 64-bit master seed")
+    cert.add_argument("--format", choices=["csv", "json"], default="json")
     cert.add_argument("--n-grid", default=None, help="e.g. 2..1000 (default)")
     cert.set_defaults(func=cmd_certify)
 

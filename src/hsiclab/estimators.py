@@ -29,27 +29,6 @@ TILE_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
-class CrossCovEstimate:
-    """Empirical centered cross-covariance in Nystrom feature coordinates.
-
-    Its Frobenius norm is the associated HSIC estimate.
-    """
-
-    feature_dims: tuple[int, int]
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=float)
-        if mat.shape != tuple(self.feature_dims):
-            raise ValueError(f"matrix shape {mat.shape} does not match dims {self.feature_dims}")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "feature_dims", (int(self.feature_dims[0]), int(self.feature_dims[1])))
-
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.matrix))
-
-
-@dataclass(frozen=True, eq=False)
 class BlockStats:
     """Sufficient statistics of the V and U forms for one dataset:
     ``total`` = sum_ij prod_m K_m[i,j] and ``rows[m]`` = K_m 1, shape (M, n).
@@ -154,9 +133,9 @@ def _inv_sqrt_psd(w: np.ndarray) -> np.ndarray:
 
 def nystrom_cross_cov(
     pk: ProductKernel, data: Dataset, landmark_points: tuple[np.ndarray, np.ndarray]
-) -> CrossCovEstimate:
+) -> np.ndarray:
     """Centered cross-covariance of Nystrom features built on explicit
-    per-block landmark points (arrays of shape (l_m, d_m)).
+    per-block landmark points (arrays of shape (l_m, d_m)), shape (l_0, l_1).
 
     Features are phi_m(x) = W_m^{-1/2} k_m(landmarks_m, x) with W_m the
     landmark Gram.  Sharing landmark points across datasets puts their
@@ -174,19 +153,18 @@ def nystrom_cross_cov(
         w = gram(pk.specs[m], lm, lm)
         phis.append(gram(pk.specs[m], data.block_values(m), lm) @ _inv_sqrt_psd(w))
     phi0, phi1 = phis
-    c = phi0.T @ phi1 / data.n - np.outer(phi0.mean(axis=0), phi1.mean(axis=0))
-    return CrossCovEstimate((phi0.shape[1], phi1.shape[1]), c)
+    return phi0.T @ phi1 / data.n - np.outer(phi0.mean(axis=0), phi1.mean(axis=0))
 
 
 def hsic_nystrom(
     pk: ProductKernel, data: Dataset, landmarks: int, seed: int
-) -> tuple[float, CrossCovEstimate]:
+) -> float:
     """Nystrom estimate of HSIC (not HSIC^2) for exactly two blocks.
 
     Selects ``landmarks`` rows uniformly without replacement per block, builds
     the landmark features, and returns the Frobenius norm of the empirical
-    centered cross-covariance together with the matrix itself.  With
-    landmarks = n the estimate equals sqrt(max(0, hsic_v)).
+    centered cross-covariance.  With landmarks = n the estimate equals
+    sqrt(max(0, hsic_v)).
     """
     if pk.block.m != 2:
         raise ValueError(f"Nystrom estimator requires exactly 2 blocks, got {pk.block.m}")
@@ -199,8 +177,7 @@ def hsic_nystrom(
         data.block_values(m)[rng.stream(seed, "landmarks", m).choice(data.n, size=landmarks, replace=False)]
         for m in range(2)
     )
-    cross = nystrom_cross_cov(pk, data, points)
-    return cross.frobenius(), cross
+    return float(np.linalg.norm(nystrom_cross_cov(pk, data, points)))
 
 
 def mmd_v(spec: KernelSpec, x: Dataset, y: Dataset) -> float:

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from . import rng
-from .data import BlockStructure, Dataset
+from .data import BlockStructure
 
 
 class KernelFamily(str, Enum):
@@ -115,26 +115,6 @@ def gram(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     acc *= -0.5 * spec.gamma if spec.family is KernelFamily.GAUSSIAN else -spec.gamma
     np.exp(acc, out=acc)
     return acc
-
-
-def product_gram(pk: ProductKernel, data: Dataset) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Per-block Gram matrices and their entrywise (Hadamard) product.
-
-    The product equals the Gram matrix of the tensor kernel evaluated on the
-    concatenated coordinates.
-    """
-    if data.block != pk.block:
-        raise ValueError(
-            f"dataset blocks {data.block.dims} do not match kernel blocks {pk.block.dims}"
-        )
-    grams = tuple(
-        gram(spec, data.block_values(m), data.block_values(m))
-        for m, spec in enumerate(pk.specs)
-    )
-    prod = grams[0].copy()
-    for g in grams[1:]:
-        prod *= g
-    return grams, prod
 
 
 def spectral_sample(spec: KernelSpec, dim: int, n: int, seed: int) -> np.ndarray:

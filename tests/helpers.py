@@ -1,9 +1,10 @@
 """Independent oracles shared by the test modules.
 
-These deliberately avoid the library's vectorized code paths: the V-statistic
-oracle enumerates index tuples straight from the definition of the plug-in
-embedding distance, and the U-statistic oracle sums over distinct index
-tuples.  Both are O(n^large) and only meant for small n.
+These deliberately avoid the library's tiled code paths: ``product_gram``
+builds dense n x n Grams, the V-statistic oracle enumerates index tuples
+straight from the definition of the plug-in embedding distance, and the
+U-statistic oracle sums over distinct index tuples.  The two enumerations are
+O(n^large) and only meant for small n.
 """
 
 from __future__ import annotations
@@ -12,7 +13,25 @@ import itertools
 
 import numpy as np
 
-from hsiclab.kernels import eval_kernel
+from hsiclab.kernels import eval_kernel, gram
+
+
+def product_gram(pk, data):
+    """Dense per-block Gram matrices and their entrywise (Hadamard) product,
+    which is the Gram matrix of the tensor kernel on the concatenated
+    coordinates."""
+    if data.block != pk.block:
+        raise ValueError(
+            f"dataset blocks {data.block.dims} do not match kernel blocks {pk.block.dims}"
+        )
+    grams = tuple(
+        gram(spec, data.block_values(m), data.block_values(m))
+        for m, spec in enumerate(pk.specs)
+    )
+    prod = grams[0].copy()
+    for g in grams[1:]:
+        prod *= g
+    return grams, prod
 
 
 def naive_hsic_v(specs, blocks_data) -> float:

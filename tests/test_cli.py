@@ -1,10 +1,13 @@
+import argparse
+import inspect
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hsiclab import BlockStructure, Dataset, KernelFamily, ProductKernel, cli, hsic_v, lecam
+from hsiclab import BlockStructure, Dataset, KernelFamily, ProductKernel, cli, hsic_u, hsic_v, lecam
 from hsiclab.cli import main, read_dataset, write_dataset
 
 B11 = BlockStructure((1, 1))
@@ -154,6 +157,28 @@ class TestEstimate:
             main(["estimate", "--input", str(two_col_csv), "--blocks", "1,1", "--bogus"])
         assert err.value.code == 3
 
+    def test_v_and_u_share_one_tiled_pass(self, two_col_csv, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_block_stats(pk, data):
+            calls.append(data.n)
+            return block_stats(pk, data)
+
+        block_stats = cli.block_stats
+        monkeypatch.setattr(cli, "block_stats", counting_block_stats)
+        out = tmp_path / "vu.json"
+        argv = ["estimate", "--input", str(two_col_csv), "--blocks", "1,1", "--gamma", "0.7"]
+        assert main(argv + ["--est", "v", "--est", "u", "--output", str(out)]) == 0
+        assert calls == [12]
+        records = json.loads(out.read_text())
+        ds = read_dataset(str(two_col_csv), B11)
+        pk = ProductKernel.homogeneous(B11, KernelFamily.GAUSSIAN, 0.7)
+        assert [r["value_hsic2"] for r in records] == [hsic_v(pk, ds), hsic_u(pk, ds)]
+
+    def test_single_block_is_usage_error(self, two_col_csv, capsys):
+        assert main(["estimate", "--input", str(two_col_csv), "--blocks", "2", "--est", "v"]) == 3
+        assert "need at least 2 blocks" in capsys.readouterr().err
+
 
 class TestAnalytic:
     def test_rho_shorthand(self, capsys):
@@ -182,6 +207,10 @@ class TestAnalytic:
 
     def test_requires_exactly_one_source(self):
         assert main(["analytic", "--blocks", "1,1"]) == 3
+
+    def test_laplace_kernel_rejected(self, capsys):
+        assert main(["analytic", "--blocks", "1,1", "--rho", "0.6", "--kernel", "laplace"]) == 3
+        assert "--kernel laplace is not supported" in capsys.readouterr().err
 
 
 class TestMinimax:
@@ -375,6 +404,47 @@ class TestInputContract:
         assert main(base + ["2..6,7..11,12"]) == 3
         assert main(base + ["2..12"]) == 3
         assert "more than 10 budgets" in capsys.readouterr().err
+
+
+class TestFlagSurface:
+    @staticmethod
+    def subparsers():
+        (action,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    def test_every_flag_is_read_by_its_subcommand(self):
+        subs = self.subparsers()
+        assert sorted(subs) == ["analytic", "certify", "estimate", "minimax"]
+        for name, sub in subs.items():
+            source = inspect.getsource(sub.get_default("func"))
+            for action in sub._actions:
+                if action.dest != "help":
+                    assert re.search(rf"\bargs\.{action.dest}\b", source), f"{name} ignores --{action.dest}"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--blocks", "1,1", "--input", "data.csv"],
+            ["analytic", "--blocks", "1,1", "--rho", "0.6"],
+            ["minimax", "--blocks", "1,1", "--n-grid", "8,16,32", "--reps", "2"],
+            ["certify", "--blocks", "1,1", "--n-grid", "2..10"],
+        ],
+    )
+    def test_threads_is_not_a_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--threads", "2"])
+        assert err.value.code == 3
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["minimax", "certify"])
+    @pytest.mark.parametrize("budget", [str(2**53 + 1), "1" + "0" * 400], ids=["2^53+1", "10^400"])
+    def test_budget_beyond_float64_integers_is_usage_error(self, tmp_path, capsys, subcommand, budget):
+        argv = [subcommand, "--blocks", "1,1", "--n-grid", f"2,3,{budget}", "--output", str(tmp_path / "x")]
+        assert main(argv) == 3
+        assert "--n-grid budgets above 2^53" in capsys.readouterr().err
+
+    def test_budget_two_to_the_53_is_accepted(self):
+        assert cli._parse_n_grid(f"2..4,{2**53}") == (2, 3, 4, 2**53)
 
 
 class TestDatasetRoundTrip:

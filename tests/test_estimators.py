@@ -20,12 +20,18 @@ from hsiclab import (
     make_adversarial_cov,
     mmd_v,
     nystrom_cross_cov,
-    product_gram,
     sample,
 )
 from hsiclab import rng as rnglib
 from hsiclab.estimators import TILE_ROWS
-from helpers import dense_hsic_u, dense_hsic_v, naive_hsic_u, naive_hsic_v, trace_form_hsic_v
+from helpers import (
+    dense_hsic_u,
+    dense_hsic_v,
+    naive_hsic_u,
+    naive_hsic_v,
+    product_gram,
+    trace_form_hsic_v,
+)
 
 B11 = BlockStructure((1, 1))
 PK11 = ProductKernel.homogeneous(B11, KernelFamily.GAUSSIAN, 1.0)
@@ -115,8 +121,6 @@ class TestHsicV:
         for _ in range(10):
             n = int(rng.integers(5, 201))
             ds = Dataset(rng.normal(size=(n, 2)), B11)
-            from hsiclab.kernels import product_gram
-
             grams, _ = product_gram(PK11, ds)
             assert hsic_v(PK11, ds) == pytest.approx(
                 trace_form_hsic_v(grams[0], grams[1]), rel=1e-10
@@ -147,8 +151,6 @@ class TestHsicU:
     def test_matches_distinct_tuple_enumeration(self):
         rng = np.random.default_rng(19)
         ds = Dataset(rng.normal(size=(8, 2)), B11)
-        from hsiclab.kernels import product_gram
-
         grams, _ = product_gram(PK11, ds)
         assert hsic_u(PK11, ds) == pytest.approx(
             naive_hsic_u(grams[0], grams[1]), abs=1e-12
@@ -180,16 +182,22 @@ class TestHsicNystrom:
     def test_full_landmarks_recover_v_statistic(self):
         for seed, rho in ((3, 0.6), (4, 0.0), (5, 0.6)):
             ds = random_dataset(seed, n=120, rho=rho)
-            value, cross = hsic_nystrom(PK11, ds, 120, seed)
+            value = hsic_nystrom(PK11, ds, 120, seed)
             target = math.sqrt(max(0.0, hsic_v(PK11, ds)))
             assert value == pytest.approx(target, rel=1e-6)
-            assert cross.frobenius() == pytest.approx(value, abs=1e-12)
-            assert cross.feature_dims == (120, 120)
+            # the same landmark draw as hsic_nystrom's
+            points = tuple(
+                ds.block_values(m)[rnglib.stream(seed, "landmarks", m).choice(120, size=120, replace=False)]
+                for m in range(2)
+            )
+            cross = nystrom_cross_cov(PK11, ds, points)
+            assert np.linalg.norm(cross) == pytest.approx(value, abs=1e-12)
+            assert cross.shape == (120, 120)
 
     def test_constant_block_gives_zero(self):
         vals = np.random.default_rng(6).normal(size=(40, 2))
         vals[:, 0] = -1.5
-        value, _ = hsic_nystrom(PK11, Dataset(vals, B11), 10, 0)
+        value = hsic_nystrom(PK11, Dataset(vals, B11), 10, 0)
         assert abs(value) <= 1e-10
 
     def test_moderate_landmarks_approximate_analytic_value(self):
@@ -197,7 +205,7 @@ class TestHsicNystrom:
         values = []
         for seed in range(20):
             ds = sample(alt_measure(0.6), 2000, rnglib.derive(77, seed), B11)
-            value, _ = hsic_nystrom(PK11, ds, 200, rnglib.derive(78, seed))
+            value = hsic_nystrom(PK11, ds, 200, rnglib.derive(78, seed))
             values.append(value)
         assert abs(np.mean(values) - target) <= 0.02
 
@@ -224,8 +232,8 @@ class TestHsicNystrom:
             landmarks = (rng.normal(size=(12, 1)), rng.normal(size=(12, 1)))
             ca = nystrom_cross_cov(PK11, ds_a, landmarks)
             cb = nystrom_cross_cov(PK11, ds_b, landmarks)
-            distance = float(np.linalg.norm(ca.matrix - cb.matrix))
-            assert distance >= abs(ca.frobenius() - cb.frobenius()) - 1e-12
+            distance = float(np.linalg.norm(ca - cb))
+            assert distance >= abs(np.linalg.norm(ca) - np.linalg.norm(cb)) - 1e-12
 
 
 class TestMmdV:
@@ -282,8 +290,8 @@ class TestInvariances:
             )
             # full-landmark Nystrom: the landmark set is permutation stable,
             # features only change by an orthogonal reindexing
-            v_perm, _ = hsic_nystrom(PK11, permuted, 25, 5)
-            v_orig, _ = hsic_nystrom(PK11, ds, 25, 5)
+            v_perm = hsic_nystrom(PK11, permuted, 25, 5)
+            v_orig = hsic_nystrom(PK11, ds, 25, 5)
             assert v_perm == pytest.approx(v_orig, rel=1e-9)
 
     def test_block_shift_invariance(self):
@@ -296,8 +304,8 @@ class TestInvariances:
             shifted = Dataset(shifted_vals, B11)
             assert abs(hsic_v(PK11, shifted) - hsic_v(PK11, ds)) <= 1e-12
             assert abs(hsic_u(PK11, shifted) - hsic_u(PK11, ds)) <= 1e-12
-            v_shift, _ = hsic_nystrom(PK11, shifted, 25, 9)
-            v_orig, _ = hsic_nystrom(PK11, ds, 25, 9)
+            v_shift = hsic_nystrom(PK11, shifted, 25, 9)
+            v_orig = hsic_nystrom(PK11, ds, 25, 9)
             assert abs(v_shift - v_orig) <= 1e-9
 
 

@@ -12,9 +12,9 @@ from hsiclab import (
     eval_kernel,
     gram,
     lag_sum,
-    product_gram,
     spectral_sample,
 )
+from helpers import product_gram
 
 GAUSS1 = KernelSpec(KernelFamily.GAUSSIAN, 1.0)
 LAP2 = KernelSpec(KernelFamily.LAPLACE, 2.0)
