@@ -25,6 +25,12 @@ def _check_gamma(gamma: float) -> float:
     return gamma
 
 
+# From this bandwidth on, hsic2_gaussian takes gamma out of its determinants.
+# The identity is then below the rounding of unit-scale covariance entries, so
+# both forms agree to rounding; below it the direct form keeps its bits.
+_FACTOR_GAMMA = 1.0 / np.finfo(float).eps
+
+
 def _chol_logdet(matrix: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diagonal(cholesky_spd(matrix)))))
 
@@ -124,9 +130,18 @@ def hsic2_gaussian(g: GaussianMeasure, block: BlockStructure, gamma: float) -> H
     s1 = g.cov
     s2 = _block_diagonal(s1, block)
     eye = np.eye(g.d)
-    term_i = math.exp(-0.5 * _chol_logdet(2.0 * gamma * s1 + eye))
-    term_ii = math.exp(-0.5 * _chol_logdet(2.0 * gamma * s2 + eye))
-    term_iii = math.exp(-0.5 * _chol_logdet(gamma * s1 + gamma * s2 + eye))
+    if gamma < _FACTOR_GAMMA:
+        mats = (2.0 * gamma * s1 + eye, 2.0 * gamma * s2 + eye, gamma * s1 + gamma * s2 + eye)
+        scale = 1.0
+    else:
+        # |c A + I| = c^d |A + I/c| with c = 2 gamma keeps c out of the
+        # matrices, whose entries would overflow (inf * 0 = nan) near
+        # gamma = 1e308; the common factor c^(-d/2) scales all three terms
+        # alike, so its rounding does not grow in their cancellation
+        half = 0.5 / gamma
+        mats = (s1 + half * eye, s2 + half * eye, 0.5 * (s1 + s2) + half * eye)
+        scale = math.exp(-0.5 * g.d * (math.log(2.0) + math.log(gamma)))
+    term_i, term_ii, term_iii = (scale * math.exp(-0.5 * _chol_logdet(mat)) for mat in mats)
     return _decomposition(term_i, term_ii, term_iii)
 
 

@@ -74,13 +74,21 @@ def eval_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.exp(-spec.gamma * float(np.sum(np.abs(delta)))))
 
 
-def lag_sum(family: KernelFamily, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def lag_sum(
+    family: KernelFamily,
+    x: np.ndarray,
+    y: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Lag matrix of shape (n, m): entry (i, j) is |x_i - y_j|_2^2 for the
     Gaussian family and |x_i - y_j|_1 for the Laplace family.
 
     Lags are accumulated coordinate by coordinate from explicit differences,
     so translated inputs produce (numerically) identical output and no
-    (n, m, d) difference tensor is formed.
+    (n, m, d) difference tensor is formed.  ``out`` receives the result and
+    ``scratch`` holds the second and later coordinates (both float64 of shape
+    (n, m)); each one missing is allocated.
     """
     xm = np.atleast_2d(np.asarray(x, dtype=float))
     ym = np.atleast_2d(np.asarray(y, dtype=float))
@@ -96,22 +104,30 @@ def lag_sum(family: KernelFamily, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         else:
             np.abs(buf, out=buf)
 
-    acc = np.empty(shape)
+    acc = np.empty(shape) if out is None else out
     lag_into(acc, 0)
     if xm.shape[1] > 1:
-        scratch = np.empty(shape)
+        if scratch is None:
+            scratch = np.empty(shape)
         for q in range(1, xm.shape[1]):
             lag_into(scratch, q)
             acc += scratch
     return acc
 
 
-def gram(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def gram(
+    spec: KernelSpec,
+    x: np.ndarray,
+    y: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Gram matrix of shape (n, m) with entry (i, j) = k(x_i, y_j).
 
-    Built from ``lag_sum``, so k(x_i, x_i) is exactly 1 for finite x_i.
+    Built from ``lag_sum`` (which takes the same ``out`` and ``scratch``), so
+    k(x_i, x_i) is exactly 1 for finite x_i.
     """
-    acc = lag_sum(spec.family, x, y)
+    acc = lag_sum(spec.family, x, y, out, scratch)
     acc *= -0.5 * spec.gamma if spec.family is KernelFamily.GAUSSIAN else -spec.gamma
     np.exp(acc, out=acc)
     return acc

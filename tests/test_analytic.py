@@ -1,4 +1,6 @@
 import math
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -127,6 +129,26 @@ class TestHsic2Gaussian:
             a = hsic2_gaussian(measure_with_rho(0.35), B11, 1.0)
             b = hsic2_gaussian(measure_with_rho(0.35, mean=shift), B11, 1.0)
             assert a.value == b.value
+
+    @staticmethod
+    def _exact_rho_terms(gamma, rho):
+        # blocks (1, 1): |2g S + I| = (2g+1)^2 - (2g rho)^2, |2g I + I| = (2g+1)^2,
+        # |g S + g I + I| = (2g+1)^2 - (g rho)^2, in 60-digit decimals
+        with localcontext() as ctx:
+            ctx.prec = 60
+            g, r = Decimal(gamma), Decimal(rho)
+            z2 = (2 * g + 1) ** 2
+            terms = [1 / (z2 - (2 * g * r) ** 2).sqrt(), 1 / z2.sqrt(), 1 / (z2 - (g * r) ** 2).sqrt()]
+            return [float(t) for t in terms] + [float(terms[0] + terms[1] - 2 * terms[2])]
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 1e10, 1e15, 1e16, 1e150, 1e300, 1e308])
+    def test_any_finite_bandwidth_matches_exact_determinants(self, gamma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = hsic2_gaussian(measure_with_rho(0.5), B11, gamma)
+        got = [dec.term_i, dec.term_ii, dec.term_iii, dec.value]
+        for value, exact in zip(got, self._exact_rho_terms(gamma, 0.5)):
+            assert value == pytest.approx(exact, rel=1e-12)
 
     def test_structure_mismatch(self):
         with pytest.raises(ValueError):

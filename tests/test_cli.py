@@ -1,8 +1,10 @@
 import argparse
 import inspect
 import json
+import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +213,32 @@ class TestAnalytic:
     def test_laplace_kernel_rejected(self, capsys):
         assert main(["analytic", "--blocks", "1,1", "--rho", "0.6", "--kernel", "laplace"]) == 3
         assert "--kernel laplace is not supported" in capsys.readouterr().err
+
+    # printed by the direct determinant form, before gamma was factored out
+    DIRECT_RHO05 = {
+        "0.5": (0.008492518136382854, 0.09215485953753526, 0.5163977794943222, 0.49999999999999994, 0.5039526306789697),
+        "1": (0.010763320143793997, 0.10374642231804429, 0.3535533905932738, 0.33333333333333337, 0.3380617018914066),
+        "1e150": (4.455471020098897e-152, 2.1107986687741912e-76, 5.773502691896497e-151, 5.00000000000005e-151, 5.163977794943329e-151),
+    }
+
+    @staticmethod
+    def _printed(gamma, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analytic", "--blocks", "1,1", "--gamma", gamma, "--rho", "0.5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        names = ("hsic2", "hsic", "term_i", "term_ii", "term_iii")
+        found = dict(line.split(" = ") for line in captured.out.splitlines())
+        return tuple(float(found[name]) for name in names)
+
+    @pytest.mark.parametrize("gamma", ["1e16", "1e300", "1e308"])
+    def test_huge_gamma_prints_finite_values_without_warnings(self, gamma, capsys):
+        assert all(math.isfinite(v) and v >= 0 for v in self._printed(gamma, capsys))
+
+    @pytest.mark.parametrize("gamma", sorted(DIRECT_RHO05))
+    def test_values_match_direct_determinants(self, gamma, capsys):
+        assert self._printed(gamma, capsys) == pytest.approx(self.DIRECT_RHO05[gamma], rel=1e-12)
 
 
 class TestMinimax:

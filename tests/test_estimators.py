@@ -1,5 +1,11 @@
+import contextlib
 import math
+import multiprocessing
+import queue
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,8 +28,9 @@ from hsiclab import (
     nystrom_cross_cov,
     sample,
 )
+from hsiclab import estimators
 from hsiclab import rng as rnglib
-from hsiclab.estimators import TILE_ROWS
+from hsiclab.estimators import LANE_TILE_ROWS, LANES, THREAD_MIN_N, TILE_ROWS
 from helpers import (
     dense_hsic_u,
     dense_hsic_v,
@@ -44,6 +51,24 @@ def alt_measure(rho=0.6, block=B11):
 def random_dataset(seed, n=30, block=B11, rho=0.0):
     g = alt_measure(rho, block) if rho else GaussianMeasure.standard(block.total)
     return sample(g, n, seed, block)
+
+
+def put_total(results, pk, ds):
+    results.put(block_stats(pk, ds).total)
+
+
+@contextlib.contextmanager
+def lane_pool(workers):
+    """Run ``block_stats``'s lanes on a pool of ``workers`` threads (one
+    worker: in the calling thread, as on a single CPU) instead of the shared
+    pool sized by the CPU count."""
+    with ThreadPoolExecutor(workers) as pool:
+        saved = estimators._pool
+        estimators._pool = (pool if workers > 1 else None, workers)
+        try:
+            yield
+        finally:
+            estimators._pool = saved
 
 
 class TestBlockStats:
@@ -73,20 +98,105 @@ class TestBlockStats:
         if len(dims) == 2:
             assert hsic_u(pk, ds) == pytest.approx(dense_hsic_u(*grams), rel=1e-10)
 
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 1), (1, 2, 1)])
+    def test_lanes_match_dense_grams(self, dims, family):
+        # past the crossover the tiles run in lanes on the thread pool; the
+        # last tile is short (n is not a multiple of the lane tile height)
+        pk, ds = self._case(THREAD_MIN_N + 17, dims, family)
+        grams, prod = product_gram(pk, ds)
+        stats = block_stats(pk, ds)
+        assert stats.total == pytest.approx(float(prod.sum()), rel=1e-10)
+        np.testing.assert_allclose(stats.rows, [g.sum(axis=1) for g in grams], rtol=1e-10)
+        assert hsic_v(pk, ds) == pytest.approx(dense_hsic_v(grams), rel=1e-10)
+        if len(dims) == 2:
+            assert hsic_u(pk, ds) == pytest.approx(dense_hsic_u(*grams), rel=1e-10)
+
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 1), (1, 2, 1)])
+    def test_lanes_are_bit_identical_for_any_worker_count(self, dims):
+        pk, ds = self._case(THREAD_MIN_N + 100, dims, KernelFamily.GAUSSIAN)
+        blocks = [ds.block_values(m) for m in range(pk.block.m)]
+        inline = estimators._lane_stats(pk, blocks, map, 1)
+        runs = []
+
+        def run_all():
+            runs.extend(block_stats(pk, ds) for _ in range(3))
+            for workers in (1, LANES):
+                with lane_pool(workers):
+                    runs.extend(block_stats(pk, ds) for _ in range(3))
+
+        # frequent thread switches give the lanes many interleavings
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runner = threading.Thread(target=run_all)
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert len(runs) == 9
+        for stats in runs:
+            assert stats.total == inline.total
+            assert np.array_equal(stats.rows, inline.rows)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+    def test_forked_child_makes_its_own_pool(self):
+        # the child inherits the parent's pool object but none of its threads
+        pk, ds = self._case(THREAD_MIN_N, (1, 1), KernelFamily.GAUSSIAN)
+        expected = block_stats(pk, ds).total
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(target=put_total, args=(results, pk, ds))
+        child.start()
+        try:
+            assert results.get(timeout=60) == expected
+        except queue.Empty:
+            pytest.fail("block_stats hung in a forked child")
+        finally:
+            child.kill()
+            child.join(timeout=10)
+
     def test_block_mismatch(self):
         with pytest.raises(ValueError):
             block_stats(PK11, Dataset(np.zeros((4, 3)), BlockStructure((2, 1))))
 
+    @pytest.mark.parametrize("n", [5, THREAD_MIN_N])
+    def test_single_block_rejected(self, n):
+        block = BlockStructure((2,))
+        pk = ProductKernel.homogeneous(block, KernelFamily.GAUSSIAN, 1.0)
+        with pytest.raises(ValueError, match="at least 2 blocks"):
+            block_stats(pk, Dataset(np.zeros((n, 2)), block))
+
+    @pytest.mark.parametrize("cpus, workers", [(1, 1), (64, LANES)])
+    def test_pool_is_capped(self, monkeypatch, cpus, workers):
+        # the pool starts its threads on first submit, so none start here
+        assert LANES * LANE_TILE_ROWS <= TILE_ROWS
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(estimators, "_pool", None)
+        pool, got = estimators._lane_pool()
+        assert got == workers
+        if workers == 1:
+            assert pool is None
+        else:
+            assert pool._max_workers == workers
+            pool.shutdown()
+
     def test_memory_is_tile_sized(self):
-        n = 3000
-        ds = random_dataset(40, n=n, rho=0.6)
-        tracemalloc.start()
-        try:
-            hsic_v(PK11, ds)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.1 * 8 * n * n
+        # both sizes take the lanes on the shared pool, then on LANES threads
+        # whatever the CPU count: together they hold one TILE_ROWS tile set
+        for n in (3000, 6144):
+            assert n >= THREAD_MIN_N
+            ds = random_dataset(40, n=n, rho=0.6)
+            for pool in (contextlib.nullcontext(), lane_pool(LANES)):
+                with pool:
+                    tracemalloc.start()
+                    try:
+                        hsic_v(PK11, ds)
+                        _, peak = tracemalloc.get_traced_memory()
+                    finally:
+                        tracemalloc.stop()
+                assert peak < 0.1 * 8 * n * n
 
 
 class TestHsicV:

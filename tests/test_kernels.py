@@ -106,6 +106,16 @@ class TestLagSum:
         with pytest.raises(ValueError):
             lag_sum(KernelFamily.LAPLACE, np.zeros((2, 2)), np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("spec", [GAUSS1, LAP2])
+    @pytest.mark.parametrize("dims", [1, 3])
+    def test_gram_into_caller_buffers(self, spec, dims):
+        rng = np.random.default_rng(6)
+        x, y = rng.normal(size=(7, dims)), rng.normal(size=(4, dims))
+        out, scratch = np.full((7, 4), np.nan), np.empty((7, 4))
+        result = gram(spec, x, y, out=out, scratch=scratch)
+        assert result is out
+        assert np.array_equal(out, gram(spec, x, y))
+
 
 class TestProductGram:
     def _dataset(self, rng, n=6, dims=(1, 2)):
