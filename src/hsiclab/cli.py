@@ -467,7 +467,7 @@ def cmd_certify(args) -> int:
     # tolist() yields Python floats: the repr of an np.float64 is "np.float64(...)"
     cells = [[repr(v) for v in columns[name].tolist()] for name in CERTIFY_CSV_COLUMNS[1:]]
     rows = list(zip(kept, *cells))
-    if args.output is not None and args.format == "json":
+    if args.format == "json":
         payload = {
             "gamma": gamma,
             "blocks": list(block.dims),

@@ -25,26 +25,29 @@ from . import rng
 from .data import Dataset
 from .kernels import KernelSpec, ProductKernel, gram
 
-# Rows per Gram tile in ``block_stats``.  A (64, n) float64 tile is 2 MiB at
-# n = 4096, so the tiles of two blocks fit a 4 MiB per-core L2 cache; up to
-# n = 256 a tile is at most 128 KiB and is reused by the allocator instead of
-# being faulted in on every call.  32 and 128 rows measured slower.
-TILE_ROWS = 64
-
-# From THREAD_MIN_N rows on, ``block_stats`` cuts the upper triangle into
-# LANE_TILE_ROWS-row tiles and deals tile i to lane i % LANES.  Each lane sums
-# its tiles in order into its own accumulators; the lanes run on a thread pool
-# (numpy releases the GIL inside the tile arithmetic) and are added in lane
-# order, so the result depends on the data and n only, never on the number of
-# threads or their timing.  Half-height tiles keep the two lanes' buffers at
-# the size of one TILE_ROWS tile set (16-row tiles measured 1.3-1.6x slower),
-# so at most LANES threads run them, whatever the CPU count; 2 lanes also
-# measured 2-6% faster than 8 on 2 cores.
+# ``block_stats`` cuts the upper triangle of the block Grams into row tiles
+# and deals tile i to lane i % LANES.  Each lane sums its tiles in order into
+# its own accumulators and the lanes are added in lane order, so the result
+# depends on the data and n only, never on the number of threads or their
+# timing.  The tile height is a function of n alone, and the tiles in flight
+# hold TILE_ROWS * n floats per block at any n:
+#
+# * below THREAD_MIN_N, TILE_ROWS-row tiles, with the lanes run one after the
+#   other in the calling thread.  Up to n = TILE_ROWS the whole triangle is
+#   one tile.  Per-tile Python overhead dominates there: on one thread
+#   32-row tiles took 1.2-1.6x the time of 64-row ones at n = 64-256.
+# * from THREAD_MIN_N on, LANE_TILE_ROWS-row tiles, with the lanes on a
+#   thread pool of at most LANES workers (numpy releases the GIL inside the
+#   tile arithmetic).  Two half-height tiles make one TILE_ROWS tile set,
+#   whatever the CPU count; 16-row tiles measured 1.3-1.6x slower, and 2
+#   lanes 2-6% faster than 8 on 2 cores.
+#
 # Below THREAD_MIN_N the GIL hand-offs between short numpy calls eat what a
-# second core gives back: on 2 cores the lanes took 0.99-1.01x the
-# single-thread time at n = 1024-1792 and 0.84x / 0.71x at 2048 / 2560 for
-# blocks (1,1), 0.73x / 0.66x for (2,1); on one core 0.93-0.98x from 2048
-# to 4096 (medians of 16 alternating runs).
+# second core gives back: on 2 cores the pooled 32-row lanes took 1.44 /
+# 1.04 / 1.01 / 0.83 / 0.80x the time of the inline 64-row lanes at n = 1024
+# / 1536 / 1792 / 2048 / 2560 for blocks (1,1), and 1.32 / 0.99 / 0.92 /
+# 0.91 / 0.80x for (2,1) (medians of 12 alternating runs).
+TILE_ROWS = 64
 LANE_TILE_ROWS = 32
 LANES = TILE_ROWS // LANE_TILE_ROWS
 THREAD_MIN_N = 2048
@@ -88,38 +91,75 @@ def block_stats(pk: ProductKernel, data: Dataset) -> BlockStats:
 
     Tile i holds rows [i0, i1) against columns [i0, n) of every block Gram;
     its off-diagonal columns also stand in for the mirrored lower-triangle
-    entries.  Memory is O(n * TILE_ROWS) instead of O(n^2).  From
-    THREAD_MIN_N rows on the tiles run in LANES fixed lanes on up to LANES
-    of the CPUs the process may use, with the same result for any CPU count.
+    entries.  Memory is O(n * TILE_ROWS) instead of O(n^2).  The tiles run
+    in LANES fixed lanes (see TILE_ROWS), from THREAD_MIN_N rows on spread
+    over up to LANES of the CPUs the process may use, with the same result
+    for any CPU count.
+
+    The tile buffers and the per-lane accumulators are allocated here, in
+    the calling thread, so lane threads allocate nothing of tile size.  Tile
+    sums are taken with ``einsum`` rather than BLAS ``dot``, whose own
+    threads would make them depend on the CPU count; unlike a multiply and
+    a sum, it reads each tile once.
     """
     pk.block.require_multiblock()
     if data.block != pk.block:
         raise ValueError(
             f"dataset blocks {data.block.dims} do not match kernel blocks {pk.block.dims}"
         )
-    n = data.n
-    blocks = [data.block_values(m) for m in range(pk.block.m)]
+    m, n = pk.block.m, data.n
+    blocks = [data.block_values(k) for k in range(m)]
     if n >= THREAD_MIN_N:
+        height = LANE_TILE_ROWS
         pool, workers = _lane_pool()
-        return _lane_stats(pk, blocks, map if pool is None else pool.map, workers)
-    rows = np.zeros((pk.block.m, n))
-    partials = []
-    for i0 in range(0, n, TILE_ROWS):
-        i1 = min(i0 + TILE_ROWS, n)
-        tiles = [gram(spec, x[i0:i1], x[i0:]) for spec, x in zip(pk.specs, blocks)]
-        head = reduce(np.multiply, tiles[:-1])
-        tile_sum = float(np.dot(head.ravel(), tiles[-1].ravel()))
-        rows[:, i0:i1] += [tile.sum(axis=1) for tile in tiles]
-        if i1 < n:
-            t = i1 - i0
-            diag_sum = float(np.sum(head[:, :t] * tiles[-1][:, :t]))
-            tile_sum = 2.0 * tile_sum - diag_sum
-            rows[:, i1:] += [tile[:, t:].sum(axis=0) for tile in tiles]
-        partials.append(tile_sum)
-        # free this tile before the next is built, so the allocator reuses
-        # its pages instead of faulting in fresh ones
-        del tiles, head
-    return BlockStats(math.fsum(partials), rows)
+    else:
+        height, pool, workers = TILE_ROWS, None, 1
+    # a lane with no tile would add only zeros, so it is not run
+    lanes = min(LANES, -(-n // height))
+    # blocks with d > 1 go first and take the tile of the next block as lag
+    # scratch; only when every block has d > 1 does the last need a spare
+    order = sorted(range(m), key=lambda k: blocks[k].shape[1] == 1)
+    extra = int(blocks[order[-1]].shape[1] > 1)
+    spares = order[1:] + [m if extra else None]
+    buffers = np.empty((workers, m + extra, height * n))
+    free = queue.SimpleQueue()
+    for w in range(workers):
+        free.put(buffers[w])
+    # a list: reduce below would iterate an array, which costs ~1.5 us
+    lane_rows = [np.zeros((m, n)) for _ in range(lanes)]
+
+    def lane(j: int) -> list[float]:
+        buf = free.get()
+        rows = lane_rows[j]
+        partials = []
+        try:
+            for i0 in range(j * height, n, LANES * height):
+                i1 = min(i0 + height, n)
+                t, width = i1 - i0, n - i0
+                tiles = buf[:, : t * width].reshape(-1, t, width)
+                for k, spare in zip(order, spares):
+                    x = blocks[k]
+                    scratch = None if spare is None else tiles[spare]
+                    gram(pk.specs[k], x[i0:i1], x[i0:], out=tiles[k], scratch=scratch)
+                grams = tiles[:m]
+                rows[:, i0:i1] += grams.sum(axis=2)
+                if i1 < n:
+                    rows[:, i1:] += grams[:, :, t:].sum(axis=1)
+                # the product of all tiles but the last, in place in the first
+                head, last = grams[0], grams[-1]
+                for k in range(1, m - 1):
+                    np.multiply(head, grams[k], out=head)
+                tile_sum = float(np.einsum("ij,ij->", head, last))
+                if i1 < n:
+                    tile_sum = 2.0 * tile_sum - float(np.einsum("ij,ij->", head[:, :t], last[:, :t]))
+                partials.append(tile_sum)
+        finally:
+            free.put(buf)
+        return partials
+
+    run_map = map if pool is None else pool.map
+    partials = [p for lane_partials in run_map(lane, range(lanes)) for p in lane_partials]
+    return BlockStats(math.fsum(partials), reduce(np.add, lane_rows))
 
 
 _pool = None
@@ -157,64 +197,6 @@ def _forget_pool() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _lane_stats(pk: ProductKernel, blocks: list[np.ndarray], run_map, workers: int) -> BlockStats:
-    """``block_stats`` over LANES fixed lanes of LANE_TILE_ROWS-row tiles.
-
-    ``run_map(lane, range(LANES))`` runs the lanes (``pool.map``, or the
-    builtin ``map`` for one after another in this thread) with at most
-    ``workers`` of them at once.  The tile buffers and the per-lane
-    accumulators are allocated here, in the calling thread, so workers
-    allocate nothing of tile size.  Tile sums are taken with ``einsum``
-    rather than BLAS ``dot``, whose own threads would make them depend on
-    the CPU count; unlike a multiply and a sum, it reads each tile once.
-    """
-    m = pk.block.m
-    n = blocks[0].shape[0]
-    size = LANE_TILE_ROWS * n
-    # blocks with d > 1 go first and take the tile of the next block as lag
-    # scratch; only when every block has d > 1 does the last need a spare
-    order = sorted(range(m), key=lambda k: blocks[k].shape[1] == 1)
-    extra = int(blocks[order[-1]].shape[1] > 1)
-    spares = order[1:] + [m if extra else None]
-    buffers = np.empty((workers, m + extra, size))
-    free = queue.SimpleQueue()
-    for buf in buffers:
-        free.put(buf)
-    lane_rows = np.zeros((LANES, m, n))
-
-    def lane(j: int) -> list[float]:
-        buf = free.get()
-        rows = lane_rows[j]
-        partials = []
-        try:
-            for i0 in range(j * LANE_TILE_ROWS, n, LANES * LANE_TILE_ROWS):
-                i1 = min(i0 + LANE_TILE_ROWS, n)
-                t, width = i1 - i0, n - i0
-                tiles = buf[:, : t * width].reshape(-1, t, width)
-                for k, spare in zip(order, spares):
-                    x = blocks[k]
-                    scratch = None if spare is None else tiles[spare]
-                    gram(pk.specs[k], x[i0:i1], x[i0:], out=tiles[k], scratch=scratch)
-                grams = tiles[:m]
-                rows[:, i0:i1] += grams.sum(axis=2)
-                if i1 < n:
-                    rows[:, i1:] += grams[:, :, t:].sum(axis=1)
-                # the product of all tiles but the last, in place in the first
-                head, last = grams[0], grams[-1]
-                for tile in grams[1:-1]:
-                    np.multiply(head, tile, out=head)
-                tile_sum = float(np.einsum("ij,ij->", head, last))
-                if i1 < n:
-                    tile_sum = 2.0 * tile_sum - float(np.einsum("ij,ij->", head[:, :t], last[:, :t]))
-                partials.append(tile_sum)
-        finally:
-            free.put(buf)
-        return partials
-
-    partials = [p for lane_partials in run_map(lane, range(LANES)) for p in lane_partials]
-    return BlockStats(math.fsum(partials), reduce(np.add, lane_rows))
 
 
 def hsic_v(pk: ProductKernel, data: Dataset) -> float:

@@ -373,6 +373,23 @@ class TestCertify:
             "hsic2_ge_partii": True,
         }
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_stdout_follows_format(self, capsys, tmp_path, fmt):
+        # without --output the table goes to stdout, between the part-(ii)
+        # line and the verdicts, in the --format asked for
+        argv = ["certify", "--blocks", "2,2", "--gamma", "2", "--n-grid", "2..20", "--format", fmt]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("part-(ii) gap constant estimate:")
+        assert lines[-4:] == [line for line in lines if line.endswith(": PASS")]
+        table = "\n".join(lines[1:-4]) + "\n"
+        assert main(argv + ["--output", str(tmp_path / "table")]) == 0
+        assert table == (tmp_path / "table").read_text()
+        if fmt == "json":
+            assert len(json.loads(table)["rows"]) == 19
+        else:
+            assert table.startswith(",".join(cli.CERTIFY_CSV_COLUMNS) + "\n")
+
     def test_injected_failure_fails_one_family(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(lecam, "KL_BUDGET", 0.53)
         code = main(["certify", "--blocks", "1,1", "--n-grid", "8..64", "--output", str(tmp_path / "c.csv")])

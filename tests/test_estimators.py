@@ -1,7 +1,9 @@
 import contextlib
 import math
 import multiprocessing
+import os
 import queue
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -51,6 +53,30 @@ def alt_measure(rho=0.6, block=B11):
 def random_dataset(seed, n=30, block=B11, rho=0.0):
     g = alt_measure(rho, block) if rho else GaussianMeasure.standard(block.total)
     return sample(g, n, seed, block)
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_NUM_THREADS")
+
+# prints float.hex of the total, V, U (n >= 4) and every row sum of
+# block_stats for blocks (1,1) and (2,2) at each n in argv[2:]
+BITS_CHILD = """
+import os, sys
+if sys.argv[1] == "pin":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from hsiclab import BlockStructure, Dataset, KernelFamily, ProductKernel, block_stats
+for dims in ((1, 1), (2, 2)):
+    block = BlockStructure(dims)
+    pk = ProductKernel.homogeneous(block, KernelFamily.GAUSSIAN, 1.0)
+    for n in map(int, sys.argv[2:]):
+        z = np.random.default_rng(n).normal(size=(n, block.total))
+        z[:, -1] = 0.6 * z[:, 0] + 0.8 * z[:, -1]
+        stats = block_stats(pk, Dataset(z, block))
+        values = [stats.total, stats.v_statistic()]
+        if n >= 4:
+            values.append(stats.u_statistic())
+        print(dims, n, *map(float.hex, values + stats.rows.ravel().tolist()))
+"""
 
 
 def put_total(results, pk, ds):
@@ -115,8 +141,8 @@ class TestBlockStats:
     @pytest.mark.parametrize("dims", [(1, 1), (2, 1), (1, 2, 1)])
     def test_lanes_are_bit_identical_for_any_worker_count(self, dims):
         pk, ds = self._case(THREAD_MIN_N + 100, dims, KernelFamily.GAUSSIAN)
-        blocks = [ds.block_values(m) for m in range(pk.block.m)]
-        inline = estimators._lane_stats(pk, blocks, map, 1)
+        with lane_pool(1):
+            inline = block_stats(pk, ds)
         runs = []
 
         def run_all():
@@ -139,6 +165,33 @@ class TestBlockStats:
         for stats in runs:
             assert stats.total == inline.total
             assert np.array_equal(stats.rows, inline.rows)
+
+    def test_bits_do_not_depend_on_blas_threads_or_cpus(self):
+        # fresh interpreters, since BLAS reads its thread count and the lane
+        # pool its CPU count once per process; "pin" restricts the child to
+        # one CPU before numpy starts any thread
+        ns = (2, 63, 64, 65, 157, 500, 2047, 2048, 2049)
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        src = os.path.dirname(os.path.dirname(estimators.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        settings = [(None, "all"), ("1", "all"), ("2", "all")]
+        if hasattr(os, "sched_setaffinity"):
+            settings.append((None, "pin"))
+        outputs = []
+        for threads, cpus in settings:
+            child_env = dict(env, **({"OPENBLAS_NUM_THREADS": threads} if threads else {}))
+            child = subprocess.run(
+                [sys.executable, "-c", BITS_CHILD, cpus, *map(str, ns)],
+                env=child_env, capture_output=True, text=True, timeout=300,
+            )
+            assert child.returncode == 0, child.stderr
+            outputs.append(child.stdout.splitlines())
+        assert len(outputs[0]) == 2 * len(ns)
+        for (threads, cpus), lines in zip(settings[1:], outputs[1:]):
+            # the blocks and n of every case whose bits differ
+            differ = [a[: a.index(" 0x")] for a, b in zip(outputs[0], lines) if a != b]
+            assert len(lines) == len(outputs[0])
+            assert differ == [], f"OPENBLAS_NUM_THREADS={threads}, cpus={cpus}"
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
     def test_forked_child_makes_its_own_pool(self):

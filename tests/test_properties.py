@@ -1,8 +1,9 @@
 """Property-based checks of the V and U statistics over generated data.
 
 Sizes stay small (n <= 3 * TILE_ROWS) so the whole module runs in seconds;
-they still cross the 64-row tile boundaries of ``block_stats``.  Runs are
-derandomized, so every run draws the same examples.
+they still cross the TILE_ROWS-row tile boundaries of ``block_stats`` and
+deal tiles to both of its lanes, which run in the calling thread at these
+sizes.  Runs are derandomized, so every run draws the same examples.
 """
 
 import numpy as np
