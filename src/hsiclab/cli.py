@@ -144,6 +144,11 @@ def _require_multiblock(block: BlockStructure) -> None:
         raise CliError(EXIT_USAGE, str(exc)) from exc
 
 
+def _require_nystrom_for_landmarks(kinds: list[str] | None, landmarks: int | None) -> None:
+    if landmarks is not None and "nystrom" not in (kinds or ()):
+        raise CliError(EXIT_USAGE, "--landmarks is read only with --est nystrom")
+
+
 def _require_gaussian(kernel: str, subcommand: str) -> None:
     if KernelFamily(kernel) is not KernelFamily.GAUSSIAN:
         raise CliError(
@@ -226,6 +231,11 @@ def _write_text(path: str | None, text: str) -> None:
             handle.write(text)
 
 
+def _status_stream(output: str | None):
+    """stdout, unless it carries the document itself (no --output)."""
+    return sys.stderr if output is None else sys.stdout
+
+
 def _json_text(obj) -> str:
     try:
         return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -270,13 +280,15 @@ def cmd_estimate(args) -> int:
     seed = _check_seed(args.seed)
     family = KernelFamily(args.kernel)
     gammas = _gammas_for(block, args.gamma)
+    _require_nystrom_for_landmarks(args.est, args.landmarks)
     data = read_dataset(args.input, block, header=args.header)
     kinds = args.est or ["v"]
 
     if args.median_gamma:
+        status = _status_stream(args.output)
         for m in range(block.m):
             suggestion = _median_heuristic(family, data.block_values(m), seed)
-            print(f"median-heuristic gamma for block {m}: {suggestion!r} (not applied)")
+            print(f"median-heuristic gamma for block {m}: {suggestion!r} (not applied)", file=status)
 
     pk = ProductKernel(block, tuple(KernelSpec(family, g) for g in gammas))
     stats = None  # one tiled pass serves both the V and the U record
@@ -391,6 +403,7 @@ def cmd_minimax(args) -> int:
     n_grid = _parse_n_grid(args.n_grid) if args.n_grid else DEFAULT_N_GRID
     if len(n_grid) < 3:
         raise CliError(EXIT_USAGE, "rate fit needs ≥ 3 grid points")
+    _require_nystrom_for_landmarks(args.est, args.landmarks)
     try:
         estimators = tuple(
             Estimator(name=kind, kind=kind, landmarks=args.landmarks if kind == "nystrom" else None)
@@ -448,10 +461,11 @@ def cmd_certify(args) -> int:
     gamma = _single_gamma(args.gamma)
     seed = _check_seed(args.seed)
     grid = _parse_n_grid(args.n_grid) if args.n_grid else tuple(range(2, 1001))
+    status = _status_stream(args.output)
     kept = []
     for n in grid:
         if n < 2:
-            print(f"note: n={n} excluded (the construction needs a sample budget of at least 2)")
+            print(f"note: n={n} excluded (the construction needs a sample budget of at least 2)", file=status)
         else:
             kept.append(n)
     if not kept:
@@ -461,7 +475,8 @@ def cmd_certify(args) -> int:
     columns, inequalities = certificate_table(gamma, block, kept, partii)
     print(
         f"part-(ii) gap constant estimate: {partii.estimate!r} ± {partii.standard_error!r} (1 SE), "
-        f"N={CERTIFY_SPECTRAL_FREQS}"
+        f"N={CERTIFY_SPECTRAL_FREQS}",
+        file=status,
     )
 
     # tolist() yields Python floats: the repr of an np.float64 is "np.float64(...)"
@@ -481,7 +496,7 @@ def cmd_certify(args) -> int:
         _write_text(args.output, _csv_text(CERTIFY_CSV_COLUMNS, rows))
 
     for ineq in inequalities:
-        print(f"{ineq.statement}: {'PASS' if ineq.ok else 'FAIL'}")
+        print(f"{ineq.statement}: {'PASS' if ineq.ok else 'FAIL'}", file=status)
     return EXIT_OK if all(ineq.ok for ineq in inequalities) else EXIT_CERTIFICATE
 
 

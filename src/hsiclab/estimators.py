@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 import os
-import queue
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
@@ -36,14 +34,14 @@ from .kernels import KernelSpec, ProductKernel, gram
 #   other in the calling thread.  Up to n = TILE_ROWS the whole triangle is
 #   one tile.  Per-tile Python overhead dominates there: on one thread
 #   32-row tiles took 1.2-1.6x the time of 64-row ones at n = 64-256.
-# * from THREAD_MIN_N on, LANE_TILE_ROWS-row tiles, with the lanes on a
-#   thread pool of at most LANES workers (numpy releases the GIL inside the
-#   tile arithmetic).  Two half-height tiles make one TILE_ROWS tile set,
-#   whatever the CPU count; 16-row tiles measured 1.3-1.6x slower, and 2
-#   lanes 2-6% faster than 8 on 2 cores.
+# * from THREAD_MIN_N on, LANE_TILE_ROWS-row tiles, with lane 1 on a thread
+#   of its own for the call when more than one CPU is usable (numpy releases
+#   the GIL in the tile arithmetic); on one CPU that thread cost 10-30%.  Two
+#   half-height tiles make one TILE_ROWS tile set, whatever the CPU count;
+#   16-row tiles were 1.3-1.6x slower, and 2 lanes 2-6% faster than 8.
 #
 # Below THREAD_MIN_N the GIL hand-offs between short numpy calls eat what a
-# second core gives back: on 2 cores the pooled 32-row lanes took 1.44 /
+# second core gives back: on 2 cores the two-thread 32-row lanes took 1.44 /
 # 1.04 / 1.01 / 0.83 / 0.80x the time of the inline 64-row lanes at n = 1024
 # / 1536 / 1792 / 2048 / 2560 for blocks (1,1), and 1.32 / 0.99 / 0.92 /
 # 0.91 / 0.80x for (2,1) (medians of 12 alternating runs).
@@ -92,12 +90,12 @@ def block_stats(pk: ProductKernel, data: Dataset) -> BlockStats:
     Tile i holds rows [i0, i1) against columns [i0, n) of every block Gram;
     its off-diagonal columns also stand in for the mirrored lower-triangle
     entries.  Memory is O(n * TILE_ROWS) instead of O(n^2).  The tiles run
-    in LANES fixed lanes (see TILE_ROWS), from THREAD_MIN_N rows on spread
-    over up to LANES of the CPUs the process may use, with the same result
-    for any CPU count.
+    in LANES fixed lanes (see TILE_ROWS), from THREAD_MIN_N rows on in two
+    threads if the process may use more than one CPU, with the same result
+    for any CPU count.  No thread outlives the call.
 
-    The tile buffers and the per-lane accumulators are allocated here, in
-    the calling thread, so lane threads allocate nothing of tile size.  Tile
+    The tile buffers (a row per thread) and the per-lane accumulators are
+    allocated here, so the helper thread allocates nothing of tile size.  Tile
     sums are taken with ``einsum`` rather than BLAS ``dot``, whose own
     threads would make them depend on the CPU count; unlike a multiply and
     a sum, it reads each tile once.
@@ -109,11 +107,8 @@ def block_stats(pk: ProductKernel, data: Dataset) -> BlockStats:
         )
     m, n = pk.block.m, data.n
     blocks = [data.block_values(k) for k in range(m)]
-    if n >= THREAD_MIN_N:
-        height = LANE_TILE_ROWS
-        pool, workers = _lane_pool()
-    else:
-        height, pool, workers = TILE_ROWS, None, 1
+    height = LANE_TILE_ROWS if n >= THREAD_MIN_N else TILE_ROWS
+    threaded = n >= THREAD_MIN_N and _usable_cpus() > 1
     # a lane with no tile would add only zeros, so it is not run
     lanes = min(LANES, -(-n // height))
     # blocks with d > 1 go first and take the tile of the next block as lag
@@ -121,49 +116,43 @@ def block_stats(pk: ProductKernel, data: Dataset) -> BlockStats:
     order = sorted(range(m), key=lambda k: blocks[k].shape[1] == 1)
     extra = int(blocks[order[-1]].shape[1] > 1)
     spares = order[1:] + [m if extra else None]
-    buffers = np.empty((workers, m + extra, height * n))
-    free = queue.SimpleQueue()
-    for w in range(workers):
-        free.put(buffers[w])
+    buffers = np.empty((LANES if threaded else 1, m + extra, height * n))
     # a list: reduce below would iterate an array, which costs ~1.5 us
     lane_rows = [np.zeros((m, n)) for _ in range(lanes)]
 
     def lane(j: int) -> list[float]:
-        buf = free.get()
+        buf = buffers[j] if threaded else buffers[0]
         rows = lane_rows[j]
         partials = []
-        try:
-            for i0 in range(j * height, n, LANES * height):
-                i1 = min(i0 + height, n)
-                t, width = i1 - i0, n - i0
-                tiles = buf[:, : t * width].reshape(-1, t, width)
-                for k, spare in zip(order, spares):
-                    x = blocks[k]
-                    scratch = None if spare is None else tiles[spare]
-                    gram(pk.specs[k], x[i0:i1], x[i0:], out=tiles[k], scratch=scratch)
-                grams = tiles[:m]
-                rows[:, i0:i1] += grams.sum(axis=2)
-                if i1 < n:
-                    rows[:, i1:] += grams[:, :, t:].sum(axis=1)
-                # the product of all tiles but the last, in place in the first
-                head, last = grams[0], grams[-1]
-                for k in range(1, m - 1):
-                    np.multiply(head, grams[k], out=head)
-                tile_sum = float(np.einsum("ij,ij->", head, last))
-                if i1 < n:
-                    tile_sum = 2.0 * tile_sum - float(np.einsum("ij,ij->", head[:, :t], last[:, :t]))
-                partials.append(tile_sum)
-        finally:
-            free.put(buf)
+        for i0 in range(j * height, n, LANES * height):
+            i1 = min(i0 + height, n)
+            t, width = i1 - i0, n - i0
+            tiles = buf[:, : t * width].reshape(-1, t, width)
+            for k, spare in zip(order, spares):
+                x = blocks[k]
+                scratch = None if spare is None else tiles[spare]
+                gram(pk.specs[k], x[i0:i1], x[i0:], out=tiles[k], scratch=scratch)
+            grams = tiles[:m]
+            rows[:, i0:i1] += grams.sum(axis=2)
+            if i1 < n:
+                rows[:, i1:] += grams[:, :, t:].sum(axis=1)
+            # the product of all tiles but the last, in place in the first
+            head, last = grams[0], grams[-1]
+            for k in range(1, m - 1):
+                np.multiply(head, grams[k], out=head)
+            tile_sum = float(np.einsum("ij,ij->", head, last))
+            if i1 < n:
+                tile_sum = 2.0 * tile_sum - float(np.einsum("ij,ij->", head[:, :t], last[:, :t]))
+            partials.append(tile_sum)
         return partials
 
-    run_map = map if pool is None else pool.map
-    partials = [p for lane_partials in run_map(lane, range(lanes)) for p in lane_partials]
+    if threaded:
+        with ThreadPoolExecutor(1, thread_name_prefix="hsiclab-lane") as helper:
+            second = helper.submit(lane, 1)
+            partials = lane(0) + second.result()
+    else:
+        partials = [p for j in range(lanes) for p in lane(j)]
     return BlockStats(math.fsum(partials), reduce(np.add, lane_rows))
-
-
-_pool = None
-_pool_lock = threading.Lock()
 
 
 def _usable_cpus() -> int:
@@ -171,32 +160,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _lane_pool():
-    """The shared lane thread pool and its worker count, made on first use
-    with one worker per usable CPU, at most LANES.  With one usable CPU
-    there is no pool (None) and the lanes run in the calling thread."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            workers = min(_usable_cpus(), LANES)
-            pool = None
-            if workers > 1:
-                pool = ThreadPoolExecutor(workers, thread_name_prefix="hsiclab-lane")
-            _pool = pool, workers
-        return _pool
-
-
-def _forget_pool() -> None:
-    # a forked child inherits the pool object but none of its threads, and
-    # the lock in whatever state another thread left it
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def hsic_v(pk: ProductKernel, data: Dataset) -> float:

@@ -103,6 +103,24 @@ class TestEstimate:
             expected = float(1.0 / np.median(upper[upper > 0]))
             assert f"median-heuristic gamma for block {m}: {expected!r} (not applied)" in out
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_stdout_follows_format(self, two_col_csv, tmp_path, capsys, fmt):
+        # without --output stdout is the records alone and the median
+        # suggestions go to stderr; with --output they stay on stdout
+        argv = ["estimate", "--input", str(two_col_csv), "--blocks", "1,1", "--median-gamma", "--format", fmt]
+        assert main(argv) == 0
+        records, status = capsys.readouterr()
+        assert [line.split(":")[0] for line in status.splitlines()] == [
+            f"median-heuristic gamma for block {m}" for m in range(2)
+        ]
+        assert main(argv + ["--output", str(tmp_path / "records")]) == 0
+        assert tuple(capsys.readouterr()) == (status, "")
+        assert records == (tmp_path / "records").read_text()
+        if fmt == "json":
+            assert [rec["estimator"] for rec in json.loads(records)] == ["v"]
+        else:
+            assert records.splitlines()[0] == ",".join(cli.ESTIMATE_CSV_COLUMNS)
+
     def test_block_sum_mismatch_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "three.csv"
         write_csv(path, np.zeros((5, 3)).tolist())
@@ -375,20 +393,25 @@ class TestCertify:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_stdout_follows_format(self, capsys, tmp_path, fmt):
-        # without --output the table goes to stdout, between the part-(ii)
-        # line and the verdicts, in the --format asked for
-        argv = ["certify", "--blocks", "2,2", "--gamma", "2", "--n-grid", "2..20", "--format", fmt]
+        # without --output stdout is the table alone, in the --format asked
+        # for, and the status lines go to stderr; with --output they stay on
+        # stdout, where perfbench reads the verdicts
+        argv = ["certify", "--blocks", "2,2", "--gamma", "2", "--n-grid", "1..20", "--format", fmt]
         assert main(argv) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0].startswith("part-(ii) gap constant estimate:")
-        assert lines[-4:] == [line for line in lines if line.endswith(": PASS")]
-        table = "\n".join(lines[1:-4]) + "\n"
+        table, status = capsys.readouterr()
+        lines = status.splitlines()
+        assert lines[0] == "note: n=1 excluded (the construction needs a sample budget of at least 2)"
+        assert lines[1].startswith("part-(ii) gap constant estimate:")
+        assert lines[2:] == [line for line in lines if line.endswith(": PASS")]
+        assert len(lines) == 6
         assert main(argv + ["--output", str(tmp_path / "table")]) == 0
+        assert tuple(capsys.readouterr()) == (status, "")
         assert table == (tmp_path / "table").read_text()
         if fmt == "json":
             assert len(json.loads(table)["rows"]) == 19
         else:
             assert table.startswith(",".join(cli.CERTIFY_CSV_COLUMNS) + "\n")
+            assert len(table.splitlines()) == 1 + 19
 
     def test_injected_failure_fails_one_family(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(lecam, "KL_BUDGET", 0.53)
@@ -480,6 +503,18 @@ class TestFlagSurface:
             main(argv + ["--threads", "2"])
         assert err.value.code == 3
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["estimate", "minimax"])
+    @pytest.mark.parametrize("est", [[], ["--est", "v"]], ids=["default-est", "est-v"])
+    def test_landmarks_without_nystrom_is_usage_error(self, two_col_csv, tmp_path, capsys, subcommand, est):
+        argv = [subcommand, "--blocks", "1,1", *est, "--landmarks", "3", "--output", str(tmp_path / "x")]
+        if subcommand == "estimate":
+            argv += ["--input", str(two_col_csv)]
+        else:
+            argv += ["--n-grid", "8,16,32", "--reps", "2"]
+        assert main(argv) == 3
+        assert "--landmarks is read only with --est nystrom" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("subcommand", ["minimax", "certify"])
     @pytest.mark.parametrize("budget", [str(2**53 + 1), "1" + "0" * 400], ids=["2^53+1", "10^400"])

@@ -85,16 +85,15 @@ def put_total(results, pk, ds):
 
 @contextlib.contextmanager
 def lane_pool(workers):
-    """Run ``block_stats``'s lanes on a pool of ``workers`` threads (one
-    worker: in the calling thread, as on a single CPU) instead of the shared
-    pool sized by the CPU count."""
-    with ThreadPoolExecutor(workers) as pool:
-        saved = estimators._pool
-        estimators._pool = (pool if workers > 1 else None, workers)
-        try:
-            yield
-        finally:
-            estimators._pool = saved
+    """Make ``block_stats`` see ``workers`` usable CPUs: with one its lanes
+    run in the calling thread, as on a single CPU, with more lane 1 runs on
+    a helper thread."""
+    saved = estimators._usable_cpus
+    estimators._usable_cpus = lambda: workers
+    try:
+        yield
+    finally:
+        estimators._usable_cpus = saved
 
 
 class TestBlockStats:
@@ -167,9 +166,9 @@ class TestBlockStats:
             assert np.array_equal(stats.rows, inline.rows)
 
     def test_bits_do_not_depend_on_blas_threads_or_cpus(self):
-        # fresh interpreters, since BLAS reads its thread count and the lane
-        # pool its CPU count once per process; "pin" restricts the child to
-        # one CPU before numpy starts any thread
+        # fresh interpreters, since BLAS reads its thread count once per
+        # process; "pin" restricts the child to one CPU before numpy starts
+        # any thread
         ns = (2, 63, 64, 65, 157, 500, 2047, 2048, 2049)
         env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
         src = os.path.dirname(os.path.dirname(estimators.__file__))
@@ -195,7 +194,7 @@ class TestBlockStats:
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
     def test_forked_child_makes_its_own_pool(self):
-        # the child inherits the parent's pool object but none of its threads
+        # no lane thread outlives a call, so the child has none to miss
         pk, ds = self._case(THREAD_MIN_N, (1, 1), KernelFamily.GAUSSIAN)
         expected = block_stats(pk, ds).total
         ctx = multiprocessing.get_context("fork")
@@ -221,23 +220,44 @@ class TestBlockStats:
         with pytest.raises(ValueError, match="at least 2 blocks"):
             block_stats(pk, Dataset(np.zeros((n, 2)), block))
 
-    @pytest.mark.parametrize("cpus, workers", [(1, 1), (64, LANES)])
-    def test_pool_is_capped(self, monkeypatch, cpus, workers):
-        # the pool starts its threads on first submit, so none start here
+    @pytest.mark.parametrize("cpus, helpers", [(1, 0), (64, LANES - 1)])
+    def test_helper_threads_live_for_one_call(self, monkeypatch, cpus, helpers):
         assert LANES * LANE_TILE_ROWS <= TILE_ROWS
+        pk, ds = self._case(THREAD_MIN_N, (1, 1), KernelFamily.GAUSSIAN)
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(estimators, "_pool", None)
-        pool, got = estimators._lane_pool()
-        assert got == workers
-        if workers == 1:
-            assert pool is None
-        else:
-            assert pool._max_workers == workers
-            pool.shutdown()
+        callers = set()
+        real_gram = estimators.gram
+
+        def traced_gram(*args, **kwargs):
+            callers.add(threading.get_ident())
+            return real_gram(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "gram", traced_gram)
+        before = threading.enumerate()
+        block_stats(pk, ds)
+        assert threading.enumerate() == before
+        assert len(callers - {threading.get_ident()}) == helpers
+
+    def test_concurrent_calls_get_the_inline_bits(self):
+        pk, ds = self._case(THREAD_MIN_N + 100, (2, 1), KernelFamily.GAUSSIAN)
+        with lane_pool(1):
+            inline = block_stats(pk, ds)
+        start = threading.Barrier(2)
+
+        def call():
+            start.wait(timeout=60)
+            return block_stats(pk, ds)
+
+        with lane_pool(LANES), ThreadPoolExecutor(2) as callers:
+            runs = [callers.submit(call) for _ in range(2)]
+            results = [run.result(timeout=120) for run in runs]
+        for stats in results:
+            assert stats.total == inline.total
+            assert np.array_equal(stats.rows, inline.rows)
 
     def test_memory_is_tile_sized(self):
-        # both sizes take the lanes on the shared pool, then on LANES threads
-        # whatever the CPU count: together they hold one TILE_ROWS tile set
+        # both sizes run the lanes as the CPU count picks, then on LANES
+        # threads whatever it is: together they hold one TILE_ROWS tile set
         for n in (3000, 6144):
             assert n >= THREAD_MIN_N
             ds = random_dataset(40, n=n, rho=0.6)

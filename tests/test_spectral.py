@@ -10,6 +10,7 @@ from hsiclab import (
     KernelFamily,
     KernelSpec,
     adversarial_hsic2,
+    critical_slope,
     gap_constant_partii,
     make_adversarial_cov,
     mmd2_gaussian,
@@ -83,6 +84,16 @@ class TestGapConstant:
         block = BlockStructure((2, 1))
         est, se = gap_constant_partii(spec, block, 300_000, 5)
         assert abs(est - quadrature_gap_constant(2.0, 3)) <= 4 * se
+
+    @pytest.mark.parametrize("gamma", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (3, 1, 2)])
+    def test_monte_carlo_matches_half_the_critical_slope(self, gamma, dims):
+        # the spectral measure N(0, gamma I) is even in each coordinate, so
+        # the opposite-sign set carries half of the full integral
+        # gamma^2 (2 gamma + 1)^(-(d+4)/2), which is critical_slope(gamma, d)
+        block = BlockStructure(dims)
+        est, se = gap_constant_partii(KernelSpec(KernelFamily.GAUSSIAN, gamma), block, 200_000, 7)
+        assert abs(est - critical_slope(gamma, block.total) / 2) <= 4 * se
 
     def test_laplace_spectral_measure_gives_positive_estimate(self):
         est, se = gap_constant_partii(KernelSpec("laplace", 1.0), B11, 50_000, 9)
