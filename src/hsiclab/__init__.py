@@ -24,7 +24,6 @@ from .estimators import (
     hsic_nystrom,
     hsic_u,
     hsic_v,
-    mmd_v,
     nystrom_cross_cov,
 )
 from .gaussian import (
@@ -104,7 +103,6 @@ __all__ = [
     "minimax_constant",
     "mmd2_gaussian",
     "mmd2_spectral",
-    "mmd_v",
     "nystrom_cross_cov",
     "rate_fit",
     "risk_sim",

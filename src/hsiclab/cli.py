@@ -3,6 +3,7 @@ evaluation, certificate tables, and experiment orchestration.
 
 Subcommands: ``estimate``, ``analytic``, ``minimax``, ``certify``.
 Exit codes: 0 success, 1 certificate violation, 2 data error, 3 usage error.
+A ``ValueError`` from the library is a rule the arguments broke: exit 3.
 """
 
 from __future__ import annotations
@@ -80,10 +81,11 @@ def _positive_float(text: str) -> float:
 
 def _parse_blocks(text: str) -> BlockStructure:
     try:
-        dims = tuple(int(tok) for tok in text.split(","))
-        return BlockStructure(dims)
+        block = BlockStructure(tuple(int(tok) for tok in text.split(",")))
+        block.require_multiblock()
     except ValueError as exc:
         raise CliError(EXIT_USAGE, f"invalid --blocks {text!r}: {exc}") from exc
+    return block
 
 
 def _parse_n_grid(text: str) -> tuple[int, ...]:
@@ -137,24 +139,9 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-def _require_multiblock(block: BlockStructure) -> None:
-    try:
-        block.require_multiblock()
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from exc
-
-
 def _require_nystrom_for_landmarks(kinds: list[str] | None, landmarks: int | None) -> None:
     if landmarks is not None and "nystrom" not in (kinds or ()):
         raise CliError(EXIT_USAGE, "--landmarks is read only with --est nystrom")
-
-
-def _require_gaussian(kernel: str, subcommand: str) -> None:
-    if KernelFamily(kernel) is not KernelFamily.GAUSSIAN:
-        raise CliError(
-            EXIT_USAGE,
-            f"{subcommand} relies on the closed-form Gaussian oracle; --kernel laplace is not supported here",
-        )
 
 
 # ------------------------------- dataset io --------------------------------
@@ -243,7 +230,13 @@ def _json_text(obj) -> str:
         raise CliError(EXIT_DATA, f"cannot write JSON: {exc}") from exc
 
 
+def _joined(values) -> str:
+    """One CSV cell for a list, e.g. blocks 1,1."""
+    return ",".join(map(str, values))
+
+
 def _csv_text(columns, rows) -> str:
+    """csv.writer writes a Python float as its repr, the shortest round trip."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -276,13 +269,14 @@ def _median_heuristic(spec_family: KernelFamily, block_values: np.ndarray, seed:
 
 def cmd_estimate(args) -> int:
     block = _parse_blocks(args.blocks)
-    _require_multiblock(block)
     seed = _check_seed(args.seed)
     family = KernelFamily(args.kernel)
     gammas = _gammas_for(block, args.gamma)
-    _require_nystrom_for_landmarks(args.est, args.landmarks)
-    data = read_dataset(args.input, block, header=args.header)
     kinds = args.est or ["v"]
+    _require_nystrom_for_landmarks(kinds, args.landmarks)
+    if "nystrom" in kinds and args.landmarks is None:
+        raise CliError(EXIT_USAGE, "nystrom estimator requires --landmarks")
+    data = read_dataset(args.input, block, header=args.header)
 
     if args.median_gamma:
         status = _status_stream(args.output)
@@ -294,8 +288,6 @@ def cmd_estimate(args) -> int:
     stats = None  # one tiled pass serves both the V and the U record
     records = []
     for kind in kinds:
-        if kind in ("u", "nystrom") and block.m != 2:
-            raise CliError(EXIT_USAGE, f"{kind} estimator requires exactly 2 blocks, got {block.m}")
         record = {
             "estimator": kind,
             "n": data.n,
@@ -304,56 +296,41 @@ def cmd_estimate(args) -> int:
             "gamma": gammas,
             "seed": seed,
         }
-        if kind == "v":
-            if data.n < 2:
-                raise CliError(EXIT_USAGE, f"V-statistic requires n ≥ 2, got {data.n}")
-            stats = stats or block_stats(pk, data)
-            record["value_hsic2"] = stats.v_statistic()
-        elif kind == "u":
-            if data.n < 4:
-                raise CliError(EXIT_USAGE, f"U-statistic requires n ≥ 4, got {data.n}")
-            stats = stats or block_stats(pk, data)
-            record["value_hsic2"] = stats.u_statistic()
-        else:
-            if args.landmarks is None:
-                raise CliError(EXIT_USAGE, "nystrom estimator requires --landmarks")
-            if not 2 <= args.landmarks <= data.n:
-                raise CliError(
-                    EXIT_USAGE, f"--landmarks must lie in [2, {data.n}], got {args.landmarks}"
-                )
+        if kind == "nystrom":
             record["value_hsic"] = hsic_nystrom(pk, data, args.landmarks, rng.derive(seed, "nystrom"))
             record["landmarks"] = args.landmarks
+        else:
+            stats = stats or block_stats(pk, data)
+            record["value_hsic2"] = stats.v_statistic() if kind == "v" else stats.u_statistic()
         records.append(record)
 
     if args.format == "json":
         _write_text(args.output, _json_text(records))
     else:
-        rows = []
-        for rec in records:
-            scale = "hsic2" if "value_hsic2" in rec else "hsic"
-            rows.append(
-                (
-                    rec["estimator"],
-                    scale,
-                    repr(rec.get("value_hsic2", rec.get("value_hsic"))),
-                    rec["n"],
-                    rec["d"],
-                    ",".join(str(v) for v in rec["blocks"]),
-                    ",".join(repr(g) for g in rec["gamma"]),
-                    rec["seed"],
-                )
+        rows = [
+            (
+                rec["estimator"],
+                "hsic2" if "value_hsic2" in rec else "hsic",
+                rec.get("value_hsic2", rec.get("value_hsic")),
+                rec["n"],
+                rec["d"],
+                _joined(rec["blocks"]),
+                _joined(rec["gamma"]),
+                rec["seed"],
             )
+            for rec in records
+        ]
         _write_text(args.output, _csv_text(ESTIMATE_CSV_COLUMNS, rows))
     return EXIT_OK
 
 
 def cmd_analytic(args) -> int:
     block = _parse_blocks(args.blocks)
-    _require_multiblock(block)
-    _require_gaussian(args.kernel, "analytic")
     gamma = _single_gamma(args.gamma)
     if (args.rho is None) == (args.input is None):
         raise CliError(EXIT_USAGE, "give exactly one of --rho and --input")
+    if args.format is not None and args.output is None:
+        raise CliError(EXIT_USAGE, "--format is read only with --output")
     try:
         if args.rho is not None:
             cov = make_adversarial_cov(block, args.rho)
@@ -386,33 +363,27 @@ def cmd_analytic(args) -> int:
             "term_ii": dec.term_ii,
             "term_iii": dec.term_iii,
         }
-        if args.format == "json":
-            _write_text(args.output, _json_text(payload))
+        if args.format == "csv":
+            cells = dict(payload, blocks=_joined(block.dims))
+            _write_text(args.output, _csv_text(tuple(cells), [tuple(cells.values())]))
         else:
-            cols = tuple(payload.keys())
-            _write_text(args.output, _csv_text(cols, [tuple(payload[c] for c in cols)]))
+            _write_text(args.output, _json_text(payload))
     return EXIT_OK
 
 
 def cmd_minimax(args) -> int:
     block = _parse_blocks(args.blocks)
-    _require_multiblock(block)
-    _require_gaussian(args.kernel, "minimax")
     gamma = _single_gamma(args.gamma)
     seed = _check_seed(args.seed)
     n_grid = _parse_n_grid(args.n_grid) if args.n_grid else DEFAULT_N_GRID
     if len(n_grid) < 3:
         raise CliError(EXIT_USAGE, "rate fit needs ≥ 3 grid points")
     _require_nystrom_for_landmarks(args.est, args.landmarks)
-    try:
-        estimators = tuple(
-            Estimator(name=kind, kind=kind, landmarks=args.landmarks if kind == "nystrom" else None)
-            for kind in dict.fromkeys(args.est or ["v", "u"])
-        )
-        config = ExperimentConfig(gamma, block, n_grid, estimators, args.reps, seed)
-        report = run_experiment(config)
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from exc
+    estimators = tuple(
+        Estimator(name=kind, kind=kind, landmarks=args.landmarks if kind == "nystrom" else None)
+        for kind in dict.fromkeys(args.est or ["v", "u"])
+    )
+    report = run_experiment(ExperimentConfig(gamma, block, n_grid, estimators, args.reps, seed))
 
     base = args.output or "minimax_report"
     for suffix in (".json", ".csv"):
@@ -420,26 +391,13 @@ def cmd_minimax(args) -> int:
             base = base[: -len(suffix)]
     _write_text(base + ".json", _json_text(report.to_dict()))
 
-    rows = []
-    for rec in report.records:
-        common = tuple(repr(v) for v in (rec.kl_exact, rec.kl_bound, rec.analytic_gap, rec.gap_floor))
-        if rec.risks:
-            for name, risk in rec.risks.items():
-                rows.append(
-                    (
-                        rec.n,
-                        repr(rec.rho),
-                        name,
-                        repr(risk.sup_risk),
-                        repr(risk.sup_exceed_prob),
-                        repr(risk.null.rmse),
-                        repr(risk.alt.rmse),
-                        repr(risk.threshold),
-                    )
-                    + common
-                )
-        else:
-            rows.append((rec.n, repr(rec.rho), "", "", "", "", "", "") + common)
+    # the CLI always runs at least one estimator, so every record has risks
+    rows = [
+        (rec.n, rec.rho, name, risk.sup_risk, risk.sup_exceed_prob, risk.null.rmse, risk.alt.rmse)
+        + (risk.threshold, rec.kl_exact, rec.kl_bound, rec.analytic_gap, rec.gap_floor)
+        for rec in report.records
+        for name, risk in rec.risks.items()
+    ]
     _write_text(base + ".csv", _csv_text(MINIMAX_CSV_COLUMNS, rows))
 
     for name, fit in report.rate_fits.items():
@@ -456,8 +414,6 @@ def cmd_minimax(args) -> int:
 
 def cmd_certify(args) -> int:
     block = _parse_blocks(args.blocks)
-    _require_multiblock(block)
-    _require_gaussian(args.kernel, "certify")
     gamma = _single_gamma(args.gamma)
     seed = _check_seed(args.seed)
     grid = _parse_n_grid(args.n_grid) if args.n_grid else tuple(range(2, 1001))
@@ -479,9 +435,8 @@ def cmd_certify(args) -> int:
         file=status,
     )
 
-    # tolist() yields Python floats: the repr of an np.float64 is "np.float64(...)"
-    cells = [[repr(v) for v in columns[name].tolist()] for name in CERTIFY_CSV_COLUMNS[1:]]
-    rows = list(zip(kept, *cells))
+    # tolist() yields Python floats, which both formats write as their repr
+    rows = list(zip(kept, *(columns[name].tolist() for name in CERTIFY_CSV_COLUMNS[1:])))
     if args.format == "json":
         payload = {
             "gamma": gamma,
@@ -515,13 +470,12 @@ def _add_shared(sub: argparse.ArgumentParser, output_help: str) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hsiclab", description=__doc__)
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-    kernels = [family.value for family in KernelFamily]
 
     est = subparsers.add_parser("estimate", help="run estimators on a CSV dataset")
     _add_shared(est, "output path (default: stdout)")
     est.add_argument("--input", required=True, help="CSV input path")
     est.add_argument("--header", action="store_true", help="skip one header line on input")
-    est.add_argument("--kernel", choices=kernels, default="gaussian")
+    est.add_argument("--kernel", choices=[family.value for family in KernelFamily], default="gaussian")
     est.add_argument("--seed", type=int, default=0, help="unsigned 64-bit master seed")
     est.add_argument("--format", choices=["csv", "json"], default="json")
     est.add_argument("--est", action="append", choices=["v", "u", "nystrom"], default=None)
@@ -537,14 +491,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(ana, "also write the result to this path")
     ana.add_argument("--input", default=None, help="CSV covariance path")
     ana.add_argument("--header", action="store_true", help="skip one header line on input")
-    ana.add_argument("--kernel", choices=kernels, default="gaussian", help="gaussian only")
-    ana.add_argument("--format", choices=["csv", "json"], default="json")
+    ana.add_argument("--format", choices=["csv", "json"], default=None, help="with --output (default: json)")
     ana.add_argument("--rho", type=float, default=None, help="single-correlation covariance shorthand")
     ana.set_defaults(func=cmd_analytic)
 
     mini = subparsers.add_parser("minimax", help="risk simulation over an n-grid")
     _add_shared(mini, "report path without suffix (default: minimax_report)")
-    mini.add_argument("--kernel", choices=kernels, default="gaussian", help="gaussian only")
     mini.add_argument("--seed", type=int, default=0, help="unsigned 64-bit master seed")
     mini.add_argument("--n-grid", default=None, help="e.g. 64,128,256 or 64..256")
     mini.add_argument("--reps", type=int, default=200)
@@ -554,7 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     cert = subparsers.add_parser("certify", help="tabulate the KL and gap certificates")
     _add_shared(cert, "output path (default: stdout)")
-    cert.add_argument("--kernel", choices=kernels, default="gaussian", help="gaussian only")
     cert.add_argument("--seed", type=int, default=0, help="unsigned 64-bit master seed")
     cert.add_argument("--format", choices=["csv", "json"], default="json")
     cert.add_argument("--n-grid", default=None, help="e.g. 2..1000 (default)")
@@ -568,9 +519,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as err:
+    except (CliError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return err.code
+        return err.code if isinstance(err, CliError) else EXIT_USAGE
 
 
 def entrypoint() -> None:

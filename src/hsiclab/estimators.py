@@ -6,7 +6,6 @@
 * ``hsic_u``: unbiased U-statistic, two blocks only.
 * ``hsic_nystrom``: Frobenius norm of the empirical centered cross-covariance
   in landmark feature coordinates; estimates HSIC itself, not HSIC^2.
-* ``mmd_v``: biased plug-in MMD^2 between two samples.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import rng
 from .data import Dataset
-from .kernels import KernelSpec, ProductKernel, gram
+from .kernels import ProductKernel, gram
 
 # ``block_stats`` cuts the upper triangle of the block Grams into row tiles
 # and deals tile i to lane i % LANES.  Each lane sums its tiles in order into
@@ -63,8 +62,10 @@ class BlockStats:
     rows: np.ndarray
 
     def v_statistic(self) -> float:
-        """Biased V-statistic of HSIC^2 (see ``hsic_v``)."""
+        """Biased V-statistic of HSIC^2 for n >= 2 (see ``hsic_v``)."""
         m, n = self.rows.shape
+        if n < 2:
+            raise ValueError(f"V-statistic requires n ≥ 2, got {n}")
         term1 = self.total / (n * n)
         term2 = float(np.prod(self.rows.sum(axis=1))) / n ** (2 * m)
         term3 = float(reduce(np.multiply, self.rows[:-1]) @ self.rows[-1]) / n ** (m + 1)
@@ -73,8 +74,12 @@ class BlockStats:
     def u_statistic(self) -> float:
         """Unbiased U-statistic of HSIC^2 for exactly two blocks and n >= 4
         (see ``hsic_u``)."""
+        m, n = self.rows.shape
+        if m != 2:
+            raise ValueError(f"U-statistic requires exactly 2 blocks, got {m}")
+        if n < 4:
+            raise ValueError(f"U-statistic requires n ≥ 4, got {n}")
         k_rows, l_rows = self.rows
-        n = k_rows.shape[0]
         # zeroed-diagonal quantities expressed through the plain Gram sums
         t1 = self.total - n
         sk = k_rows - 1.0
@@ -170,9 +175,6 @@ def hsic_v(pk: ProductKernel, data: Dataset) -> float:
 
     Always nonnegative up to round-off.
     """
-    pk.block.require_multiblock()
-    if data.n < 2:
-        raise ValueError(f"V-statistic needs at least 2 samples, got {data.n}")
     return block_stats(pk, data).v_statistic()
 
 
@@ -184,10 +186,6 @@ def hsic_u(pk: ProductKernel, data: Dataset) -> float:
     with K~, L~ the per-block Grams with zeroed diagonals.  May be negative;
     its expectation equals the population HSIC^2.
     """
-    if pk.block.m != 2:
-        raise ValueError(f"U-statistic requires exactly 2 blocks, got {pk.block.m}")
-    if data.n < 4:
-        raise ValueError(f"U-statistic requires n >= 4, got {data.n}")
     return block_stats(pk, data).u_statistic()
 
 
@@ -247,15 +245,3 @@ def hsic_nystrom(
     )
     return float(np.linalg.norm(nystrom_cross_cov(pk, data, points)))
 
-
-def mmd_v(spec: KernelSpec, x: Dataset, y: Dataset) -> float:
-    """Biased plug-in MMD^2 between two samples under one kernel:
-
-        mean k(X, X) + mean k(Y, Y) - 2 mean k(X, Y), floored at 0.
-    """
-    if x.d != y.d:
-        raise ValueError(f"dimension mismatch: {x.d} vs {y.d}")
-    kxx = float(gram(spec, x.values, x.values).mean())
-    kyy = float(gram(spec, y.values, y.values).mean())
-    kxy = float(gram(spec, x.values, y.values).mean())
-    return max(0.0, kxx + kyy - 2.0 * kxy)

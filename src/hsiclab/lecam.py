@@ -108,6 +108,7 @@ def certificate_table(
     square root ``analytic_gap`` and the ``gap_floor`` 2c/sqrt(n) (plus
     ``partii_bound`` and ``partii_margin`` from a part-(ii) check over the
     same grid), and one ``Inequality`` per family whose columns are present.
+    Raises ``ValueError`` naming the first column that is not finite.
     """
     grid = tuple(n_grid)
     n = tuple(int(v) for v in grid)
@@ -133,6 +134,11 @@ def certificate_table(
             raise ValueError("the part-(ii) check covers a different grid")
         columns["partii_bound"] = partii.bound
         columns["partii_margin"] = partii.margin
+    # a NaN compares false both ways and would read as a failing certificate
+    for name, column in columns.items():
+        bad = np.flatnonzero(~np.isfinite(column))
+        if bad.size:
+            raise ValueError(f"certificate column {name} is not finite at n={n[bad[0]]} (gamma={gamma!r})")
     rows = []
     for family, statement, lower, upper in CERTIFICATE_FAMILIES:
         if lower in columns:

@@ -1,10 +1,10 @@
 """Independent oracles shared by the test modules.
 
 These deliberately avoid the library's tiled code paths: ``product_gram``
-builds dense n x n Grams, the V-statistic oracle enumerates index tuples
-straight from the definition of the plug-in embedding distance, and the
-U-statistic oracle sums over distinct index tuples.  The two enumerations are
-O(n^large) and only meant for small n.
+and ``mmd_v`` build dense n x n Grams, the V-statistic oracle enumerates
+index tuples straight from the definition of the plug-in embedding distance,
+and the U-statistic oracle sums over distinct index tuples.  The two
+enumerations are O(n^large) and only meant for small n.
 """
 
 from __future__ import annotations
@@ -32,6 +32,19 @@ def product_gram(pk, data):
     for g in grams[1:]:
         prod *= g
     return grams, prod
+
+
+def mmd_v(spec, x, y) -> float:
+    """Biased plug-in MMD^2 between two samples under one kernel:
+
+        mean k(X, X) + mean k(Y, Y) - 2 mean k(X, Y), floored at 0.
+    """
+    if x.d != y.d:
+        raise ValueError(f"dimension mismatch: {x.d} vs {y.d}")
+    kxx = float(gram(spec, x.values, x.values).mean())
+    kyy = float(gram(spec, y.values, y.values).mean())
+    kxy = float(gram(spec, x.values, y.values).mean())
+    return max(0.0, kxx + kyy - 2.0 * kxy)
 
 
 def naive_hsic_v(specs, blocks_data) -> float:

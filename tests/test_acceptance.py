@@ -37,13 +37,12 @@ from hsiclab import (
     minimax_constant,
     mmd2_gaussian,
     mmd2_spectral,
-    mmd_v,
     run_experiment,
     sample,
     verify_gap_partii,
 )
 from hsiclab import rng as rnglib
-from helpers import product_gram, random_spd, trace_form_hsic_v
+from helpers import mmd_v, product_gram, random_spd, trace_form_hsic_v
 
 B11 = BlockStructure((1, 1))
 PK11 = ProductKernel.homogeneous(B11, KernelFamily.GAUSSIAN, 1.0)

@@ -1,5 +1,7 @@
 import argparse
+import csv
 import inspect
+import io
 import json
 import math
 import re
@@ -228,9 +230,28 @@ class TestAnalytic:
     def test_requires_exactly_one_source(self):
         assert main(["analytic", "--blocks", "1,1"]) == 3
 
-    def test_laplace_kernel_rejected(self, capsys):
-        assert main(["analytic", "--blocks", "1,1", "--rho", "0.6", "--kernel", "laplace"]) == 3
-        assert "--kernel laplace is not supported" in capsys.readouterr().err
+    @pytest.mark.parametrize("fmt", [None, "json", "csv"], ids=["default", "json", "csv"])
+    def test_output_holds_the_printed_values(self, tmp_path, capsys, fmt):
+        out = tmp_path / "analytic.out"
+        argv = ["analytic", "--blocks", "2,1", "--gamma", "0.5", "--rho", "0.3", "--output", str(out)]
+        assert main(argv + (["--format", fmt] if fmt else [])) == 0
+        printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        assert sorted(printed) == ["hsic", "hsic2", "term_i", "term_ii", "term_iii"]
+        if fmt == "csv":
+            (written,) = csv.DictReader(io.StringIO(out.read_text()))
+            assert written["blocks"] == "2,1"
+            assert all(written[name] == text for name, text in printed.items())
+        else:
+            written = json.loads(out.read_text())
+            assert written["blocks"] == [2, 1]
+            assert all(written[name] == float(text) for name, text in printed.items())
+        assert (float(written["gamma"]), float(written["rho"])) == (0.5, 0.3)
+
+    def test_format_without_output_is_usage_error(self, capsys):
+        assert main(["analytic", "--blocks", "1,1", "--rho", "0.6", "--format", "csv"]) == 3
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr == "error: --format is read only with --output\n"
 
     # printed by the direct determinant form, before gamma was factored out
     DIRECT_RHO05 = {
@@ -334,22 +355,6 @@ class TestMinimax:
         payload = json.loads(json_path.read_text())
         assert payload["certificates"] == {"hsic_gap": True, "kl_budget": False}
 
-    def test_laplace_kernel_rejected(self, tmp_path):
-        code = main(
-            [
-                "minimax",
-                "--blocks",
-                "1,1",
-                "--kernel",
-                "laplace",
-                "--n-grid",
-                "16,32,64",
-                "--output",
-                str(tmp_path / "x"),
-            ]
-        )
-        assert code == 3
-
 
 class TestCertify:
     def test_small_grid_all_pass(self, capsys, tmp_path):
@@ -390,6 +395,10 @@ class TestCertify:
             "gap_ge_floor": True,
             "hsic2_ge_partii": True,
         }
+        # rows hold numbers, the floats the CSV form writes
+        rows = payload["rows"]
+        assert [row["n"] for row in rows] == list(range(2, 21))
+        assert all(type(v) is float for row in rows for k, v in row.items() if k != "n")
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_stdout_follows_format(self, capsys, tmp_path, fmt):
@@ -523,8 +532,80 @@ class TestFlagSurface:
         assert main(argv) == 3
         assert "--n-grid budgets above 2^53" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analytic", "--blocks", "1,1", "--rho", "0.6"],
+            ["minimax", "--blocks", "1,1", "--n-grid", "8,16,32", "--reps", "2"],
+            ["certify", "--blocks", "1,1", "--n-grid", "2..10"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_kernel_is_not_a_flag(self, argv, capsys):
+        # these subcommands rest on the closed-form Gaussian oracle
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--kernel", "gaussian"])
+        assert err.value.code == 3
+        assert "unrecognized arguments: --kernel gaussian" in capsys.readouterr().err
+
     def test_budget_two_to_the_53_is_accepted(self):
         assert cli._parse_n_grid(f"2..4,{2**53}") == (2, 3, 4, 2**53)
+
+
+class TestErrorBoundary:
+    """A rule the library enforces, reached through the CLI, exits 3 with one
+    ``error:`` line, before any simulation runs or any document is written."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow at gamma = 1e200
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["estimate", "--blocks", "1,1", "--est", "u", "--input", "3x2"], "U-statistic requires n ≥ 4, got 3"),
+            (["estimate", "--blocks", "1,1", "--input", "1x2"], "V-statistic requires n ≥ 2, got 1"),
+            (
+                ["estimate", "--blocks", "1,1,1", "--est", "u", "--input", "12x3"],
+                "U-statistic requires exactly 2 blocks, got 3",
+            ),
+            (
+                ["estimate", "--blocks", "1,1", "--est", "nystrom", "--landmarks", "13", "--input", "12x2"],
+                "cannot select 13 landmarks from 12 rows",
+            ),
+            # one block exits before the (missing) input is read
+            (["estimate", "--blocks", "2", "--input", "missing"], "need at least 2 blocks"),
+            (["analytic", "--blocks", "2", "--rho", "0.5"], "need at least 2 blocks"),
+            (["minimax", "--blocks", "2", "--n-grid", "8,16,32"], "need at least 2 blocks"),
+            (["certify", "--blocks", "2"], "need at least 2 blocks"),
+            (
+                ["certify", "--blocks", "1,1", "--gamma", "1e200", "--n-grid", "2..4", "--format", "csv"],
+                "certificate column hsic2 is not finite at n=2",
+            ),
+            (
+                ["minimax", "--blocks", "1,1", "--gamma", "1e200", "--n-grid", "8,16,32"],
+                "certificate column hsic2 is not finite at n=8",
+            ),
+        ],
+        ids=[
+            "u-n3", "v-n1", "u-3-blocks", "landmarks-above-n", "estimate-1-block", "analytic-1-block",
+            "minimax-1-block", "certify-1-block", "certify-gamma-1e200", "minimax-gamma-1e200",
+        ],
+    )
+    def test_library_rule_exits_three_with_one_error_line(self, tmp_path, monkeypatch, capsys, argv, message):
+        simulated = []
+        monkeypatch.setattr(lecam, "_simulate", lambda *args: simulated.append(args))
+        argv = list(argv)
+        if "--input" in argv:
+            i = argv.index("--input") + 1
+            if argv[i] != "missing":
+                rows, cols = map(int, argv[i].split("x"))
+                write_csv(tmp_path / argv[i], np.random.default_rng(rows).normal(size=(rows, cols)).tolist())
+            argv[i] = str(tmp_path / argv[i])
+        assert main(argv + ["--output", str(tmp_path / "out")]) == 3
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert len(stderr.splitlines()) == 1
+        assert stderr.startswith("error: ") and message in stderr
+        assert not simulated
+        assert not list(tmp_path.glob("out*"))
 
 
 class TestDatasetRoundTrip:

@@ -26,7 +26,6 @@ from hsiclab import (
     hsic_u,
     hsic_v,
     make_adversarial_cov,
-    mmd_v,
     nystrom_cross_cov,
     sample,
 )
@@ -36,6 +35,7 @@ from hsiclab.estimators import LANE_TILE_ROWS, LANES, THREAD_MIN_N, TILE_ROWS
 from helpers import (
     dense_hsic_u,
     dense_hsic_v,
+    mmd_v,
     naive_hsic_u,
     naive_hsic_v,
     product_gram,

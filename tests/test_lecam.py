@@ -248,6 +248,13 @@ class TestCertificateTable:
         with pytest.raises(ValueError, match="different grid"):
             certificate_table(1.0, B11, (4, 16), partii)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the closed forms
+    def test_non_finite_column_is_named_with_its_budget(self):
+        # at gamma = 1e200 the adversarial hsic2 is NaN, which would otherwise
+        # read as a failing gap certificate
+        with pytest.raises(ValueError, match=r"^certificate column hsic2 is not finite at n=3 "):
+            certificate_table(1e200, B11, (3, 4))
+
     def test_report_carries_the_table_rows(self):
         report = run_experiment(ExperimentConfig(gamma=1.0, block=B11, n_grid=(4, 8, 16), reps=2))
         columns, inequalities = certificate_table(1.0, B11, (4, 8, 16))
