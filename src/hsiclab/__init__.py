@@ -21,7 +21,9 @@ from .data import BlockStructure, Dataset
 from .estimators import (
     BlockStats,
     block_stats,
+    block_stats_batch,
     hsic_nystrom,
+    hsic_nystrom_batch,
     hsic_u,
     hsic_v,
     nystrom_cross_cov,
@@ -82,6 +84,7 @@ __all__ = [
     "RiskResult",
     "adversarial_hsic2",
     "block_stats",
+    "block_stats_batch",
     "build_pair",
     "char_fn",
     "critical_slope",
@@ -92,6 +95,7 @@ __all__ = [
     "gram",
     "hsic2_gaussian",
     "hsic_nystrom",
+    "hsic_nystrom_batch",
     "hsic_u",
     "hsic_v",
     "kl_adversarial_bound",

@@ -148,9 +148,12 @@ def hsic2_gaussian(g: GaussianMeasure, block: BlockStructure, gamma: float) -> H
 def _adversarial_terms(gamma: float, d: int, rho):
     z = 2.0 * gamma + 1.0
     log_z = math.log(z)
-    term_i = np.exp(-0.5 * ((d - 2) * log_z + np.log(z * z - (2.0 * gamma * rho) ** 2)))
+    # z * z overflows from gamma ~ 1e154 on and the terms become NaN;
+    # certificate_table names such a column, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        term_i = np.exp(-0.5 * ((d - 2) * log_z + np.log(z * z - (2.0 * gamma * rho) ** 2)))
+        term_iii = np.exp(-0.5 * ((d - 2) * log_z + np.log(z * z - (gamma * rho) ** 2)))
     term_ii = math.exp(-0.5 * d * log_z)
-    term_iii = np.exp(-0.5 * ((d - 2) * log_z + np.log(z * z - (gamma * rho) ** 2)))
     return term_i, term_ii, term_iii
 
 

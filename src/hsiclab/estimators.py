@@ -1,11 +1,15 @@
 """Sample-based HSIC and MMD estimators.
 
-* ``block_stats``: the sums the V and U forms share, in one tiled pass.
+* ``block_stats``: the sums the V and U forms share, in one tiled pass;
+  ``block_stats_batch`` runs that pass over many equal-n datasets at once.
 * ``hsic_v``: biased V-statistic for any number of blocks (for two blocks it
   equals trace(K H L H)/n^2 with H the centering matrix).
 * ``hsic_u``: unbiased U-statistic, two blocks only.
 * ``hsic_nystrom``: Frobenius norm of the empirical centered cross-covariance
   in landmark feature coordinates; estimates HSIC itself, not HSIC^2.
+  ``hsic_nystrom_batch`` does the same for many equal-n datasets at once.
+* ``require_v``, ``require_u``, ``require_nystrom``: the rules each
+  estimator puts on its input, checked where the estimators run.
 """
 
 from __future__ import annotations
@@ -20,14 +24,14 @@ import numpy as np
 
 from . import rng
 from .data import Dataset
-from .kernels import ProductKernel, gram
+from .kernels import ProductKernel, stacked_gram
 
 # ``block_stats`` cuts the upper triangle of the block Grams into row tiles
 # and deals tile i to lane i % LANES.  Each lane sums its tiles in order into
 # its own accumulators and the lanes are added in lane order, so the result
 # depends on the data and n only, never on the number of threads or their
 # timing.  The tile height is a function of n alone, and the tiles in flight
-# hold TILE_ROWS * n floats per block at any n:
+# hold TILE_ROWS * n floats per block and dataset at any n:
 #
 # * below THREAD_MIN_N, TILE_ROWS-row tiles, with the lanes run one after the
 #   other in the calling thread.  Up to n = TILE_ROWS the whole triangle is
@@ -44,10 +48,47 @@ from .kernels import ProductKernel, gram
 # 1.04 / 1.01 / 0.83 / 0.80x the time of the inline 64-row lanes at n = 1024
 # / 1536 / 1792 / 2048 / 2560 for blocks (1,1), and 1.32 / 0.99 / 0.92 /
 # 0.91 / 0.80x for (2,1) (medians of 12 alternating runs).
+#
+# At small n a tile is tiny and the pass is all per-call overhead, so
+# ``block_stats_batch`` stacks ``stack_size(n)`` datasets along a leading axis
+# and runs the same loop on (R, t, n) tiles; below n = 512 that is more than
+# one dataset, so the lanes never see a stack.
 TILE_ROWS = 64
 LANE_TILE_ROWS = 32
 LANES = TILE_ROWS // LANE_TILE_ROWS
 THREAD_MIN_N = 2048
+
+
+def stack_size(n: int) -> int:
+    """How many datasets of n rows share one pass of the tile loop (or one
+    Nystrom step): as many as keep a block's tiles within 2^15 floats
+    (256 KB), and at least one.  That is 512 at n = 8, 2 at n = 256 and 1
+    from n = 512 on, so the lanes at n >= THREAD_MIN_N see one dataset."""
+    return max(1, 2**15 // (min(n, TILE_ROWS) * n))
+
+
+def require_v(n: int) -> None:
+    """The V-statistic's rule: n >= 2 rows (any M >= 2 blocks)."""
+    if n < 2:
+        raise ValueError(f"V-statistic requires n ≥ 2, got {n}")
+
+
+def require_u(m: int, n: int) -> None:
+    """The U-statistic's rules: exactly 2 blocks and n >= 4 rows."""
+    if m != 2:
+        raise ValueError(f"U-statistic requires exactly 2 blocks, got {m}")
+    if n < 4:
+        raise ValueError(f"U-statistic requires n ≥ 4, got {n}")
+
+
+def require_nystrom(m: int, n: int, landmarks: int) -> None:
+    """The Nystrom estimator's rules: exactly 2 blocks and 2 <= landmarks <= n."""
+    if m != 2:
+        raise ValueError(f"Nystrom estimator requires exactly 2 blocks, got {m}")
+    if landmarks < 2:
+        raise ValueError(f"need at least 2 landmarks, got {landmarks}")
+    if landmarks > n:
+        raise ValueError(f"cannot select {landmarks} landmarks from {n} rows")
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,8 +105,7 @@ class BlockStats:
     def v_statistic(self) -> float:
         """Biased V-statistic of HSIC^2 for n >= 2 (see ``hsic_v``)."""
         m, n = self.rows.shape
-        if n < 2:
-            raise ValueError(f"V-statistic requires n ≥ 2, got {n}")
+        require_v(n)
         term1 = self.total / (n * n)
         term2 = float(np.prod(self.rows.sum(axis=1))) / n ** (2 * m)
         term3 = float(reduce(np.multiply, self.rows[:-1]) @ self.rows[-1]) / n ** (m + 1)
@@ -75,10 +115,7 @@ class BlockStats:
         """Unbiased U-statistic of HSIC^2 for exactly two blocks and n >= 4
         (see ``hsic_u``)."""
         m, n = self.rows.shape
-        if m != 2:
-            raise ValueError(f"U-statistic requires exactly 2 blocks, got {m}")
-        if n < 4:
-            raise ValueError(f"U-statistic requires n ≥ 4, got {n}")
+        require_u(m, n)
         k_rows, l_rows = self.rows
         # zeroed-diagonal quantities expressed through the plain Gram sums
         t1 = self.total - n
@@ -90,65 +127,101 @@ class BlockStats:
 
 
 def block_stats(pk: ProductKernel, data: Dataset) -> BlockStats:
-    """Fused pass over upper-triangle row tiles of the symmetric block Grams.
+    """The sufficient statistics of one dataset: ``block_stats_batch`` of a
+    batch of one."""
+    return block_stats_batch(pk, [data])[0]
 
-    Tile i holds rows [i0, i1) against columns [i0, n) of every block Gram;
-    its off-diagonal columns also stand in for the mirrored lower-triangle
-    entries.  Memory is O(n * TILE_ROWS) instead of O(n^2).  The tiles run
-    in LANES fixed lanes (see TILE_ROWS), from THREAD_MIN_N rows on in two
-    threads if the process may use more than one CPU, with the same result
-    for any CPU count.  No thread outlives the call.
+
+def block_stats_batch(pk: ProductKernel, datasets) -> list[BlockStats]:
+    """Sufficient statistics of each of several datasets with the same block
+    structure and the same n, from one pass of the tile loop per
+    ``stack_size(n)`` of them.  Each result is the same bits as the dataset
+    alone would give."""
+    values = _stacked_values(pk, datasets)
+    size = stack_size(values.shape[1])
+    return [stats for r in range(0, len(values), size) for stats in _tile_pass(pk, values[r : r + size])]
+
+
+def _stacked_values(pk: ProductKernel, datasets) -> np.ndarray:
+    """The rows of the datasets as one (R, n, d) array, after checking that
+    they fit the kernel's blocks and share n."""
+    pk.block.require_multiblock()
+    if not datasets:
+        raise ValueError("need at least one dataset")
+    for data in datasets:
+        if data.block != pk.block:
+            raise ValueError(
+                f"dataset blocks {data.block.dims} do not match kernel blocks {pk.block.dims}"
+            )
+        if data.n != datasets[0].n:
+            raise ValueError(f"stacked datasets need equal n, got {datasets[0].n} and {data.n}")
+    # np.array, not np.stack, which costs ~2 us more per call
+    return np.array([data.values for data in datasets])
+
+
+def _tile_pass(pk: ProductKernel, values: np.ndarray) -> list[BlockStats]:
+    """Fused pass over upper-triangle row tiles of the symmetric block Grams
+    of R stacked datasets, ``values`` of shape (R, n, d).
+
+    Tile i holds rows [i0, i1) against columns [i0, n) of every block Gram
+    of every dataset; its off-diagonal columns also stand in for the
+    mirrored lower-triangle entries.  Memory is O(R * n * TILE_ROWS) instead
+    of O(R * n^2).  The tiles run in LANES fixed lanes (see TILE_ROWS), from
+    THREAD_MIN_N rows on in two threads if the process may use more than one
+    CPU, with the same result for any CPU count.  No thread outlives the call.
 
     The tile buffers (a row per thread) and the per-lane accumulators are
     allocated here, so the helper thread allocates nothing of tile size.  Tile
     sums are taken with ``einsum`` rather than BLAS ``dot``, whose own
     threads would make them depend on the CPU count; unlike a multiply and
-    a sum, it reads each tile once.
+    a sum, it reads each tile once.  They are taken one dataset at a time:
+    a single stacked ``einsum`` sums in another order, so a dataset's bits
+    would depend on its neighbours in the stack.
     """
-    pk.block.require_multiblock()
-    if data.block != pk.block:
-        raise ValueError(
-            f"dataset blocks {data.block.dims} do not match kernel blocks {pk.block.dims}"
-        )
-    m, n = pk.block.m, data.n
-    blocks = [data.block_values(k) for k in range(m)]
+    m = pk.block.m
+    reps, n, _ = values.shape
+    blocks = [values[:, :, cols] for cols in pk.block.slices()]
     height = LANE_TILE_ROWS if n >= THREAD_MIN_N else TILE_ROWS
     threaded = n >= THREAD_MIN_N and _usable_cpus() > 1
     # a lane with no tile would add only zeros, so it is not run
     lanes = min(LANES, -(-n // height))
     # blocks with d > 1 go first and take the tile of the next block as lag
     # scratch; only when every block has d > 1 does the last need a spare
-    order = sorted(range(m), key=lambda k: blocks[k].shape[1] == 1)
-    extra = int(blocks[order[-1]].shape[1] > 1)
+    order = sorted(range(m), key=lambda k: blocks[k].shape[2] == 1)
+    extra = int(blocks[order[-1]].shape[2] > 1)
     spares = order[1:] + [m if extra else None]
-    buffers = np.empty((LANES if threaded else 1, m + extra, height * n))
-    # a list: reduce below would iterate an array, which costs ~1.5 us
-    lane_rows = [np.zeros((m, n)) for _ in range(lanes)]
+    buffers = np.empty((LANES if threaded else 1, m + extra, reps * height * n))
+    # rows are kept (R, M, n) so that each dataset's rows are contiguous; a
+    # list: reduce below would iterate an array, which costs ~1.5 us
+    lane_rows = [np.zeros((reps, m, n)) for _ in range(lanes)]
 
-    def lane(j: int) -> list[float]:
+    def lane(j: int) -> list[list[float]]:
         buf = buffers[j] if threaded else buffers[0]
-        rows = lane_rows[j]
+        rows = lane_rows[j].transpose(1, 0, 2)
         partials = []
         for i0 in range(j * height, n, LANES * height):
             i1 = min(i0 + height, n)
             t, width = i1 - i0, n - i0
-            tiles = buf[:, : t * width].reshape(-1, t, width)
+            tiles = buf[:, : reps * t * width].reshape(-1, reps, t, width)
             for k, spare in zip(order, spares):
                 x = blocks[k]
                 scratch = None if spare is None else tiles[spare]
-                gram(pk.specs[k], x[i0:i1], x[i0:], out=tiles[k], scratch=scratch)
+                stacked_gram(pk.specs[k], x[:, i0:i1], x[:, i0:], out=tiles[k], scratch=scratch)
             grams = tiles[:m]
-            rows[:, i0:i1] += grams.sum(axis=2)
+            rows[:, :, i0:i1] += grams.sum(axis=3)
             if i1 < n:
-                rows[:, i1:] += grams[:, :, t:].sum(axis=1)
+                rows[:, :, i1:] += grams[:, :, :, t:].sum(axis=2)
             # the product of all tiles but the last, in place in the first
             head, last = grams[0], grams[-1]
             for k in range(1, m - 1):
                 np.multiply(head, grams[k], out=head)
-            tile_sum = float(np.einsum("ij,ij->", head, last))
-            if i1 < n:
-                tile_sum = 2.0 * tile_sum - float(np.einsum("ij,ij->", head[:, :t], last[:, :t]))
-            partials.append(tile_sum)
+            sums = []
+            for h, g in zip(head, last):
+                tile_sum = float(np.einsum("ij,ij->", h, g))
+                if i1 < n:
+                    tile_sum = 2.0 * tile_sum - float(np.einsum("ij,ij->", h[:, :t], g[:, :t]))
+                sums.append(tile_sum)
+            partials.append(sums)
         return partials
 
     if threaded:
@@ -157,7 +230,8 @@ def block_stats(pk: ProductKernel, data: Dataset) -> BlockStats:
             partials = lane(0) + second.result()
     else:
         partials = [p for j in range(lanes) for p in lane(j)]
-    return BlockStats(math.fsum(partials), reduce(np.add, lane_rows))
+    rows = reduce(np.add, lane_rows)
+    return [BlockStats(math.fsum(tile[r] for tile in partials), rows[r]) for r in range(reps)]
 
 
 def _usable_cpus() -> int:
@@ -190,11 +264,23 @@ def hsic_u(pk: ProductKernel, data: Dataset) -> float:
 
 
 def _inv_sqrt_psd(w: np.ndarray) -> np.ndarray:
-    # landmark Grams can be nearly singular; floor the spectrum before inverting
+    # landmark Grams can be nearly singular; floor each spectrum before inverting
     vals, vecs = np.linalg.eigh(w)
-    floor = 1e-10 * float(vals[-1])
-    vals = np.maximum(vals, floor)
-    return (vecs / np.sqrt(vals)) @ vecs.T
+    vals = np.maximum(vals, 1e-10 * vals[:, -1:])
+    return (vecs / np.sqrt(vals)[:, None, :]) @ vecs.transpose(0, 2, 1)
+
+
+def _stacked_cross_cov(pk: ProductKernel, values: np.ndarray, points) -> np.ndarray:
+    """Centered Nystrom cross-covariances of R stacked datasets, ``values`` of
+    shape (R, n, d), on per-block landmark stacks ``points[m]`` of shape
+    (R, l_m, d_m); shape (R, l_0, l_1).  One stacked ``eigh`` per block."""
+    phis = []
+    for spec, cols, lm in zip(pk.specs, pk.block.slices(), points):
+        w = stacked_gram(spec, lm, lm)
+        phis.append(stacked_gram(spec, values[:, :, cols], lm) @ _inv_sqrt_psd(w))
+    phi0, phi1 = phis
+    means = [phi.mean(axis=1) for phi in phis]
+    return phi0.transpose(0, 2, 1) @ phi1 / values.shape[1] - means[0][:, :, None] * means[1][:, None, :]
 
 
 def nystrom_cross_cov(
@@ -209,17 +295,15 @@ def nystrom_cross_cov(
     """
     if pk.block.m != 2:
         raise ValueError(f"cross-covariance features require exactly 2 blocks, got {pk.block.m}")
-    phis = []
+    points = []
     for m in range(2):
         lm = np.atleast_2d(np.asarray(landmark_points[m], dtype=float))
         if lm.shape[1] != pk.block.dims[m]:
             raise ValueError(
                 f"landmarks for block {m} have {lm.shape[1]} columns, expected {pk.block.dims[m]}"
             )
-        w = gram(pk.specs[m], lm, lm)
-        phis.append(gram(pk.specs[m], data.block_values(m), lm) @ _inv_sqrt_psd(w))
-    phi0, phi1 = phis
-    return phi0.T @ phi1 / data.n - np.outer(phi0.mean(axis=0), phi1.mean(axis=0))
+        points.append(lm[None])
+    return _stacked_cross_cov(pk, data.values[None], points)[0]
 
 
 def hsic_nystrom(
@@ -232,16 +316,29 @@ def hsic_nystrom(
     centered cross-covariance.  With landmarks = n the estimate equals
     sqrt(max(0, hsic_v)).
     """
-    if pk.block.m != 2:
-        raise ValueError(f"Nystrom estimator requires exactly 2 blocks, got {pk.block.m}")
-    landmarks = int(landmarks)
-    if landmarks < 2:
-        raise ValueError(f"need at least 2 landmarks, got {landmarks}")
-    if landmarks > data.n:
-        raise ValueError(f"cannot select {landmarks} landmarks from {data.n} rows")
-    points = tuple(
-        data.block_values(m)[rng.stream(seed, "landmarks", m).choice(data.n, size=landmarks, replace=False)]
-        for m in range(2)
-    )
-    return float(np.linalg.norm(nystrom_cross_cov(pk, data, points)))
+    return hsic_nystrom_batch(pk, [data], landmarks, [seed])[0]
 
+
+def hsic_nystrom_batch(pk: ProductKernel, datasets, landmarks: int, seeds) -> list[float]:
+    """``hsic_nystrom`` of each dataset with its seed, for datasets with the
+    same block structure and the same n, in one stacked step per
+    ``stack_size(n)`` of them.  Each dataset gets the landmarks it would get
+    alone."""
+    values = _stacked_values(pk, datasets)
+    reps, n, _ = values.shape
+    landmarks = int(landmarks)
+    require_nystrom(pk.block.m, n, landmarks)
+    if len(seeds) != reps:
+        raise ValueError(f"need one seed per dataset, got {len(seeds)} for {reps}")
+    # (R, 2, landmarks) row indices, from the streams a lone dataset would use
+    picks = np.array(
+        [[rng.stream(seed, "landmarks", m).choice(n, size=landmarks, replace=False) for m in range(2)] for seed in seeds]
+    )
+    out = []
+    size = stack_size(n)
+    for r0 in range(0, reps, size):
+        chunk = values[r0 : r0 + size]
+        stack = np.arange(len(chunk))[:, None]
+        points = [chunk[stack, picks[r0 : r0 + size, m], cols] for m, cols in enumerate(pk.block.slices())]
+        out.extend(float(np.linalg.norm(c)) for c in _stacked_cross_cov(pk, chunk, points))
+    return out

@@ -82,23 +82,25 @@ def lag_sum(
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Lag matrix of shape (n, m): entry (i, j) is |x_i - y_j|_2^2 for the
-    Gaussian family and |x_i - y_j|_1 for the Laplace family.
+    Gaussian family and |x_i - y_j|_1 for the Laplace family.  A leading
+    axis stacks point sets: x of shape (R, n, d) and y of shape (R, m, d)
+    give the R lag matrices (R, n, m) of the pairs (x[r], y[r]).
 
     Lags are accumulated coordinate by coordinate from explicit differences,
     so translated inputs produce (numerically) identical output and no
     (n, m, d) difference tensor is formed.  ``out`` receives the result and
-    ``scratch`` holds the second and later coordinates (both float64 of shape
-    (n, m)); each one missing is allocated.
+    ``scratch`` holds the second and later coordinates (both float64 of the
+    result's shape); each one missing is allocated.
     """
     xm = np.atleast_2d(np.asarray(x, dtype=float))
     ym = np.atleast_2d(np.asarray(y, dtype=float))
-    if xm.shape[1] != ym.shape[1]:
-        raise ValueError(f"column counts differ: {xm.shape[1]} vs {ym.shape[1]}")
-    shape = (xm.shape[0], ym.shape[0])
+    if xm.shape[-1] != ym.shape[-1]:
+        raise ValueError(f"column counts differ: {xm.shape[-1]} vs {ym.shape[-1]}")
+    shape = (*xm.shape[:-1], ym.shape[-2])
     gaussian = KernelFamily(family) is KernelFamily.GAUSSIAN
 
     def lag_into(buf, q):
-        np.subtract(xm[:, q, None], ym[None, :, q], out=buf)
+        np.subtract(xm[..., :, q, None], ym[..., None, :, q], out=buf)
         if gaussian:
             np.multiply(buf, buf, out=buf)
         else:
@@ -106,12 +108,33 @@ def lag_sum(
 
     acc = np.empty(shape) if out is None else out
     lag_into(acc, 0)
-    if xm.shape[1] > 1:
+    if xm.shape[-1] > 1:
         if scratch is None:
             scratch = np.empty(shape)
-        for q in range(1, xm.shape[1]):
+        for q in range(1, xm.shape[-1]):
             lag_into(scratch, q)
             acc += scratch
+    return acc
+
+
+def stacked_gram(
+    spec: KernelSpec,
+    x: np.ndarray,
+    y: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Gram matrices of stacked point sets: x of shape (R, n, d) and y of
+    shape (R, m, d) give shape (R, n, m) with entry (r, i, j) = k(x[r, i],
+    y[r, j]).
+
+    Built from ``lag_sum`` (which takes the same ``out`` and ``scratch``), so
+    k(x_i, x_i) is exactly 1 for finite x_i.  Each entry is the same float as
+    in ``gram`` of its pair alone.
+    """
+    acc = lag_sum(spec.family, x, y, out, scratch)
+    acc *= -0.5 * spec.gamma if spec.family is KernelFamily.GAUSSIAN else -spec.gamma
+    np.exp(acc, out=acc)
     return acc
 
 
@@ -122,15 +145,13 @@ def gram(
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Gram matrix of shape (n, m) with entry (i, j) = k(x_i, y_j).
-
-    Built from ``lag_sum`` (which takes the same ``out`` and ``scratch``), so
-    k(x_i, x_i) is exactly 1 for finite x_i.
-    """
-    acc = lag_sum(spec.family, x, y, out, scratch)
-    acc *= -0.5 * spec.gamma if spec.family is KernelFamily.GAUSSIAN else -spec.gamma
-    np.exp(acc, out=acc)
-    return acc
+    """Gram matrix of shape (n, m) with entry (i, j) = k(x_i, y_j): the
+    ``stacked_gram`` of one pair of point sets."""
+    xm = np.atleast_2d(np.asarray(x, dtype=float))
+    ym = np.atleast_2d(np.asarray(y, dtype=float))
+    if xm.ndim != 2 or ym.ndim != 2:
+        raise ValueError(f"gram takes 2-D point sets, got shapes {xm.shape} and {ym.shape}")
+    return stacked_gram(spec, xm, ym, out, scratch)
 
 
 def spectral_sample(spec: KernelSpec, dim: int, n: int, seed: int) -> np.ndarray:

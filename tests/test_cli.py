@@ -4,7 +4,10 @@ import inspect
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -556,7 +559,6 @@ class TestErrorBoundary:
     """A rule the library enforces, reached through the CLI, exits 3 with one
     ``error:`` line, before any simulation runs or any document is written."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow at gamma = 1e200
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -583,10 +585,20 @@ class TestErrorBoundary:
                 ["minimax", "--blocks", "1,1", "--gamma", "1e200", "--n-grid", "8,16,32"],
                 "certificate column hsic2 is not finite at n=8",
             ),
+            # checked at the smallest budget before any replicate is drawn
+            (
+                ["minimax", "--blocks", "1,1", "--est", "u", "--n-grid", "64,128,3"],
+                "estimator 'u': U-statistic requires n ≥ 4, got 3",
+            ),
+            (
+                ["minimax", "--blocks", "1,1", "--est", "nystrom", "--landmarks", "100", "--n-grid", "64,128,256"],
+                "estimator 'nystrom': cannot select 100 landmarks from 64 rows",
+            ),
         ],
         ids=[
             "u-n3", "v-n1", "u-3-blocks", "landmarks-above-n", "estimate-1-block", "analytic-1-block",
             "minimax-1-block", "certify-1-block", "certify-gamma-1e200", "minimax-gamma-1e200",
+            "minimax-u-budget-3", "minimax-landmarks-above-budget",
         ],
     )
     def test_library_rule_exits_three_with_one_error_line(self, tmp_path, monkeypatch, capsys, argv, message):
@@ -606,6 +618,28 @@ class TestErrorBoundary:
         assert stderr.startswith("error: ") and message in stderr
         assert not simulated
         assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--blocks", "1,1", "--gamma", "1e200", "--n-grid", "2..4"],
+            ["minimax", "--blocks", "2,2", "--gamma", "1e200", "--n-grid", "8,16,32", "--est", "nystrom", "--landmarks", "4"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_huge_bandwidth_prints_only_the_error_line(self, tmp_path, argv):
+        # a fresh interpreter, as from a shell: nothing captures numpy's
+        # warnings, so any overflow warning would reach stderr
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        env.pop("PYTHONWARNINGS", None)
+        child = subprocess.run(
+            [sys.executable, "-m", "hsiclab.cli", *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        )
+        assert child.returncode == 3
+        assert child.stdout == ""
+        assert len(child.stderr.splitlines()) == 1
+        assert child.stderr.startswith("error: certificate column hsic2 is not finite at n=")
 
 
 class TestDatasetRoundTrip:

@@ -20,9 +20,11 @@ from hsiclab import (
     KernelSpec,
     ProductKernel,
     block_stats,
+    block_stats_batch,
     embedding_inner,
     hsic2_gaussian,
     hsic_nystrom,
+    hsic_nystrom_batch,
     hsic_u,
     hsic_v,
     make_adversarial_cov,
@@ -226,13 +228,13 @@ class TestBlockStats:
         pk, ds = self._case(THREAD_MIN_N, (1, 1), KernelFamily.GAUSSIAN)
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
         callers = set()
-        real_gram = estimators.gram
+        real_gram = estimators.stacked_gram
 
         def traced_gram(*args, **kwargs):
             callers.add(threading.get_ident())
             return real_gram(*args, **kwargs)
 
-        monkeypatch.setattr(estimators, "gram", traced_gram)
+        monkeypatch.setattr(estimators, "stacked_gram", traced_gram)
         before = threading.enumerate()
         block_stats(pk, ds)
         assert threading.enumerate() == before
@@ -270,6 +272,48 @@ class TestBlockStats:
                     finally:
                         tracemalloc.stop()
                 assert peak < 0.1 * 8 * n * n
+
+
+class TestBlockStatsBatch:
+    """Stacking datasets along the tile loop's leading axis changes no bit of
+    any one dataset's statistics, whatever its neighbours in the stack."""
+
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (2, 1)])
+    @pytest.mark.parametrize("n", [2, 8, 63, 64, 65, 128, 129, 256, 257, 2047, 2048])
+    def test_stacking_does_not_change_the_bits(self, monkeypatch, n, dims):
+        block = BlockStructure(dims)
+        pk = ProductKernel.homogeneous(block, KernelFamily.GAUSSIAN, 1.0)
+        datasets = [random_dataset(rnglib.derive(n, r), n, block, rho=0.6) for r in range(7)]
+        alone = [block_stats(pk, ds) for ds in datasets]
+        for size in (1, 2, 7):
+            monkeypatch.setattr(estimators, "stack_size", lambda n: size)
+            stacked = block_stats_batch(pk, datasets)
+            assert len(stacked) == len(datasets)
+            for a, b in zip(alone, stacked):
+                assert b.total.hex() == a.total.hex(), size
+                assert np.array_equal(b.rows, a.rows), size
+                assert b.v_statistic().hex() == a.v_statistic().hex(), size
+                if n >= 4:
+                    assert b.u_statistic().hex() == a.u_statistic().hex(), size
+
+    def test_stack_size_holds_a_tile_set_of_one_block(self):
+        assert [estimators.stack_size(n) for n in (8, 64, 256, 512, THREAD_MIN_N)] == [512, 8, 2, 1, 1]
+
+    def test_rejects_mixed_datasets(self):
+        with pytest.raises(ValueError, match="equal n"):
+            block_stats_batch(PK11, [random_dataset(0, n=8), random_dataset(1, n=9)])
+        with pytest.raises(ValueError, match="do not match"):
+            block_stats_batch(PK11, [random_dataset(0, n=8), Dataset(np.zeros((8, 3)), BlockStructure((2, 1)))])
+        with pytest.raises(ValueError, match="at least one dataset"):
+            block_stats_batch(PK11, [])
+
+    def test_nystrom_batch_matches_each_dataset_alone(self):
+        datasets = [random_dataset(rnglib.derive(3, r), n=40, rho=0.6) for r in range(5)]
+        seeds = [rnglib.derive(4, r) for r in range(5)]
+        alone = [hsic_nystrom(PK11, ds, 6, seed) for ds, seed in zip(datasets, seeds)]
+        assert hsic_nystrom_batch(PK11, datasets, 6, seeds) == pytest.approx(alone, rel=1e-12, abs=0)
+        with pytest.raises(ValueError, match="one seed per dataset"):
+            hsic_nystrom_batch(PK11, datasets, 6, seeds[:4])
 
 
 class TestHsicV:

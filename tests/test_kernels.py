@@ -14,6 +14,7 @@ from hsiclab import (
     lag_sum,
     spectral_sample,
 )
+from hsiclab.kernels import stacked_gram
 from helpers import product_gram
 
 GAUSS1 = KernelSpec(KernelFamily.GAUSSIAN, 1.0)
@@ -115,6 +116,18 @@ class TestLagSum:
         result = gram(spec, x, y, out=out, scratch=scratch)
         assert result is out
         assert np.array_equal(out, gram(spec, x, y))
+
+    @pytest.mark.parametrize("spec", [GAUSS1, LAP2])
+    @pytest.mark.parametrize("dims", [1, 3])
+    def test_stacked_gram_is_each_pair_alone(self, spec, dims):
+        rng = np.random.default_rng(7)
+        x, y = rng.normal(size=(5, 7, dims)), rng.normal(size=(5, 4, dims))
+        stacked = stacked_gram(spec, x, y)
+        assert stacked.shape == (5, 7, 4)
+        for r in range(5):
+            assert np.array_equal(stacked[r], gram(spec, x[r], y[r]))
+        with pytest.raises(ValueError, match="2-D"):
+            gram(spec, x, y)
 
 
 class TestProductGram:

@@ -13,6 +13,8 @@ from hsiclab import (
     adversarial_hsic2,
     build_pair,
     hsic2_gaussian,
+    hsic_nystrom,
+    hsic_u,
     hsic_v,
     kl_adversarial_bound,
     kl_adversarial_exact,
@@ -116,6 +118,64 @@ class TestRiskSim:
         pair = build_pair(16, 1.0, B11)
         result = risk_sim(Estimator("ny", "nystrom", landmarks=8), pair, 2, 3)
         assert math.isfinite(result.sup_risk)
+
+
+class TestHarnessEqualsLibrary:
+    """The harness stacks replicates through the estimators; replicate by
+    replicate it sees the datasets and gives the statistics of the library
+    called on each dataset alone."""
+
+    @pytest.mark.parametrize("n", [8, 65, 256])
+    def test_replicate_by_replicate(self, monkeypatch, n):
+        block = BlockStructure((2, 2))
+        pk = ProductKernel.homogeneous(block, KernelFamily.GAUSSIAN, 1.0)
+        reps, seed, landmarks = 9, 17, 4
+        calls = {"stats": [], "nystrom": []}
+        real_stats, real_nystrom = lecam.block_stats_batch, lecam.hsic_nystrom_batch
+
+        def stats_batch(pk, datasets):
+            out = real_stats(pk, datasets)
+            calls["stats"].append((datasets, out))
+            return out
+
+        def nystrom_batch(pk, datasets, landmarks, seeds):
+            out = real_nystrom(pk, datasets, landmarks, seeds)
+            calls["nystrom"].append((datasets, out))
+            return out
+
+        monkeypatch.setattr(lecam, "block_stats_batch", stats_batch)
+        monkeypatch.setattr(lecam, "hsic_nystrom_batch", nystrom_batch)
+        estimators = (Estimator("v", "v"), Estimator("u", "u"), Estimator("ny", "nystrom", landmarks=landmarks))
+        config = ExperimentConfig(gamma=1.0, block=block, n_grid=(n,), estimators=estimators, reps=reps, seed=seed)
+        (record,) = run_experiment(config).records
+        risk_seed = rnglib.derive(seed, "risk", n)
+        pair = build_pair(n, 1.0, block)
+
+        # a stack holds more than one replicate, and both kinds see the same stacks
+        assert max(len(datasets) for datasets, _ in calls["stats"]) > 1
+        assert [d for d, _ in calls["stats"]] == [d for d, _ in calls["nystrom"]]
+        datasets = [ds for chunk, _ in calls["stats"] for ds in chunk]
+        stats = [st for _, chunk in calls["stats"] for st in chunk]
+        nystrom = [v for _, chunk in calls["nystrom"] for v in chunk]
+        assert len(datasets) == len(stats) == len(nystrom) == 2 * reps
+        labelled = [(label, measure, r) for label, measure in (("null", pair.p0), ("alt", pair.p1)) for r in range(reps)]
+        errors = {"v": [], "u": []}
+        for (label, measure, r), ds, st, ny in zip(labelled, datasets, stats, nystrom):
+            alone = sample(measure, n, rnglib.derive(risk_seed, label, r), block)
+            assert np.array_equal(ds.values, alone.values)
+            assert st.v_statistic() == hsic_v(pk, alone)
+            assert st.u_statistic() == hsic_u(pk, alone)
+            expected = hsic_nystrom(pk, alone, landmarks, rnglib.derive(risk_seed, label, r, "nystrom"))
+            assert ny == pytest.approx(expected, rel=1e-12, abs=0)
+            true_hsic = math.sqrt(max(0.0, hsic2_gaussian(measure, block, 1.0).value))
+            errors["v"].append(abs(math.sqrt(max(0.0, hsic_v(pk, alone))) - true_hsic))
+            errors["u"].append(abs(math.sqrt(max(0.0, hsic_u(pk, alone))) - true_hsic))
+        # the reported risks are those of the library's values
+        for name, err in errors.items():
+            null, alt = np.array(err[:reps]), np.array(err[reps:])
+            assert record.risks[name].null.mean_error == float(null.mean())
+            assert record.risks[name].null.rmse == float(np.sqrt(np.mean(null * null)))
+            assert record.risks[name].alt.rmse == float(np.sqrt(np.mean(alt * alt)))
 
 
 class TestRateFit:
@@ -248,7 +308,6 @@ class TestCertificateTable:
         with pytest.raises(ValueError, match="different grid"):
             certificate_table(1.0, B11, (4, 16), partii)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the closed forms
     def test_non_finite_column_is_named_with_its_budget(self):
         # at gamma = 1e200 the adversarial hsic2 is NaN, which would otherwise
         # read as a failing gap certificate
