@@ -26,7 +26,6 @@ from .estimators import (
     hsic_nystrom_batch,
     hsic_u,
     hsic_v,
-    nystrom_cross_cov,
 )
 from .gaussian import (
     AdversarialPair,
@@ -34,7 +33,6 @@ from .gaussian import (
     char_fn,
     kl_adversarial_bound,
     kl_adversarial_exact,
-    kl_gaussians,
     make_adversarial_cov,
     sample,
 )
@@ -42,7 +40,6 @@ from .kernels import (
     KernelFamily,
     KernelSpec,
     ProductKernel,
-    eval_kernel,
     gram,
     lag_sum,
     spectral_sample,
@@ -57,7 +54,6 @@ from .lecam import (
     RiskResult,
     build_pair,
     rate_fit,
-    risk_sim,
     run_experiment,
 )
 from .spectral import GapCertificate, gap_constant_partii, mmd2_spectral, verify_gap_partii
@@ -89,7 +85,6 @@ __all__ = [
     "char_fn",
     "critical_slope",
     "embedding_inner",
-    "eval_kernel",
     "f_c",
     "gap_constant_partii",
     "gram",
@@ -100,16 +95,13 @@ __all__ = [
     "hsic_v",
     "kl_adversarial_bound",
     "kl_adversarial_exact",
-    "kl_gaussians",
     "lag_sum",
     "lecam_bound",
     "make_adversarial_cov",
     "minimax_constant",
     "mmd2_gaussian",
     "mmd2_spectral",
-    "nystrom_cross_cov",
     "rate_fit",
-    "risk_sim",
     "run_experiment",
     "sample",
     "spectral_sample",

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .data import BlockStructure
 from .gaussian import GaussianMeasure, cholesky_spd
@@ -50,7 +49,7 @@ def embedding_inner(g1: GaussianMeasure, g2: GaussianMeasure, gamma: float) -> f
     d = g1.d
     s = g1.cov + g2.cov + np.eye(d) / gamma
     chol = cholesky_spd(s)
-    v = solve_triangular(chol, g1.mean - g2.mean, lower=True)
+    v = np.linalg.solve(chol, g1.mean - g2.mean)
     # |gamma S1 + gamma S2 + I| = gamma^d |S|
     logdet = d * math.log(gamma) + 2.0 * float(np.sum(np.log(np.diagonal(chol))))
     return math.exp(-0.5 * float(v @ v) - 0.5 * logdet)

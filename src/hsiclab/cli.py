@@ -3,7 +3,8 @@ evaluation, certificate tables, and experiment orchestration.
 
 Subcommands: ``estimate``, ``analytic``, ``minimax``, ``certify``.
 Exit codes: 0 success, 1 certificate violation, 2 data error, 3 usage error.
-A ``ValueError`` from the library is a rule the arguments broke: exit 3.
+A ``ValueError`` from the library is a rule the arguments broke, and a
+``MemoryError`` a request too large for the machine: both exit 3.
 """
 
 from __future__ import annotations
@@ -156,31 +157,34 @@ def read_matrix(path: str, header: bool = False) -> np.ndarray:
     except OSError as exc:
         raise CliError(EXIT_DATA, f"cannot read {path}: {exc}") from exc
     with handle:
-        for lineno, line in enumerate(handle, start=1):
-            if header and lineno == 1:
-                continue
-            if not line.strip():
-                continue
-            cells = line.strip().split(",")
-            try:
-                row = [float(cell) for cell in cells]
-                finite = all(map(math.isfinite, row))
-            except ValueError:
-                finite = False
-            if not finite:
-                column = next(j for j, cell in enumerate(cells) if not _is_finite_number(cell))
-                raise CliError(
-                    EXIT_DATA,
-                    f"{path}: line {lineno}, column {column + 1}: {cells[column].strip()!r} is not a finite number",
-                )
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise CliError(
-                    EXIT_DATA,
-                    f"{path}: line {lineno}: expected {width} columns, found {len(row)}",
-                )
-            rows.append(row)
+        try:
+            for lineno, line in enumerate(handle, start=1):
+                if header and lineno == 1:
+                    continue
+                if not line.strip():
+                    continue
+                cells = line.strip().split(",")
+                try:
+                    row = [float(cell) for cell in cells]
+                    finite = all(map(math.isfinite, row))
+                except ValueError:
+                    finite = False
+                if not finite:
+                    column = next(j for j, cell in enumerate(cells) if not _is_finite_number(cell))
+                    raise CliError(
+                        EXIT_DATA,
+                        f"{path}: line {lineno}, column {column + 1}: {cells[column].strip()!r} is not a finite number",
+                    )
+                if width is None:
+                    width = len(row)
+                elif len(row) != width:
+                    raise CliError(
+                        EXIT_DATA,
+                        f"{path}: line {lineno}: expected {width} columns, found {len(row)}",
+                    )
+                rows.append(row)
+        except UnicodeDecodeError as exc:
+            raise CliError(EXIT_DATA, f"{path}: not UTF-8 text: cannot decode byte 0x{exc.object[exc.start]:02x}") from exc
     if not rows:
         raise CliError(EXIT_DATA, f"{path}: no data rows")
     return np.asarray(rows, dtype=float)
@@ -200,14 +204,6 @@ def read_dataset(path: str, block: BlockStructure, header: bool = False) -> Data
             EXIT_USAGE, f"block dims sum {block.total} ≠ {values.shape[1]} columns in {path}"
         )
     return Dataset(values, block)
-
-
-def write_dataset(path: str, dataset: Dataset) -> None:
-    """Write rows as comma-separated shortest round-trip decimals."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for row in dataset.values:
-            handle.write(",".join(repr(float(v)) for v in row))
-            handle.write("\n")
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -522,6 +518,10 @@ def main(argv=None) -> int:
     except (CliError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code if isinstance(err, CliError) else EXIT_USAGE
+    except MemoryError as err:
+        # arguments that ask for more memory than the machine has, e.g. --reps
+        print(f"error: out of memory: {str(err) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entrypoint() -> None:

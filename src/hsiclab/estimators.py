@@ -283,36 +283,14 @@ def _stacked_cross_cov(pk: ProductKernel, values: np.ndarray, points) -> np.ndar
     return phi0.transpose(0, 2, 1) @ phi1 / values.shape[1] - means[0][:, :, None] * means[1][:, None, :]
 
 
-def nystrom_cross_cov(
-    pk: ProductKernel, data: Dataset, landmark_points: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
-    """Centered cross-covariance of Nystrom features built on explicit
-    per-block landmark points (arrays of shape (l_m, d_m)), shape (l_0, l_1).
-
-    Features are phi_m(x) = W_m^{-1/2} k_m(landmarks_m, x) with W_m the
-    landmark Gram.  Sharing landmark points across datasets puts their
-    estimates in a common coordinate system.
-    """
-    if pk.block.m != 2:
-        raise ValueError(f"cross-covariance features require exactly 2 blocks, got {pk.block.m}")
-    points = []
-    for m in range(2):
-        lm = np.atleast_2d(np.asarray(landmark_points[m], dtype=float))
-        if lm.shape[1] != pk.block.dims[m]:
-            raise ValueError(
-                f"landmarks for block {m} have {lm.shape[1]} columns, expected {pk.block.dims[m]}"
-            )
-        points.append(lm[None])
-    return _stacked_cross_cov(pk, data.values[None], points)[0]
-
-
 def hsic_nystrom(
     pk: ProductKernel, data: Dataset, landmarks: int, seed: int
 ) -> float:
     """Nystrom estimate of HSIC (not HSIC^2) for exactly two blocks.
 
     Selects ``landmarks`` rows uniformly without replacement per block, builds
-    the landmark features, and returns the Frobenius norm of the empirical
+    the landmark features phi_m(x) = W_m^{-1/2} k_m(landmarks_m, x), with W_m
+    the landmark Gram, and returns the Frobenius norm of the empirical
     centered cross-covariance.  With landmarks = n the estimate equals
     sqrt(max(0, hsic_v)).
     """

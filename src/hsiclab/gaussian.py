@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import rng
 from .data import BlockStructure, Dataset
@@ -157,31 +156,6 @@ def char_fn(g: GaussianMeasure, omega: np.ndarray):
     quad = np.einsum("nd,nd->n", om2 @ g.cov, om2)
     vals = np.exp(1j * phase - 0.5 * quad)
     return complex(vals[0]) if single else vals
-
-
-def _clamp_kl(value: float) -> float:
-    # KL is nonnegative; absorb round-off in (-1e-12, 0).
-    if -1e-12 < value < 0.0:
-        return 0.0
-    return value
-
-
-def kl_gaussians(g1: GaussianMeasure, g0: GaussianMeasure) -> float:
-    """KL(N1 || N0) in nats.
-
-    Computed as [tr(S0^{-1} S1) + (m0-m1)' S0^{-1} (m0-m1) - d
-    + ln(|S0|/|S1|)] / 2 through the Cholesky factors of both covariances.
-    """
-    if g1.d != g0.d:
-        raise ValueError(f"dimension mismatch: {g1.d} vs {g0.d}")
-    l0, l1 = g0.chol, g1.chol
-    a = solve_triangular(l0, l1, lower=True)
-    trace_term = float(np.sum(a * a))
-    v = solve_triangular(l0, g1.mean - g0.mean, lower=True)
-    quad = float(v @ v)
-    logdet0 = 2.0 * float(np.sum(np.log(np.diagonal(l0))))
-    logdet1 = 2.0 * float(np.sum(np.log(np.diagonal(l1))))
-    return _clamp_kl(0.5 * (trace_term + quad - g0.d + logdet0 - logdet1))
 
 
 def _check_adversarial_args(n: int, rho: float) -> None:

@@ -1,5 +1,5 @@
-"""Translation-invariant kernels: pointwise evaluation, Gram matrices, tensor
-products over block structures, and spectral (Fourier) sampling.
+"""Translation-invariant kernels: lag sums, Gram matrices, tensor products
+over block structures, and spectral (Fourier) sampling.
 
 Two families are supported, both normalized to 1 at zero lag:
 
@@ -60,18 +60,6 @@ class ProductKernel:
     def homogeneous(cls, block: BlockStructure, family: KernelFamily, gamma: float) -> "ProductKernel":
         """Same family and bandwidth on every block."""
         return cls(block, tuple(KernelSpec(family, gamma) for _ in block.dims))
-
-
-def eval_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
-    """k(x, y) for a single pair of points; depends only on x - y."""
-    xv = np.asarray(x, dtype=float).reshape(-1)
-    yv = np.asarray(y, dtype=float).reshape(-1)
-    if xv.shape != yv.shape:
-        raise ValueError(f"dimension mismatch: {xv.shape[0]} vs {yv.shape[0]}")
-    delta = xv - yv
-    if spec.family is KernelFamily.GAUSSIAN:
-        return float(np.exp(-0.5 * spec.gamma * float(delta @ delta)))
-    return float(np.exp(-spec.gamma * float(np.sum(np.abs(delta)))))
 
 
 def lag_sum(
@@ -157,8 +145,8 @@ def gram(
 def spectral_sample(spec: KernelSpec, dim: int, n: int, seed: int) -> np.ndarray:
     """n i.i.d. frequency vectors from the kernel's spectral probability measure.
 
-    Cosine averages exp(-i <x - y, w>) over these draws converge to
-    eval_kernel(spec, x, y) at the usual n^{-1/2} Monte Carlo rate.
+    Cosine averages exp(-i <x - y, w>) over these draws converge to the
+    kernel value k(x, y) at the usual n^{-1/2} Monte Carlo rate.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")

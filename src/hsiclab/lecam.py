@@ -184,7 +184,7 @@ class RiskResult:
 
 def _validate_estimators(estimators: tuple[Estimator, ...], block: BlockStructure, n_min: int) -> None:
     """Fail before any replicate is drawn: each estimator's own rules, checked
-    at the smallest budget."""
+    at the smallest budget (every rule holds at all larger ones too)."""
     names = [est.name for est in estimators]
     if len(set(names)) != len(names):
         raise ValueError(f"estimator names must be unique, got {names}")
@@ -209,10 +209,8 @@ def _simulate(
 
     Replicates are drawn one stream each and go through the estimators in
     stacks of ``stack_size(n)``; every statistic is the one the library gives
-    for the dataset alone."""
-    if reps < 2:
-        raise ValueError(f"need at least 2 replicates, got {reps}")
-    _validate_estimators(estimators, pair.block, pair.n)
+    for the dataset alone.  Errors are on the HSIC scale; ``run_experiment``
+    has checked ``reps`` and the estimators."""
     pk = ProductKernel.homogeneous(pair.block, KernelFamily.GAUSSIAN, pair.gamma)
     needs_stats = any(est.kind in ("v", "u") for est in estimators)
     threshold = minimax_constant(pair.gamma, pair.block.total) / math.sqrt(pair.n)
@@ -251,16 +249,6 @@ def _simulate(
         est.name: RiskResult(est.name, pair.n, threshold, *per_dist[est.name])
         for est in estimators
     }
-
-
-def risk_sim(est: Estimator, pair: AdversarialPair, reps: int, seed: int) -> RiskResult:
-    """Simulated risk of one estimator under both members of the pair.
-
-    Errors are measured on the HSIC scale (V/U outputs pass through
-    sqrt(max(0, .))); the exceedance threshold is the explicit constant over
-    sqrt(n).
-    """
-    return _simulate((est,), pair, reps, seed)[est.name]
 
 
 @dataclass(frozen=True)

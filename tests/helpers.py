@@ -4,7 +4,10 @@ These deliberately avoid the library's tiled code paths: ``product_gram``
 and ``mmd_v`` build dense n x n Grams, the V-statistic oracle enumerates
 index tuples straight from the definition of the plug-in embedding distance,
 and the U-statistic oracle sums over distinct index tuples.  The two
-enumerations are O(n^large) and only meant for small n.
+enumerations are O(n^large) and only meant for small n.  ``eval_kernel``
+evaluates one pair of points, ``kl_gaussians`` is the general Gaussian KL
+through triangular solves, and ``nystrom_cross_cov`` builds the Nystrom
+features of one dataset with a plain 2-D eigendecomposition.
 """
 
 from __future__ import annotations
@@ -12,8 +15,69 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from hsiclab.kernels import eval_kernel, gram
+from hsiclab.kernels import KernelFamily, gram
+
+
+def eval_kernel(spec, x, y) -> float:
+    """k(x, y) for a single pair of points; depends only on x - y."""
+    xv = np.asarray(x, dtype=float).reshape(-1)
+    yv = np.asarray(y, dtype=float).reshape(-1)
+    if xv.shape != yv.shape:
+        raise ValueError(f"dimension mismatch: {xv.shape[0]} vs {yv.shape[0]}")
+    delta = xv - yv
+    if spec.family is KernelFamily.GAUSSIAN:
+        return float(np.exp(-0.5 * spec.gamma * float(delta @ delta)))
+    return float(np.exp(-spec.gamma * float(np.sum(np.abs(delta)))))
+
+
+def _clamp_kl(value: float) -> float:
+    # KL is nonnegative; absorb round-off in (-1e-12, 0).
+    if -1e-12 < value < 0.0:
+        return 0.0
+    return value
+
+
+def kl_gaussians(g1, g0) -> float:
+    """KL(N1 || N0) in nats.
+
+    Computed as [tr(S0^{-1} S1) + (m0-m1)' S0^{-1} (m0-m1) - d
+    + ln(|S0|/|S1|)] / 2 through the Cholesky factors of both covariances.
+    """
+    if g1.d != g0.d:
+        raise ValueError(f"dimension mismatch: {g1.d} vs {g0.d}")
+    l0, l1 = g0.chol, g1.chol
+    a = solve_triangular(l0, l1, lower=True)
+    trace_term = float(np.sum(a * a))
+    v = solve_triangular(l0, g1.mean - g0.mean, lower=True)
+    quad = float(v @ v)
+    logdet0 = 2.0 * float(np.sum(np.log(np.diagonal(l0))))
+    logdet1 = 2.0 * float(np.sum(np.log(np.diagonal(l1))))
+    return _clamp_kl(0.5 * (trace_term + quad - g0.d + logdet0 - logdet1))
+
+
+def nystrom_cross_cov(pk, data, landmark_points) -> np.ndarray:
+    """Centered cross-covariance of Nystrom features built on explicit
+    per-block landmark points (arrays of shape (l_m, d_m)), shape (l_0, l_1).
+
+    Features are phi_m(x) = W_m^{-1/2} k_m(landmarks_m, x) with W_m the
+    landmark Gram, its spectrum floored at 1e-10 times its largest
+    eigenvalue.  Sharing landmark points across datasets puts their
+    estimates in a common coordinate system.
+    """
+    if pk.block.m != 2:
+        raise ValueError(f"cross-covariance features require exactly 2 blocks, got {pk.block.m}")
+    phis = []
+    for m, spec in enumerate(pk.specs):
+        lm = np.atleast_2d(np.asarray(landmark_points[m], dtype=float))
+        if lm.shape[1] != pk.block.dims[m]:
+            raise ValueError(f"landmarks for block {m} have {lm.shape[1]} columns, expected {pk.block.dims[m]}")
+        vals, vecs = np.linalg.eigh(gram(spec, lm, lm))
+        vals = np.maximum(vals, 1e-10 * vals[-1])
+        phi = gram(spec, data.block_values(m), lm) @ ((vecs / np.sqrt(vals)) @ vecs.T)
+        phis.append(phi - phi.mean(axis=0))
+    return phis[0].T @ phis[1] / data.n
 
 
 def product_gram(pk, data):

@@ -15,13 +15,30 @@ import numpy as np
 import pytest
 
 from hsiclab import BlockStructure, Dataset, KernelFamily, ProductKernel, cli, hsic_u, hsic_v, lecam
-from hsiclab.cli import main, read_dataset, write_dataset
+from hsiclab.cli import main, read_dataset
 
 B11 = BlockStructure((1, 1))
 
 
 def write_csv(path, rows):
     path.write_text("\n".join(",".join(str(v) for v in row) for row in rows) + "\n")
+
+
+def write_dataset(path, dataset):
+    """Write rows as comma-separated shortest round-trip decimals."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for row in dataset.values:
+            handle.write(",".join(repr(float(v)) for v in row))
+            handle.write("\n")
+
+
+def run_fresh(args, cwd, **env):
+    """A fresh interpreter, as from a shell, with the library on its path;
+    nothing captures numpy's warnings there."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))), **env)
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
 
 
 @pytest.fixture
@@ -454,6 +471,15 @@ class TestInputContract:
         assert err.value.code == 3
         assert "--gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["estimate", "analytic"])
+    def test_invalid_utf8_is_data_error(self, tmp_path, capsys, subcommand):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1.0,0.5\n0.5,1\xff\n")
+        assert main([subcommand, "--input", str(path), "--blocks", "1,1"]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr == f"error: {path}: not UTF-8 text: cannot decode byte 0xff\n"
+
     def test_json_output_rejects_non_finite_numbers(self):
         with pytest.raises(cli.CliError) as err:
             cli._json_text({"value": float("nan")})
@@ -628,18 +654,59 @@ class TestErrorBoundary:
         ids=lambda argv: argv[0],
     )
     def test_huge_bandwidth_prints_only_the_error_line(self, tmp_path, argv):
-        # a fresh interpreter, as from a shell: nothing captures numpy's
-        # warnings, so any overflow warning would reach stderr
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        env.pop("PYTHONWARNINGS", None)
-        child = subprocess.run(
-            [sys.executable, "-m", "hsiclab.cli", *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
-        )
+        # in a fresh interpreter any overflow warning would reach stderr
+        child = run_fresh(["-m", "hsiclab.cli", *argv], tmp_path)
         assert child.returncode == 3
         assert child.stdout == ""
         assert len(child.stderr.splitlines()) == 1
         assert child.stderr.startswith("error: certificate column hsic2 is not finite at n=")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+    def test_out_of_memory_exits_three_with_one_error_line(self, tmp_path):
+        # the child caps its own address space 1 GiB above what it maps after
+        # import; --reps asks _simulate for a 745 GiB error buffer
+        script = (
+            "import resource, sys\n"
+            "from hsiclab.cli import main\n"
+            "with open('/proc/self/statm') as f:\n"
+            "    mapped = int(f.read().split()[0]) * resource.getpagesize()\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (mapped + 2**30, mapped + 2**30))\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        argv = ["minimax", "--blocks", "1,1", "--n-grid", "64,128,256", "--reps", "100000000000"]
+        child = run_fresh(["-c", script, *argv], tmp_path, OPENBLAS_NUM_THREADS="1")
+        assert child.returncode == 3
+        assert child.stdout == ""
+        assert len(child.stderr.splitlines()) == 1
+        assert child.stderr.startswith("error: out of memory: ")
+        assert not list(tmp_path.iterdir())
+
+
+class TestWithoutScipy:
+    def test_every_subcommand_runs_with_numpy_alone(self, tmp_path):
+        # a None entry makes any import of scipy raise ImportError
+        script = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import numpy as np\n"
+            "import hsiclab\n"
+            "from hsiclab.cli import main\n"
+            "np.savetxt('data.csv', np.random.default_rng(0).normal(size=(12, 2)), delimiter=',')\n"
+            "nystrom = ['--est', 'nystrom', '--landmarks', '4']\n"
+            "runs = [\n"
+            "    ['certify', '--blocks', '1,1', '--n-grid', '2..20', '--output', 'c.json'],\n"
+            "    ['analytic', '--blocks', '1,1', '--rho', '0.5'],\n"
+            "    ['estimate', '--blocks', '1,1', '--input', 'data.csv', '--est', 'v', '--est', 'u', *nystrom],\n"
+            "    ['minimax', '--blocks', '1,1', '--n-grid', '8,16,32', '--reps', '2', '--est', 'v', '--est', 'u', *nystrom],\n"
+            "]\n"
+            "codes = [main(argv) for argv in runs]\n"
+            "loaded = sorted(name for name in sys.modules if name.partition('.')[0] == 'scipy')\n"
+            "print(json.dumps({'codes': codes, 'loaded': loaded, 'blocked': sys.modules['scipy'] is None}))\n"
+        )
+        child = run_fresh(["-c", script], tmp_path)
+        assert child.returncode == 0, child.stderr
+        result = json.loads(child.stdout.splitlines()[-1])
+        assert result == {"codes": [0, 0, 0, 0], "loaded": ["scipy"], "blocked": True}
 
 
 class TestDatasetRoundTrip:

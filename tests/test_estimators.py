@@ -28,7 +28,6 @@ from hsiclab import (
     hsic_u,
     hsic_v,
     make_adversarial_cov,
-    nystrom_cross_cov,
     sample,
 )
 from hsiclab import estimators
@@ -40,6 +39,7 @@ from helpers import (
     mmd_v,
     naive_hsic_u,
     naive_hsic_v,
+    nystrom_cross_cov,
     product_gram,
     trace_form_hsic_v,
 )

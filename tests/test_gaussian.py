@@ -10,11 +10,10 @@ from hsiclab import (
     char_fn,
     kl_adversarial_bound,
     kl_adversarial_exact,
-    kl_gaussians,
     make_adversarial_cov,
     sample,
 )
-from helpers import random_spd
+from helpers import kl_gaussians, random_spd
 
 B11 = BlockStructure((1, 1))
 

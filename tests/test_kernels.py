@@ -9,13 +9,12 @@ from hsiclab import (
     KernelFamily,
     KernelSpec,
     ProductKernel,
-    eval_kernel,
     gram,
     lag_sum,
     spectral_sample,
 )
 from hsiclab.kernels import stacked_gram
-from helpers import product_gram
+from helpers import eval_kernel, product_gram
 
 GAUSS1 = KernelSpec(KernelFamily.GAUSSIAN, 1.0)
 LAP2 = KernelSpec(KernelFamily.LAPLACE, 2.0)

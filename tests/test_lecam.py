@@ -21,7 +21,6 @@ from hsiclab import (
     lecam_bound,
     minimax_constant,
     rate_fit,
-    risk_sim,
     run_experiment,
     sample,
     verify_gap_partii,
@@ -58,10 +57,17 @@ class TestBuildPair:
             build_pair(1, 1.0, B11)
 
 
+def risk_at(est, n, reps, seed, block=B11):
+    """The risk of one estimator from a one-budget run; the simulation there
+    is seeded with rng.derive(seed, "risk", n)."""
+    config = ExperimentConfig(gamma=1.0, block=block, n_grid=(n,), estimators=(est,), reps=reps, seed=seed)
+    (record,) = run_experiment(config).records
+    return record.risks[est.name]
+
+
 class TestRiskSim:
     def test_minimal_replicates_are_legal(self):
-        pair = build_pair(16, 1.0, B11)
-        result = risk_sim(Estimator("v", "v"), pair, 2, 7)
+        result = risk_at(Estimator("v", "v"), 16, 2, 7)
         for summary in (result.null, result.alt):
             assert math.isfinite(summary.rmse)
             assert 0.0 <= summary.exceed_prob <= 1.0
@@ -70,35 +76,17 @@ class TestRiskSim:
     def test_null_error_equals_estimate(self):
         pair = build_pair(16, 1.0, B11)
         reps, seed = 3, 99
-        result = risk_sim(Estimator("v", "v"), pair, reps, seed)
+        result = risk_at(Estimator("v", "v"), pair.n, reps, seed)
         pk = ProductKernel.homogeneous(B11, KernelFamily.GAUSSIAN, 1.0)
+        risk_seed = rnglib.derive(seed, "risk", pair.n)
         manual = []
         for r in range(reps):
-            ds = sample(pair.p0, pair.n, rnglib.derive(seed, "null", r), B11)
+            ds = sample(pair.p0, pair.n, rnglib.derive(risk_seed, "null", r), B11)
             manual.append(math.sqrt(max(0.0, hsic_v(pk, ds))))
         assert result.null.true_hsic == 0.0
         assert result.null.mean_error == pytest.approx(float(np.mean(manual)), abs=1e-15)
 
-    def test_matches_run_experiment_records(self):
-        config = ExperimentConfig(
-            gamma=1.0,
-            block=B11,
-            n_grid=(16, 32, 64),
-            estimators=(Estimator("v", "v"),),
-            reps=3,
-            seed=5,
-        )
-        report = run_experiment(config)
-        for rec in report.records:
-            pair = build_pair(rec.n, 1.0, B11)
-            standalone = risk_sim(
-                Estimator("v", "v"), pair, 3, rnglib.derive(5, "risk", rec.n)
-            )
-            assert standalone.sup_risk == rec.risks["v"].sup_risk
-            assert standalone.null.rmse == rec.risks["v"].null.rmse
-
     def test_estimator_validation(self):
-        pair = build_pair(8, 1.0, B11)
         with pytest.raises(ValueError):
             Estimator("bad", "w")
         with pytest.raises(ValueError):
@@ -106,17 +94,14 @@ class TestRiskSim:
         with pytest.raises(ValueError):
             Estimator("v", "v", landmarks=4)
         with pytest.raises(ValueError):
-            risk_sim(Estimator("ny", "nystrom", landmarks=16), pair, 2, 0)  # > n
+            risk_at(Estimator("ny", "nystrom", landmarks=16), 8, 2, 0)  # > n
         with pytest.raises(ValueError):
-            risk_sim(Estimator("v", "v"), pair, 1, 0)
-        block3 = BlockStructure((1, 1, 1))
-        pair3 = build_pair(8, 1.0, block3)
+            risk_at(Estimator("v", "v"), 8, 1, 0)
         with pytest.raises(ValueError):
-            risk_sim(Estimator("u", "u"), pair3, 2, 0)
+            risk_at(Estimator("u", "u"), 8, 2, 0, block=BlockStructure((1, 1, 1)))
 
     def test_nystrom_kind_runs(self):
-        pair = build_pair(16, 1.0, B11)
-        result = risk_sim(Estimator("ny", "nystrom", landmarks=8), pair, 2, 3)
+        result = risk_at(Estimator("ny", "nystrom", landmarks=8), 16, 2, 3)
         assert math.isfinite(result.sup_risk)
 
 
