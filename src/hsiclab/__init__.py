@@ -26,6 +26,7 @@ from .estimators import (
     hsic_nystrom_batch,
     hsic_u,
     hsic_v,
+    landmark_picks,
 )
 from .gaussian import (
     AdversarialPair,
@@ -35,6 +36,7 @@ from .gaussian import (
     kl_adversarial_exact,
     make_adversarial_cov,
     sample,
+    sample_stack,
 )
 from .kernels import (
     KernelFamily,
@@ -96,6 +98,7 @@ __all__ = [
     "kl_adversarial_bound",
     "kl_adversarial_exact",
     "lag_sum",
+    "landmark_picks",
     "lecam_bound",
     "make_adversarial_cov",
     "minimax_constant",
@@ -104,6 +107,7 @@ __all__ = [
     "rate_fit",
     "run_experiment",
     "sample",
+    "sample_stack",
     "spectral_sample",
     "verify_gap_partii",
 ]

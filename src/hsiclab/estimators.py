@@ -1,13 +1,14 @@
 """Sample-based HSIC and MMD estimators.
 
 * ``block_stats``: the sums the V and U forms share, in one tiled pass;
-  ``block_stats_batch`` runs that pass over many equal-n datasets at once.
+  ``block_stats_batch`` runs that pass over a (R, n, d) stack of datasets.
 * ``hsic_v``: biased V-statistic for any number of blocks (for two blocks it
   equals trace(K H L H)/n^2 with H the centering matrix).
 * ``hsic_u``: unbiased U-statistic, two blocks only.
 * ``hsic_nystrom``: Frobenius norm of the empirical centered cross-covariance
   in landmark feature coordinates; estimates HSIC itself, not HSIC^2.
-  ``hsic_nystrom_batch`` does the same for many equal-n datasets at once.
+  ``hsic_nystrom_batch`` does the same for many equal-n datasets at once, on
+  the landmark rows ``landmark_picks`` draws.
 * ``require_v``, ``require_u``, ``require_nystrom``: the rules each
   estimator puts on its input, checked where the estimators run.
 """
@@ -128,35 +129,41 @@ class BlockStats:
 
 def block_stats(pk: ProductKernel, data: Dataset) -> BlockStats:
     """The sufficient statistics of one dataset: ``block_stats_batch`` of a
-    batch of one."""
-    return block_stats_batch(pk, [data])[0]
+    stack of one."""
+    return block_stats_batch(pk, _stack_of_one(pk, data))[0]
 
 
-def block_stats_batch(pk: ProductKernel, datasets) -> list[BlockStats]:
-    """Sufficient statistics of each of several datasets with the same block
-    structure and the same n, from one pass of the tile loop per
-    ``stack_size(n)`` of them.  Each result is the same bits as the dataset
-    alone would give."""
-    values = _stacked_values(pk, datasets)
+def block_stats_batch(pk: ProductKernel, values) -> list[BlockStats]:
+    """Sufficient statistics of each dataset of a stack ``values`` of shape
+    (R, n, d), whose columns are the kernel's blocks, from one pass of the
+    tile loop per ``stack_size(n)`` of them.  Each result is the same bits
+    as the dataset alone would give."""
+    values = _require_stack(pk, values)
     size = stack_size(values.shape[1])
     return [stats for r in range(0, len(values), size) for stats in _tile_pass(pk, values[r : r + size])]
 
 
-def _stacked_values(pk: ProductKernel, datasets) -> np.ndarray:
-    """The rows of the datasets as one (R, n, d) array, after checking that
-    they fit the kernel's blocks and share n."""
+def _stack_of_one(pk: ProductKernel, data: Dataset) -> np.ndarray:
+    """The rows of one dataset as a stack of one, after checking that its
+    blocks are the kernel's."""
     pk.block.require_multiblock()
-    if not datasets:
-        raise ValueError("need at least one dataset")
-    for data in datasets:
-        if data.block != pk.block:
-            raise ValueError(
-                f"dataset blocks {data.block.dims} do not match kernel blocks {pk.block.dims}"
-            )
-        if data.n != datasets[0].n:
-            raise ValueError(f"stacked datasets need equal n, got {datasets[0].n} and {data.n}")
-    # np.array, not np.stack, which costs ~2 us more per call
-    return np.array([data.values for data in datasets])
+    if data.block != pk.block:
+        raise ValueError(f"dataset blocks {data.block.dims} do not match kernel blocks {pk.block.dims}")
+    return data.values[None]
+
+
+def _require_stack(pk: ProductKernel, values) -> np.ndarray:
+    """``values`` as a float (R, n, d) stack of datasets, after checking that
+    it holds at least one dataset of at least one row, with the kernel's d."""
+    pk.block.require_multiblock()
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 3:
+        raise ValueError(f"need a stack of datasets of shape (R, n, d), got shape {values.shape}")
+    if 0 in values.shape[:2]:
+        raise ValueError(f"need at least one dataset of at least one row, got shape {values.shape}")
+    if values.shape[2] != pk.block.total:
+        raise ValueError(f"datasets have {values.shape[2]} columns but kernel blocks sum to {pk.block.total}")
+    return values
 
 
 def _tile_pass(pk: ProductKernel, values: np.ndarray) -> list[BlockStats]:
@@ -294,24 +301,34 @@ def hsic_nystrom(
     centered cross-covariance.  With landmarks = n the estimate equals
     sqrt(max(0, hsic_v)).
     """
-    return hsic_nystrom_batch(pk, [data], landmarks, [seed])[0]
-
-
-def hsic_nystrom_batch(pk: ProductKernel, datasets, landmarks: int, seeds) -> list[float]:
-    """``hsic_nystrom`` of each dataset with its seed, for datasets with the
-    same block structure and the same n, in one stacked step per
-    ``stack_size(n)`` of them.  Each dataset gets the landmarks it would get
-    alone."""
-    values = _stacked_values(pk, datasets)
-    reps, n, _ = values.shape
+    values = _stack_of_one(pk, data)
     landmarks = int(landmarks)
-    require_nystrom(pk.block.m, n, landmarks)
-    if len(seeds) != reps:
-        raise ValueError(f"need one seed per dataset, got {len(seeds)} for {reps}")
-    # (R, 2, landmarks) row indices, from the streams a lone dataset would use
-    picks = np.array(
-        [[rng.stream(seed, "landmarks", m).choice(n, size=landmarks, replace=False) for m in range(2)] for seed in seeds]
-    )
+    require_nystrom(pk.block.m, data.n, landmarks)
+    picks = np.array(list(landmark_picks(data.n, landmarks, [seed])))
+    return hsic_nystrom_batch(pk, values, picks)[0]
+
+
+def landmark_picks(n: int, landmarks: int, seeds):
+    """Lazily, per seed, the landmark rows ``hsic_nystrom`` selects with that
+    seed: for block m, ``landmarks`` of the n rows without replacement from
+    ``rng.stream(seed, "landmarks", m)``."""
+    pairs = zip(rng.streams(seeds, "landmarks", 0), rng.streams(seeds, "landmarks", 1))
+    return ([gen.choice(n, size=landmarks, replace=False) for gen in pair] for pair in pairs)
+
+
+def hsic_nystrom_batch(pk: ProductKernel, values, picks) -> list[float]:
+    """``hsic_nystrom`` of each dataset of a stack ``values`` of shape
+    (R, n, d), on the landmark rows ``picks`` of shape (R, 2, landmarks)
+    that ``landmark_picks`` gives its seed, in one stacked step per
+    ``stack_size(n)`` datasets."""
+    values = _require_stack(pk, values)
+    reps, n, _ = values.shape
+    picks = np.asarray(picks)
+    if picks.ndim != 3 or picks.shape[:2] != (reps, 2):
+        raise ValueError(f"need (R, 2, landmarks) landmark rows for {reps} datasets, got shape {picks.shape}")
+    require_nystrom(pk.block.m, n, picks.shape[2])
+    if picks.min() < 0 or picks.max() >= n:
+        raise ValueError(f"landmark rows must lie in [0, {n})")
     out = []
     size = stack_size(n)
     for r0 in range(0, reps, size):

@@ -129,14 +129,22 @@ def sample(g: GaussianMeasure, n: int, seed: int, block: BlockStructure | None =
     size d; pass an explicit partition when the rows feed an independence
     estimator.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
     if block is None:
         block = BlockStructure((g.d,))
     if block.total != g.d:
         raise ValueError(f"block dims sum to {block.total} but the measure has d={g.d}")
-    z = rng.stream(seed).standard_normal((int(n), g.d))
-    return Dataset(g.mean + z @ g.chol.T, block)
+    return Dataset(sample_stack(g, n, [rng.stream(seed)])[0], block)
+
+
+def sample_stack(g: GaussianMeasure, n: int, gens) -> np.ndarray:
+    """The rows of ``sample`` for each generator of ``gens`` in turn, stacked
+    as (R, n, d): row r is ``sample(g, n, seed).values`` when the r-th
+    generator is ``rng.stream(seed)``."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    shape = (int(n), g.d)
+    z = np.array([gen.standard_normal(shape) for gen in gens]).reshape(-1, *shape)
+    return g.mean + z @ g.chol.T
 
 
 def char_fn(g: GaussianMeasure, omega: np.ndarray):

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from . import rng
 from .analytic import adversarial_hsic2_values, hsic2_gaussian, lecam_bound, minimax_constant
 from .data import BlockStructure
-from .estimators import block_stats_batch, hsic_nystrom_batch, require_nystrom, require_u, require_v, stack_size
-from .gaussian import AdversarialPair, GaussianMeasure, adversarial_kl, make_adversarial_cov, sample
+from .estimators import block_stats_batch, hsic_nystrom_batch, landmark_picks, require_nystrom, require_u, require_v, stack_size
+from .gaussian import AdversarialPair, GaussianMeasure, adversarial_kl, make_adversarial_cov, sample_stack
 from .kernels import KernelFamily, ProductKernel
 from .spectral import GapCertificate
 
@@ -207,9 +208,12 @@ def _simulate(
     and dataset streams are keyed by (seed, distribution, replicate) only, so
     single-estimator runs reproduce multi-estimator runs bit for bit.
 
-    Replicates are drawn one stream each and go through the estimators in
-    stacks of ``stack_size(n)``; every statistic is the one the library gives
-    for the dataset alone.  Errors are on the HSIC scale; ``run_experiment``
+    Each replicate has its own streams, as the library would key them for
+    its seeds; every family of them is keyed for all replicates in one pass
+    (``rng.streams``) and drawn straight into stacks of ``stack_size(n)``
+    replicates, which go through the estimators together.  Every dataset,
+    landmark set and statistic is the one the library gives for the
+    replicate alone.  Errors are on the HSIC scale; ``run_experiment``
     has checked ``reps`` and the estimators."""
     pk = ProductKernel.homogeneous(pair.block, KernelFamily.GAUSSIAN, pair.gamma)
     needs_stats = any(est.kind in ("v", "u") for est in estimators)
@@ -220,20 +224,26 @@ def _simulate(
     for label, measure in (("null", pair.p0), ("alt", pair.p1)):
         true_sq = hsic2_gaussian(measure, pair.block, pair.gamma).value
         true_hsic = math.sqrt(max(0.0, true_sq))
+        # the error buffers first: a --reps too large for memory fails here,
+        # before any per-replicate list is built
         errors = {est.name: np.empty(reps) for est in estimators}
+        gens = rng.streams([rng.derive(seed, label, r) for r in range(reps)])
+        nystrom = [est for est in estimators if est.kind == "nystrom"]
+        nystrom_seeds = [rng.derive(seed, label, r, "nystrom") for r in range(reps)] if nystrom else []
+        picks = {est.name: landmark_picks(pair.n, est.landmarks, nystrom_seeds) for est in nystrom}
         for r0 in range(0, reps, size):
-            chunk = range(r0, min(r0 + size, reps))
-            datasets = [sample(measure, pair.n, rng.derive(seed, label, r), pair.block) for r in chunk]
-            stats = block_stats_batch(pk, datasets) if needs_stats else None
+            count = min(size, reps - r0)
+            values = sample_stack(measure, pair.n, islice(gens, count))
+            stats = block_stats_batch(pk, values) if needs_stats else None
             for est in estimators:
                 if est.kind == "v":
                     est_hsic = [math.sqrt(max(0.0, s.v_statistic())) for s in stats]
                 elif est.kind == "u":
                     est_hsic = [math.sqrt(max(0.0, s.u_statistic())) for s in stats]
                 else:
-                    seeds = [rng.derive(seed, label, r, "nystrom") for r in chunk]
-                    est_hsic = hsic_nystrom_batch(pk, datasets, est.landmarks, seeds)
-                errors[est.name][r0 : r0 + len(chunk)] = np.abs(np.subtract(est_hsic, true_hsic))
+                    chunk_picks = np.array(list(islice(picks[est.name], count)))
+                    est_hsic = hsic_nystrom_batch(pk, values, chunk_picks)
+                errors[est.name][r0 : r0 + count] = np.abs(np.subtract(est_hsic, true_hsic))
         for est in estimators:
             err = errors[est.name]
             per_dist[est.name].append(

@@ -27,6 +27,7 @@ from hsiclab import (
     hsic_nystrom_batch,
     hsic_u,
     hsic_v,
+    landmark_picks,
     make_adversarial_cov,
     sample,
 )
@@ -287,7 +288,7 @@ class TestBlockStatsBatch:
         alone = [block_stats(pk, ds) for ds in datasets]
         for size in (1, 2, 7):
             monkeypatch.setattr(estimators, "stack_size", lambda n: size)
-            stacked = block_stats_batch(pk, datasets)
+            stacked = block_stats_batch(pk, np.array([ds.values for ds in datasets]))
             assert len(stacked) == len(datasets)
             for a, b in zip(alone, stacked):
                 assert b.total.hex() == a.total.hex(), size
@@ -300,20 +301,30 @@ class TestBlockStatsBatch:
         assert [estimators.stack_size(n) for n in (8, 64, 256, 512, THREAD_MIN_N)] == [512, 8, 2, 1, 1]
 
     def test_rejects_mixed_datasets(self):
-        with pytest.raises(ValueError, match="equal n"):
-            block_stats_batch(PK11, [random_dataset(0, n=8), random_dataset(1, n=9)])
         with pytest.raises(ValueError, match="do not match"):
-            block_stats_batch(PK11, [random_dataset(0, n=8), Dataset(np.zeros((8, 3)), BlockStructure((2, 1)))])
-        with pytest.raises(ValueError, match="at least one dataset"):
-            block_stats_batch(PK11, [])
+            block_stats(PK11, Dataset(np.zeros((8, 3)), BlockStructure((2, 1))))
+        with pytest.raises(ValueError, match="columns"):
+            block_stats_batch(PK11, np.zeros((2, 8, 3)))
+        with pytest.raises(ValueError, match=r"shape \(R, n, d\)"):
+            block_stats_batch(PK11, random_dataset(0, n=8).values)
+        for empty in (np.zeros((0, 8, 2)), np.zeros((2, 0, 2))):
+            with pytest.raises(ValueError, match="at least one dataset of at least one row"):
+                block_stats_batch(PK11, empty)
 
     def test_nystrom_batch_matches_each_dataset_alone(self):
         datasets = [random_dataset(rnglib.derive(3, r), n=40, rho=0.6) for r in range(5)]
         seeds = [rnglib.derive(4, r) for r in range(5)]
         alone = [hsic_nystrom(PK11, ds, 6, seed) for ds, seed in zip(datasets, seeds)]
-        assert hsic_nystrom_batch(PK11, datasets, 6, seeds) == pytest.approx(alone, rel=1e-12, abs=0)
-        with pytest.raises(ValueError, match="one seed per dataset"):
-            hsic_nystrom_batch(PK11, datasets, 6, seeds[:4])
+        values = np.array([ds.values for ds in datasets])
+        picks = np.array(list(landmark_picks(40, 6, seeds)))
+        assert picks.shape == (5, 2, 6)
+        assert hsic_nystrom_batch(PK11, values, picks) == alone
+        with pytest.raises(ValueError, match="landmark rows for 5 datasets"):
+            hsic_nystrom_batch(PK11, values, picks[:4])
+        with pytest.raises(ValueError, match=r"in \[0, 40\)"):
+            hsic_nystrom_batch(PK11, values, picks - 1)
+        with pytest.raises(ValueError, match="cannot select 41 landmarks"):
+            hsic_nystrom_batch(PK11, values, np.zeros((5, 2, 41), dtype=int))
 
 
 class TestHsicV:

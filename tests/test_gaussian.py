@@ -12,7 +12,9 @@ from hsiclab import (
     kl_adversarial_exact,
     make_adversarial_cov,
     sample,
+    sample_stack,
 )
+from hsiclab import rng
 from helpers import kl_gaussians, random_spd
 
 B11 = BlockStructure((1, 1))
@@ -118,6 +120,15 @@ class TestSample:
             sample(g, 0, 0)
         with pytest.raises(ValueError):
             sample(g, 5, 0, BlockStructure((1, 1)))
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_stacked_rows_are_each_seed_alone(self, d):
+        g = GaussianMeasure(np.arange(d) / 3.0, random_spd(np.random.default_rng(d), d))
+        seeds = [0, 7, 2**40 + 9, -3]
+        stack = sample_stack(g, 33, rng.streams(seeds))
+        assert stack.shape == (4, 33, d)
+        for rows, seed in zip(stack, seeds):
+            assert np.array_equal(rows, sample(g, 33, seed).values)
 
 
 class TestCharFn:

@@ -107,8 +107,8 @@ class TestRiskSim:
 
 class TestHarnessEqualsLibrary:
     """The harness stacks replicates through the estimators; replicate by
-    replicate it sees the datasets and gives the statistics of the library
-    called on each dataset alone."""
+    replicate it sees the datasets and landmark sets, and gives the
+    statistics, of the library called on each dataset alone."""
 
     @pytest.mark.parametrize("n", [8, 65, 256])
     def test_replicate_by_replicate(self, monkeypatch, n):
@@ -118,14 +118,14 @@ class TestHarnessEqualsLibrary:
         calls = {"stats": [], "nystrom": []}
         real_stats, real_nystrom = lecam.block_stats_batch, lecam.hsic_nystrom_batch
 
-        def stats_batch(pk, datasets):
-            out = real_stats(pk, datasets)
-            calls["stats"].append((datasets, out))
+        def stats_batch(pk, values):
+            out = real_stats(pk, values)
+            calls["stats"].append((values, out))
             return out
 
-        def nystrom_batch(pk, datasets, landmarks, seeds):
-            out = real_nystrom(pk, datasets, landmarks, seeds)
-            calls["nystrom"].append((datasets, out))
+        def nystrom_batch(pk, values, picks):
+            out = real_nystrom(pk, values, picks)
+            calls["nystrom"].append((values, picks, out))
             return out
 
         monkeypatch.setattr(lecam, "block_stats_batch", stats_batch)
@@ -137,21 +137,26 @@ class TestHarnessEqualsLibrary:
         pair = build_pair(n, 1.0, block)
 
         # a stack holds more than one replicate, and both kinds see the same stacks
-        assert max(len(datasets) for datasets, _ in calls["stats"]) > 1
-        assert [d for d, _ in calls["stats"]] == [d for d, _ in calls["nystrom"]]
+        assert max(len(values) for values, _ in calls["stats"]) > 1
+        assert len(calls["stats"]) == len(calls["nystrom"])
+        assert all(a is b for (a, _), (b, _, _) in zip(calls["stats"], calls["nystrom"]))
         datasets = [ds for chunk, _ in calls["stats"] for ds in chunk]
         stats = [st for _, chunk in calls["stats"] for st in chunk]
-        nystrom = [v for _, chunk in calls["nystrom"] for v in chunk]
-        assert len(datasets) == len(stats) == len(nystrom) == 2 * reps
+        picks = [p for _, chunk, _ in calls["nystrom"] for p in chunk]
+        nystrom = [v for _, _, chunk in calls["nystrom"] for v in chunk]
+        assert len(datasets) == len(stats) == len(picks) == len(nystrom) == 2 * reps
         labelled = [(label, measure, r) for label, measure in (("null", pair.p0), ("alt", pair.p1)) for r in range(reps)]
         errors = {"v": [], "u": []}
-        for (label, measure, r), ds, st, ny in zip(labelled, datasets, stats, nystrom):
+        for (label, measure, r), ds, st, rows, ny in zip(labelled, datasets, stats, picks, nystrom):
             alone = sample(measure, n, rnglib.derive(risk_seed, label, r), block)
-            assert np.array_equal(ds.values, alone.values)
+            assert np.array_equal(ds, alone.values)
             assert st.v_statistic() == hsic_v(pk, alone)
             assert st.u_statistic() == hsic_u(pk, alone)
-            expected = hsic_nystrom(pk, alone, landmarks, rnglib.derive(risk_seed, label, r, "nystrom"))
-            assert ny == pytest.approx(expected, rel=1e-12, abs=0)
+            nystrom_seed = rnglib.derive(risk_seed, label, r, "nystrom")
+            for m in range(2):
+                expected_rows = rnglib.stream(nystrom_seed, "landmarks", m).choice(n, size=landmarks, replace=False)
+                assert np.array_equal(rows[m], expected_rows)
+            assert ny == hsic_nystrom(pk, alone, landmarks, nystrom_seed)
             true_hsic = math.sqrt(max(0.0, hsic2_gaussian(measure, block, 1.0).value))
             errors["v"].append(abs(math.sqrt(max(0.0, hsic_v(pk, alone))) - true_hsic))
             errors["u"].append(abs(math.sqrt(max(0.0, hsic_u(pk, alone))) - true_hsic))
