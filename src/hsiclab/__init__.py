@@ -9,9 +9,7 @@ minimax experiment harness with a command-line front end.
 from .analytic import (
     Hsic2Decomposition,
     adversarial_hsic2,
-    critical_slope,
     embedding_inner,
-    f_c,
     hsic2_gaussian,
     lecam_bound,
     minimax_constant,
@@ -58,7 +56,7 @@ from .lecam import (
     rate_fit,
     run_experiment,
 )
-from .spectral import GapCertificate, gap_constant_partii, mmd2_spectral, verify_gap_partii
+from .spectral import gap_constant_partii, mmd2_spectral, verify_gap_partii
 
 __version__ = "0.1.0"
 
@@ -71,7 +69,6 @@ __all__ = [
     "Estimator",
     "ExperimentConfig",
     "ExperimentReport",
-    "GapCertificate",
     "GaussianMeasure",
     "Hsic2Decomposition",
     "KL_BUDGET",
@@ -85,9 +82,7 @@ __all__ = [
     "block_stats_batch",
     "build_pair",
     "char_fn",
-    "critical_slope",
     "embedding_inner",
-    "f_c",
     "gap_constant_partii",
     "gram",
     "hsic2_gaussian",

@@ -423,10 +423,10 @@ def cmd_certify(args) -> int:
     if not kept:
         raise CliError(EXIT_USAGE, "no usable budgets in --n-grid (all below 2)")
 
-    partii = verify_gap_partii(gamma, block, kept, CERTIFY_SPECTRAL_FREQS, rng.derive(seed, "partii"))
-    columns, inequalities = certificate_table(gamma, block, kept, partii)
+    estimate, se = verify_gap_partii(gamma, block, CERTIFY_SPECTRAL_FREQS, rng.derive(seed, "partii"))
+    columns, inequalities = certificate_table(gamma, block, kept, (estimate, se))
     print(
-        f"part-(ii) gap constant estimate: {partii.estimate!r} ± {partii.standard_error!r} (1 SE), "
+        f"part-(ii) gap constant estimate: {estimate!r} ± {se!r} (1 SE), "
         f"N={CERTIFY_SPECTRAL_FREQS}",
         file=status,
     )
@@ -437,8 +437,8 @@ def cmd_certify(args) -> int:
         payload = {
             "gamma": gamma,
             "blocks": list(block.dims),
-            "partii_estimate": partii.estimate,
-            "partii_se": partii.standard_error,
+            "partii_estimate": estimate,
+            "partii_se": se,
             "rows": [dict(zip(CERTIFY_CSV_COLUMNS, row)) for row in rows],
             "pass": {ineq.family: ineq.ok for ineq in inequalities},
         }

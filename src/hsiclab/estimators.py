@@ -20,6 +20,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
+from itertools import tee
 
 import numpy as np
 
@@ -309,10 +310,11 @@ def hsic_nystrom(
 
 
 def landmark_picks(n: int, landmarks: int, seeds):
-    """Lazily, per seed, the landmark rows ``hsic_nystrom`` selects with that
-    seed: for block m, ``landmarks`` of the n rows without replacement from
-    ``rng.stream(seed, "landmarks", m)``."""
-    pairs = zip(rng.streams(seeds, "landmarks", 0), rng.streams(seeds, "landmarks", 1))
+    """Lazily, per seed of the iterable ``seeds``, the landmark rows
+    ``hsic_nystrom`` selects with that seed: for block m, ``landmarks`` of
+    the n rows without replacement from ``rng.stream(seed, "landmarks", m)``.
+    ``seeds`` is read once; each block's streams read their own copy."""
+    pairs = zip(*(rng.streams(copy, "landmarks", m) for m, copy in enumerate(tee(seeds))))
     return ([gen.choice(n, size=landmarks, replace=False) for gen in pair] for pair in pairs)
 
 

@@ -98,25 +98,17 @@ class AdversarialPair:
             raise ValueError("pair dimensions do not match the block structure")
 
 
-def make_adversarial_cov(block: BlockStructure, rho: float, i: int | None = None) -> np.ndarray:
-    """Identity matrix of size d with entries (i, i+1) and (i+1, i) set to rho.
-
-    ``i`` is the 0-based index of the first coordinate of the correlated pair
-    and defaults to ``block.dims[0] - 1``, the only choice for which the pair
-    straddles the first block boundary (any other choice leaves the blocks
-    independent).  The determinant is 1 - rho^2.
+def make_adversarial_cov(block: BlockStructure, rho: float) -> np.ndarray:
+    """Identity matrix of size d with entries (i, i+1) and (i+1, i) set to rho,
+    where i = ``block.dims[0] - 1``: the correlated pair straddles the first
+    block boundary.  The determinant is 1 - rho^2.
     """
     block.require_multiblock()
     rho = float(rho)
     if not -1.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (-1, 1) for a positive definite matrix, got {rho}")
-    d = block.total
-    if i is None:
-        i = block.dims[0] - 1
-    i = int(i)
-    if not 0 <= i <= d - 2:
-        raise ValueError(f"pair index {i} out of range for dimension {d}")
-    cov = np.eye(d)
+    i = block.dims[0] - 1
+    cov = np.eye(block.total)
     cov[i, i + 1] = rho
     cov[i + 1, i] = rho
     return cov
@@ -184,14 +176,13 @@ def adversarial_kl(n, rho) -> tuple[np.ndarray, np.ndarray]:
     return exact, bound
 
 
-def kl_adversarial_exact(n: int, rho: float, block: BlockStructure) -> float:
+def kl_adversarial_exact(n: int, rho: float) -> float:
     """Exact n-fold product KL of the adversarial pair (see ``adversarial_kl``).
 
     Equals n times the per-sample KL (product measures add), independent of
-    how the dimension splits across blocks.
+    the dimension and of how it splits across blocks.
     """
     _check_adversarial_args(n, rho)
-    block.require_multiblock()
     return float(adversarial_kl(n, rho)[0])
 
 

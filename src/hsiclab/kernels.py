@@ -126,20 +126,14 @@ def stacked_gram(
     return acc
 
 
-def gram(
-    spec: KernelSpec,
-    x: np.ndarray,
-    y: np.ndarray,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-) -> np.ndarray:
+def gram(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gram matrix of shape (n, m) with entry (i, j) = k(x_i, y_j): the
     ``stacked_gram`` of one pair of point sets."""
     xm = np.atleast_2d(np.asarray(x, dtype=float))
     ym = np.atleast_2d(np.asarray(y, dtype=float))
     if xm.ndim != 2 or ym.ndim != 2:
         raise ValueError(f"gram takes 2-D point sets, got shapes {xm.shape} and {ym.shape}")
-    return stacked_gram(spec, xm, ym, out, scratch)
+    return stacked_gram(spec, xm, ym)
 
 
 def spectral_sample(spec: KernelSpec, dim: int, n: int, seed: int) -> np.ndarray:

@@ -19,7 +19,6 @@ from .data import BlockStructure
 from .estimators import block_stats_batch, hsic_nystrom_batch, landmark_picks, require_nystrom, require_u, require_v, stack_size
 from .gaussian import AdversarialPair, GaussianMeasure, adversarial_kl, make_adversarial_cov, sample_stack
 from .kernels import KernelFamily, ProductKernel
-from .spectral import GapCertificate
 
 KL_BUDGET = 1.25
 DEFAULT_N_GRID = (64, 128, 256, 512, 1024, 2048, 4096)
@@ -101,14 +100,16 @@ class Inequality:
 
 
 def certificate_table(
-    gamma: float, block: BlockStructure, n_grid, partii: GapCertificate | None = None
+    gamma: float, block: BlockStructure, n_grid, partii: tuple[float, float] | None = None
 ) -> tuple[dict[str, np.ndarray], tuple[Inequality, ...]]:
     """The two-point certificates at every budget n of the grid, from one
     vectorised pass over the closed forms: columns ``rho`` = n^{-1/2},
     ``kl_exact``, ``kl_bound``, ``kl_budget``, the adversarial ``hsic2``, its
-    square root ``analytic_gap`` and the ``gap_floor`` 2c/sqrt(n) (plus
-    ``partii_bound`` and ``partii_margin`` from a part-(ii) check over the
-    same grid), and one ``Inequality`` per family whose columns are present.
+    square root ``analytic_gap`` and the ``gap_floor`` 2c/sqrt(n), and one
+    ``Inequality`` per family whose columns are present.  Given the
+    part-(ii) gap constant as (estimate, standard error), also
+    ``partii_bound`` = rho^2 (estimate - 4 SE, floored at 0) and
+    ``partii_margin`` = hsic2 - partii_bound.
     Raises ``ValueError`` naming the first column that is not finite.
     """
     grid = tuple(n_grid)
@@ -131,10 +132,11 @@ def certificate_table(
         "gap_floor": 2.0 * c / np.sqrt(budgets),
     }
     if partii is not None:
-        if not np.array_equal(partii.n, budgets):
-            raise ValueError("the part-(ii) check covers a different grid")
-        columns["partii_bound"] = partii.bound
-        columns["partii_margin"] = partii.margin
+        estimate, se = partii
+        # np.maximum keeps a NaN estimate NaN, where max(0.0, nan) gives 0.0
+        bound = rho * rho * np.maximum(0.0, estimate - 4.0 * se)
+        columns["partii_bound"] = bound
+        columns["partii_margin"] = hsic2 - bound
     # a NaN compares false both ways and would read as a failing certificate
     for name, column in columns.items():
         bad = np.flatnonzero(~np.isfinite(column))
@@ -209,8 +211,8 @@ def _simulate(
     single-estimator runs reproduce multi-estimator runs bit for bit.
 
     Each replicate has its own streams, as the library would key them for
-    its seeds; every family of them is keyed for all replicates in one pass
-    (``rng.streams``) and drawn straight into stacks of ``stack_size(n)``
+    its seeds; every family of them is keyed in vectorised passes over many
+    replicates (``rng.streams``) and drawn straight into stacks of ``stack_size(n)``
     replicates, which go through the estimators together.  Every dataset,
     landmark set and statistic is the one the library gives for the
     replicate alone.  Errors are on the HSIC scale; ``run_experiment``
@@ -224,13 +226,16 @@ def _simulate(
     for label, measure in (("null", pair.p0), ("alt", pair.p1)):
         true_sq = hsic2_gaussian(measure, pair.block, pair.gamma).value
         true_hsic = math.sqrt(max(0.0, true_sq))
-        # the error buffers first: a --reps too large for memory fails here,
-        # before any per-replicate list is built
+        # the error buffers are the only per-replicate state: a --reps too
+        # large for memory fails here, and the seeds are derived lazily, as
+        # the streams key them chunk by chunk
         errors = {est.name: np.empty(reps) for est in estimators}
-        gens = rng.streams([rng.derive(seed, label, r) for r in range(reps)])
-        nystrom = [est for est in estimators if est.kind == "nystrom"]
-        nystrom_seeds = [rng.derive(seed, label, r, "nystrom") for r in range(reps)] if nystrom else []
-        picks = {est.name: landmark_picks(pair.n, est.landmarks, nystrom_seeds) for est in nystrom}
+        gens = rng.streams(rng.derive(seed, label, r) for r in range(reps))
+        picks = {
+            est.name: landmark_picks(pair.n, est.landmarks, (rng.derive(seed, label, r, "nystrom") for r in range(reps)))
+            for est in estimators
+            if est.kind == "nystrom"
+        }
         for r0 in range(0, reps, size):
             count = min(size, reps - r0)
             values = sample_stack(measure, pair.n, islice(gens, count))
@@ -322,9 +327,18 @@ class ExperimentReport:
     config: ExperimentConfig
     records: tuple[PerNRecord, ...]
     rate_fits: dict[str, RateFit]
-    certificates: dict[str, bool]
     inequalities: tuple[Inequality, ...]
     lecam_value: float
+
+    @property
+    def certificates(self) -> dict[str, bool]:
+        """The KL budget chain and the gap certificate, each as one verdict
+        over the grid, read from ``inequalities``."""
+        ok = {ineq.family: ineq.ok for ineq in self.inequalities}
+        return {
+            "kl_budget": ok["kl_exact_le_bound"] and ok["kl_bound_le_budget"],
+            "hsic_gap": ok["gap_ge_floor"],
+        }
 
     def to_dict(self) -> dict:
         """JSON-ready view with a fixed layout."""
@@ -398,16 +412,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             if all(r > 0 for r in risks):
                 rate_fits[est.name] = rate_fit(ns, risks)
 
-    ok = {ineq.family: ineq.ok for ineq in inequalities}
-    certificates = {
-        "kl_budget": ok["kl_exact_le_bound"] and ok["kl_bound_le_budget"],
-        "hsic_gap": ok["gap_ge_floor"],
-    }
     return ExperimentReport(
         config=config,
         records=tuple(records),
         rate_fits=rate_fits,
-        certificates=certificates,
         inequalities=inequalities,
         lecam_value=lecam_bound(KL_BUDGET),
     )

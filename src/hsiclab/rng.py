@@ -13,6 +13,7 @@ here for many seeds in one numpy pass.
 from __future__ import annotations
 
 import hashlib
+from itertools import islice
 
 import numpy as np
 
@@ -23,6 +24,10 @@ _MASK32 = (1 << 32) - 1
 _POOL = 4
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _SHIFT = (np.array(c, np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
+# seeds keyed per vectorised pass in ``streams``: the per-seed state held at
+# once stays bounded however many seeds there are, and one pass (~250 us of
+# fixed cost) serves this many of them
+_KEY_CHUNK = 1024
 
 
 def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
@@ -65,16 +70,23 @@ def _philox_keys(head: np.ndarray, tail: list[int]) -> np.ndarray:
     return state[:, 0::2] | state[:, 1::2] << np.uint64(32)
 
 
-def _keys(seeds, labels: tuple) -> np.ndarray:
-    """The Philox key of ``stream(seed, *labels)`` for each seed, (R, 2)."""
-    # SeedSequence reads an int as 32-bit words, low first, and drops a high
-    # word of 0: a seed below 2^32 is one word, any other seed two
-    tail = []
+def _label_words(labels: tuple) -> list[int]:
+    """The 32-bit entropy words of the label digests: each 64-bit digest
+    word as SeedSequence reads an int, 32-bit words, low first, with a high
+    word of 0 dropped (the same rule splits the seeds in ``_keys``)."""
+    words = []
     for label in labels:
         digest = hashlib.sha256(repr(label).encode("utf-8")).digest()
         for k in range(0, 32, 8):
             word = int.from_bytes(digest[k : k + 8], "little")
-            tail += [word & _MASK32, word >> 32] if word >> 32 else [word]
+            words += [word & _MASK32, word >> 32] if word >> 32 else [word]
+    return words
+
+
+def _keys(seeds, tail: list[int]) -> np.ndarray:
+    """The Philox key of the stream of each seed whose labels give the words
+    ``tail``, (R, 2)."""
+    # a seed below 2^32 is one word, any other seed two
     seeds = np.array([int(seed) & _MASK64 for seed in seeds], dtype=np.uint64)
     low, high = (seeds & np.uint64(_MASK32)).astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)
     keys = np.empty((len(seeds), 2), np.uint64)
@@ -90,18 +102,20 @@ def _keys(seeds, labels: tuple) -> np.ndarray:
 
 
 def streams(seeds, *labels):
-    """``stream(seed, *labels)`` for each seed in turn, bit for bit.  The
-    keys of all seeds come from one vectorised pass, and one generator is
-    reset to each seed's fresh state, so each is valid until the next is
-    drawn."""
-    keys = _keys(seeds, labels)
+    """``stream(seed, *labels)`` for each seed of the iterable ``seeds`` in
+    turn, bit for bit.  The seeds are read lazily and keyed in vectorised
+    passes over ``_KEY_CHUNK`` of them, and one generator is reset to each
+    seed's fresh state, so each is valid until the next is drawn."""
+    tail = _label_words(labels)
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state
-    for key in keys:
-        fresh["state"]["key"] = key
-        bitgen.state = fresh
-        yield gen
+    seeds = iter(seeds)
+    while chunk := list(islice(seeds, _KEY_CHUNK)):
+        for key in _keys(chunk, tail):
+            fresh["state"]["key"] = key
+            bitgen.state = fresh
+            yield gen
 
 
 def stream(seed: int, *labels) -> np.random.Generator:

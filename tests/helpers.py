@@ -8,15 +8,19 @@ enumerations are O(n^large) and only meant for small n.  ``eval_kernel``
 evaluates one pair of points, ``kl_gaussians`` is the general Gaussian KL
 through triangular solves, and ``nystrom_cross_cov`` builds the Nystrom
 features of one dataset with a plain 2-D eigendecomposition.
+``f_c`` and ``critical_slope`` are the slope form of the gap certificate,
+built on the library's own closed-form HSIC^2 terms.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from hsiclab.analytic import _adversarial_terms, _check_gamma
 from hsiclab.kernels import KernelFamily, gram
 
 
@@ -192,3 +196,30 @@ def random_spd(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarr
     """Random symmetric positive definite matrix with a safe spectral floor."""
     a = rng.normal(size=(d, d))
     return scale * (a @ a.T / d + 0.5 * np.eye(d))
+
+
+def critical_slope(gamma: float, d: int) -> float:
+    """Largest slope c for which f_c stays nonnegative on (0, 1]:
+    c* = gamma^2 / ((2 gamma + 1)^2 sqrt((2 gamma + 1)^d))."""
+    gamma = _check_gamma(gamma)
+    z = 2.0 * gamma + 1.0
+    return gamma * gamma * math.exp(-(2.0 + d / 2.0) * math.log(z))
+
+
+def f_c(x: float, gamma: float, d: int, c: float) -> float:
+    """Slope-certificate function, with z = 2 gamma + 1:
+
+        f_c(x) = [z^{d-2}(z^2 - 4 gamma^2 x)]^{-1/2} + (z^d)^{-1/2}
+                 - 2 [z^{d-2}(z^2 - gamma^2 x)]^{-1/2} - c x
+
+    Defined for 0 <= x < (1 + 1/(2 gamma))^2.  f_c(0) = 0, and with
+    c = critical_slope(gamma, d) the function is nonnegative and nondecreasing
+    on (0, 1]; evaluating at x = 1/n certifies the HSIC^2 gap at budget n.
+    """
+    gamma = _check_gamma(gamma)
+    x = float(x)
+    limit = (1.0 + 1.0 / (2.0 * gamma)) ** 2
+    if not 0.0 <= x < limit:
+        raise ValueError(f"x must lie in [0, {limit}), got {x}")
+    t1, t2, t3 = _adversarial_terms(gamma, d, math.sqrt(x))
+    return float(t1 + t2 - 2.0 * t3) - float(c) * x

@@ -9,16 +9,14 @@ from hsiclab import (
     BlockStructure,
     GaussianMeasure,
     adversarial_hsic2,
-    critical_slope,
     embedding_inner,
-    f_c,
     hsic2_gaussian,
     lecam_bound,
     make_adversarial_cov,
     minimax_constant,
     mmd2_gaussian,
 )
-from helpers import random_spd
+from helpers import critical_slope, f_c, random_spd
 
 B11 = BlockStructure((1, 1))
 

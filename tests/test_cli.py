@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import inspect
 import io
@@ -611,6 +612,11 @@ class TestErrorBoundary:
                 ["minimax", "--blocks", "1,1", "--gamma", "1e200", "--n-grid", "8,16,32"],
                 "certificate column hsic2 is not finite at n=8",
             ),
+            # the spectral draw overflows and the part-(ii) estimate is NaN
+            (
+                ["certify", "--blocks", "1,1", "--gamma", "5e153", "--n-grid", "2..4", "--format", "csv"],
+                "certificate column partii_bound is not finite at n=2",
+            ),
             # checked at the smallest budget before any replicate is drawn
             (
                 ["minimax", "--blocks", "1,1", "--est", "u", "--n-grid", "64,128,3"],
@@ -623,7 +629,7 @@ class TestErrorBoundary:
         ],
         ids=[
             "u-n3", "v-n1", "u-3-blocks", "landmarks-above-n", "estimate-1-block", "analytic-1-block",
-            "minimax-1-block", "certify-1-block", "certify-gamma-1e200", "minimax-gamma-1e200",
+            "minimax-1-block", "certify-1-block", "certify-gamma-1e200", "minimax-gamma-1e200", "certify-nan-partii",
             "minimax-u-budget-3", "minimax-landmarks-above-budget",
         ],
     )
@@ -660,6 +666,16 @@ class TestErrorBoundary:
         assert child.stdout == ""
         assert len(child.stderr.splitlines()) == 1
         assert child.stderr.startswith("error: certificate column hsic2 is not finite at n=")
+
+    def test_nan_part_two_estimate_exits_three_with_one_error_line(self, tmp_path):
+        # at gamma = 5e153 the hsic2 column is finite but the part-(ii)
+        # estimate is NaN; a bound floored with max(0.0, nan) read 0 and PASSed
+        argv = ["certify", "--blocks", "1,1", "--gamma", "5e153", "--n-grid", "2..4", "--format", "csv"]
+        child = run_fresh(["-m", "hsiclab.cli", *argv, "--output", "t.csv"], tmp_path)
+        assert child.returncode == 3
+        assert child.stdout == ""
+        assert child.stderr == "error: certificate column partii_bound is not finite at n=2 (gamma=5e+153)\n"
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
     def test_out_of_memory_exits_three_with_one_error_line(self, tmp_path):
@@ -707,6 +723,58 @@ class TestWithoutScipy:
         assert child.returncode == 0, child.stderr
         result = json.loads(child.stdout.splitlines()[-1])
         assert result == {"codes": [0, 0, 0, 0], "loaded": ["scipy"], "blocked": True}
+
+
+class TestLibraryShape:
+    def test_no_module_reads_another_modules_private_names(self):
+        # neither "from .x import _name" nor "x._name" on a module of the package
+        src = os.path.dirname(cli.__file__)
+        found = []
+        for filename in sorted(os.listdir(src)):
+            if not filename.endswith(".py"):
+                continue
+            with open(os.path.join(src, filename), encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename)
+            modules = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("hsiclab")):
+                    package = (node.level == 1 and not node.module) or node.module == "hsiclab"
+                    for alias in node.names:
+                        if alias.name.startswith("_") and not alias.name.startswith("__"):
+                            found.append(f"{filename}:{node.lineno} imports {alias.name}")
+                        elif package:
+                            modules.add(alias.asname or alias.name)
+                elif isinstance(node, ast.Import):
+                    for alias in node.names:
+                        if alias.name.startswith("hsiclab."):
+                            modules.add(alias.asname or alias.name.split(".")[0])
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules
+                    and node.attr.startswith("_")
+                    and not node.attr.startswith("__")
+                ):
+                    found.append(f"{filename}:{node.lineno} reads {node.value.id}.{node.attr}")
+        assert found == []
+
+    def test_cli_import_loads_no_heavy_module(self, tmp_path):
+        # what importing the command line adds to a bare numpy import costs
+        # every run's start-up; none of these is needed
+        script = (
+            "import json, sys\n"
+            "import numpy\n"
+            "before = set(sys.modules)\n"
+            "import hsiclab.cli\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        )
+        child = run_fresh(["-c", script], tmp_path)
+        assert child.returncode == 0, child.stderr
+        added = json.loads(child.stdout)
+        assert "hsiclab.cli" in added
+        heavy = ("scipy", "numpy.ma", "decimal", "fractions", "statistics", "multiprocessing", "subprocess", "importlib.metadata")
+        assert [name for name in added if any(name == h or name.startswith(h + ".") for h in heavy)] == []
 
 
 class TestDatasetRoundTrip:

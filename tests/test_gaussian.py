@@ -35,12 +35,6 @@ class TestMakeAdversarialCov:
         expected[1, 2] = expected[2, 1] = 0.3
         assert np.array_equal(cov, expected)
 
-    def test_explicit_pair_index(self):
-        cov = make_adversarial_cov(BlockStructure((2, 1)), 0.3, i=0)
-        expected = np.eye(3)
-        expected[0, 1] = expected[1, 0] = 0.3
-        assert np.array_equal(cov, expected)
-
     @pytest.mark.parametrize("rho", [0.0, 0.1, -0.1, 0.5, -0.5, 0.9, -0.9])
     def test_determinant_grid(self, rho):
         for block in (B11, BlockStructure((2, 2)), BlockStructure((3, 1))):
@@ -188,16 +182,16 @@ class TestKlGaussians:
 
 class TestKlAdversarial:
     def test_exact_values(self):
-        assert kl_adversarial_exact(2, math.sqrt(0.5), B11) == pytest.approx(
+        assert kl_adversarial_exact(2, math.sqrt(0.5)) == pytest.approx(
             0.25 + math.log(2.0), rel=1e-12
         )
-        assert kl_adversarial_exact(4, 0.5, B11) == pytest.approx(
+        assert kl_adversarial_exact(4, 0.5) == pytest.approx(
             0.125 + 2.0 * math.log(4.0 / 3.0), rel=1e-12
         )
 
     def test_vanishing_rho_limit(self):
         for n in (2, 10, 1000):
-            assert kl_adversarial_exact(n, 1e-9, B11) == pytest.approx(1.0 / (2 * n), rel=1e-9)
+            assert kl_adversarial_exact(n, 1e-9) == pytest.approx(1.0 / (2 * n), rel=1e-9)
 
     def test_bound_values(self):
         assert kl_adversarial_bound(2, math.sqrt(0.5)) == pytest.approx(1.25, rel=1e-12)
@@ -207,7 +201,7 @@ class TestKlAdversarial:
     def test_exact_below_bound_on_budget_grid(self):
         for n in (2, 3, 5, 17, 128, 1024, 9999):
             rho = 1.0 / math.sqrt(n)
-            exact = kl_adversarial_exact(n, rho, B11)
+            exact = kl_adversarial_exact(n, rho)
             bound = kl_adversarial_bound(n, rho)
             assert exact <= bound <= 1.25
 
@@ -215,13 +209,13 @@ class TestKlAdversarial:
         for n in (2, 7, 64, 500):
             pair = build_pair(n, 1.0, B11)
             assert n * kl_gaussians(pair.p1, pair.p0) == pytest.approx(
-                kl_adversarial_exact(n, pair.rho, B11), rel=1e-10
+                kl_adversarial_exact(n, pair.rho), rel=1e-10
             )
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            kl_adversarial_exact(1, 0.5, B11)
+            kl_adversarial_exact(1, 0.5)
         with pytest.raises(ValueError):
-            kl_adversarial_exact(4, 1.0, B11)
+            kl_adversarial_exact(4, 1.0)
         with pytest.raises(ValueError):
             kl_adversarial_bound(4, -0.1)

@@ -110,11 +110,11 @@ class TestLagSum:
     @pytest.mark.parametrize("dims", [1, 3])
     def test_gram_into_caller_buffers(self, spec, dims):
         rng = np.random.default_rng(6)
-        x, y = rng.normal(size=(7, dims)), rng.normal(size=(4, dims))
-        out, scratch = np.full((7, 4), np.nan), np.empty((7, 4))
-        result = gram(spec, x, y, out=out, scratch=scratch)
+        x, y = rng.normal(size=(2, 7, dims)), rng.normal(size=(2, 4, dims))
+        out, scratch = np.full((2, 7, 4), np.nan), np.empty((2, 7, 4))
+        result = stacked_gram(spec, x, y, out=out, scratch=scratch)
         assert result is out
-        assert np.array_equal(out, gram(spec, x, y))
+        assert np.array_equal(out, stacked_gram(spec, x, y))
 
     @pytest.mark.parametrize("spec", [GAUSS1, LAP2])
     @pytest.mark.parametrize("dims", [1, 3])

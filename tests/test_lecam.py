@@ -44,7 +44,7 @@ class TestBuildPair:
     def test_budget_one_hundred(self):
         pair = build_pair(100, 1.0, B11)
         assert pair.rho == pytest.approx(0.1, rel=1e-15)
-        kl = kl_adversarial_exact(100, pair.rho, B11)
+        kl = kl_adversarial_exact(100, pair.rho)
         assert kl == pytest.approx(0.005 + 50.0 * math.log(1.0 / 0.99), rel=1e-12)
         assert kl <= 1.25
 
@@ -112,6 +112,16 @@ class TestHarnessEqualsLibrary:
 
     @pytest.mark.parametrize("n", [8, 65, 256])
     def test_replicate_by_replicate(self, monkeypatch, n):
+        self.check_replicates(monkeypatch, n)
+
+    def test_replicate_by_replicate_across_key_chunks(self, monkeypatch):
+        # 9 replicates keyed 3 at a time: each landmark stream family must
+        # read every seed itself, or block 0 and block 1 of one replicate
+        # would come from different replicates' seeds
+        monkeypatch.setattr(rnglib, "_KEY_CHUNK", 3)
+        self.check_replicates(monkeypatch, 8)
+
+    def check_replicates(self, monkeypatch, n):
         block = BlockStructure((2, 2))
         pk = ProductKernel.homogeneous(block, KernelFamily.GAUSSIAN, 1.0)
         reps, seed, landmarks = 9, 17, 4
@@ -249,10 +259,10 @@ class TestCertificateTable:
         d = block.total
         grid = range(2, 5001)
         for gamma in SWEEP_GAMMAS:
-            partii = verify_gap_partii(gamma, block, grid, 2_000, 5)
-            columns, inequalities = certificate_table(gamma, block, grid, partii)
+            estimate, se = verify_gap_partii(gamma, block, 2_000, 5)
+            columns, inequalities = certificate_table(gamma, block, grid, (estimate, se))
             cols = {name: col.tolist() for name, col in columns.items()}
-            low = max(0.0, partii.estimate - 4.0 * partii.standard_error)
+            low = max(0.0, estimate - 4.0 * se)
             c = minimax_constant(gamma, d)
             for i, n in enumerate(grid):
                 rho = 1.0 / math.sqrt(n)
@@ -271,7 +281,7 @@ class TestCertificateTable:
                 for name, value in expected.items():
                     assert abs(cols[name][i] - value) <= 1e-9 * abs(value), (name, gamma, n)
                 # the public scalar forms are views of the same formulas
-                assert cols["kl_exact"][i] == kl_adversarial_exact(n, rho, block)
+                assert cols["kl_exact"][i] == kl_adversarial_exact(n, rho)
                 assert cols["kl_bound"][i] == kl_adversarial_bound(n, rho)
                 assert cols["hsic2"][i] == adversarial_hsic2(gamma, d, n=n).value
                 assert cols["analytic_gap"][i] == adversarial_hsic2(gamma, d, n=n).hsic
@@ -294,9 +304,6 @@ class TestCertificateTable:
         for grid in ((), (1, 4), (4.5, 8)):
             with pytest.raises(ValueError):
                 certificate_table(1.0, B11, grid)
-        partii = verify_gap_partii(1.0, B11, (4, 8), 100, 0)
-        with pytest.raises(ValueError, match="different grid"):
-            certificate_table(1.0, B11, (4, 16), partii)
 
     def test_non_finite_column_is_named_with_its_budget(self):
         # at gamma = 1e200 the adversarial hsic2 is NaN, which would otherwise

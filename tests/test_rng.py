@@ -110,6 +110,24 @@ class TestStreams:
             assert state_of(gen) == state_of(expected)
             assert gen.bit_generator.state["has_uint32"] == 1
 
+    def test_seeds_are_read_and_keyed_one_chunk_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(rng, "_KEY_CHUNK", 3)
+        read = []
+
+        def seeds():
+            for seed in EDGE_SEEDS:
+                read.append(seed)
+                yield seed
+
+        gens = rng.streams(seeds(), "landmarks", 0)
+        assert read == []
+        for i, (seed, gen) in enumerate(zip(EDGE_SEEDS, gens)):
+            assert len(read) == min(len(EDGE_SEEDS), 3 * (i // 3 + 1))
+            expected = oracle(seed, "landmarks", 0)
+            assert key_of(gen) == key_of(expected), seed
+            assert gen.standard_normal().hex() == expected.standard_normal().hex(), seed
+        assert read == list(EDGE_SEEDS)
+
     @pytest.mark.parametrize("labels", LABELS, ids=repr)
     def test_empty_seed_list_yields_nothing(self, labels):
         assert list(rng.streams([], *labels)) == []

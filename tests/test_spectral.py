@@ -10,7 +10,6 @@ from hsiclab import (
     KernelFamily,
     KernelSpec,
     adversarial_hsic2,
-    critical_slope,
     gap_constant_partii,
     make_adversarial_cov,
     mmd2_gaussian,
@@ -18,7 +17,8 @@ from hsiclab import (
     spectral_sample,
     verify_gap_partii,
 )
-from helpers import random_spd
+from hsiclab.lecam import certificate_table
+from helpers import critical_slope, random_spd
 
 B11 = BlockStructure((1, 1))
 GAUSS1 = KernelSpec(KernelFamily.GAUSSIAN, 1.0)
@@ -135,10 +135,19 @@ class TestDerivativeMonotonicity:
             assert hprime(omega, 0.0) > 0
 
 
+def partii_columns(grid, n_freq, seed):
+    """hsic2, partii_bound and partii_margin of the certificate table for
+    the part-(ii) constant under the unit-bandwidth Gaussian kernel."""
+    columns, _ = certificate_table(1.0, B11, grid, verify_gap_partii(1.0, B11, n_freq, seed))
+    return columns["hsic2"], columns["partii_bound"], columns["partii_margin"]
+
+
 class TestVerifyGapPartII:
+    def test_is_the_gaussian_gap_constant(self):
+        assert verify_gap_partii(1.0, B11, 1_000, 3) == gap_constant_partii(GAUSS1, B11, 1_000, 3)
+
     def test_worked_margin_at_n_four(self):
-        cert = verify_gap_partii(1.0, B11, [4], 400_000, 17)
-        hsic2, bound, margin = cert.hsic2[0], cert.bound[0], cert.margin[0]
+        (hsic2,), (bound,), (margin,) = partii_columns([4], 400_000, 17)
         assert hsic2 == pytest.approx(adversarial_hsic2(1.0, 2, rho=0.5).value, rel=1e-12)
         assert hsic2 == pytest.approx(0.010763, abs=1e-6)
         # bound is rho^2 (estimate - 4 SE), slightly below 0.25/54
@@ -148,14 +157,14 @@ class TestVerifyGapPartII:
 
     def test_margins_nonnegative_on_doubling_grid(self):
         grid = [2**k for k in range(2, 13)]
-        cert = verify_gap_partii(1.0, B11, grid, 200_000, 23)
-        assert all(margin >= 0 for margin in cert.margin)
+        _, _, margins = partii_columns(grid, 200_000, 23)
+        assert all(margin >= 0 for margin in margins)
 
     def test_ratio_bounded_below_by_one(self):
-        cert = verify_gap_partii(1.0, B11, [4, 64, 1024, 4096], 200_000, 29)
-        for hsic2, bound in zip(cert.hsic2, cert.bound):
+        hsic2s, bounds, _ = partii_columns([4, 64, 1024, 4096], 200_000, 29)
+        for hsic2, bound in zip(hsic2s, bounds):
             assert hsic2 / max(bound, 1e-300) >= 1.0
 
     def test_rejects_small_budgets(self):
         with pytest.raises(ValueError):
-            verify_gap_partii(1.0, B11, [1], 100, 0)
+            partii_columns([1], 100, 0)
