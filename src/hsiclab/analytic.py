@@ -55,10 +55,9 @@ def embedding_inner(g1: GaussianMeasure, g2: GaussianMeasure, gamma: float) -> f
     return math.exp(-0.5 * float(v @ v) - 0.5 * logdet)
 
 
-def _clamp_sq(value):
-    # squared RKHS distances are nonnegative; absorb round-off in (-1e-12, 0),
-    # elementwise for arrays
-    return np.where((value > -1e-12) & (value < 0.0), 0.0, value)
+def _clamp_sq(value: float) -> float:
+    # squared RKHS distances are nonnegative; absorb round-off in (-1e-12, 0)
+    return 0.0 if -1e-12 < value < 0.0 else value
 
 
 def mmd2_gaussian(g1: GaussianMeasure, g2: GaussianMeasure, gamma: float) -> float:
@@ -97,14 +96,6 @@ class Hsic2Decomposition:
         return math.sqrt(max(0.0, self.value))
 
 
-def _hsic2_value(term_i, term_ii, term_iii):
-    return _clamp_sq(term_i + term_ii - 2.0 * term_iii)
-
-
-def _decomposition(term_i: float, term_ii: float, term_iii: float) -> Hsic2Decomposition:
-    return Hsic2Decomposition(term_i, term_ii, term_iii, float(_hsic2_value(term_i, term_ii, term_iii)))
-
-
 def _block_diagonal(cov: np.ndarray, block: BlockStructure) -> np.ndarray:
     out = np.zeros_like(cov)
     for sl in block.slices():
@@ -141,19 +132,30 @@ def hsic2_gaussian(g: GaussianMeasure, block: BlockStructure, gamma: float) -> H
         mats = (s1 + half * eye, s2 + half * eye, 0.5 * (s1 + s2) + half * eye)
         scale = math.exp(-0.5 * g.d * (math.log(2.0) + math.log(gamma)))
     term_i, term_ii, term_iii = (scale * math.exp(-0.5 * _chol_logdet(mat)) for mat in mats)
-    return _decomposition(term_i, term_ii, term_iii)
+    return Hsic2Decomposition(term_i, term_ii, term_iii, _clamp_sq(term_i + term_ii - 2.0 * term_iii))
 
 
-def _adversarial_terms(gamma: float, d: int, rho):
-    z = 2.0 * gamma + 1.0
-    log_z = math.log(z)
-    # z * z overflows from gamma ~ 1e154 on and the terms become NaN;
-    # certificate_table names such a column, so numpy need not warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        term_i = np.exp(-0.5 * ((d - 2) * log_z + np.log(z * z - (2.0 * gamma * rho) ** 2)))
-        term_iii = np.exp(-0.5 * ((d - 2) * log_z + np.log(z * z - (gamma * rho) ** 2)))
-    term_ii = math.exp(-0.5 * d * log_z)
-    return term_i, term_ii, term_iii
+def _scale_and_u(gamma: float, d: int, x):
+    # z^(-d/2) and u = (gamma/z)^2 x with z = 2 gamma + 1, taking gamma/z as
+    # 1/(2 + 1/gamma) and log z as log1p(2 gamma): finite for any finite gamma
+    return math.exp(-0.5 * d * math.log1p(2.0 * gamma)), x / (2.0 + 1.0 / gamma) ** 2
+
+
+def _excess(y):
+    # e(y) = (1 - y)^(-1/2) - 1 - y/2 = y^2 (2 + s) / (2 s (1 + s)^2), s = sqrt(1 - y)
+    s = np.sqrt(1.0 - y)
+    return y * y * (2.0 + s) / (2.0 * s * (1.0 + s) ** 2)
+
+
+def adversarial_hsic2_columns(gamma: float, d: int, x):
+    """The adversarial HSIC^2 and its gap margin hsic2 - (2c)^2 x, with c =
+    ``minimax_constant(gamma, d)``, elementwise over x = rho^2; unvalidated.
+    With z = 2 gamma + 1, u = (gamma/z)^2 x and e(y) = (1 - y)^(-1/2) - 1 - y/2
+    they are z^(-d/2) (u + e(4u) - 2 e(u)) and z^(-d/2) (e(4u) - 2 e(u)): every
+    term is positive and e(4u) is about 16 e(u), so neither column cancels."""
+    scale, u = _scale_and_u(gamma, d, x)
+    bracket = _excess(4.0 * u) - 2.0 * _excess(u)
+    return scale * (u + bracket), scale * bracket
 
 
 def adversarial_hsic2(
@@ -167,9 +169,11 @@ def adversarial_hsic2(
         term_ii  = z^{-d/2}
         term_iii = [z^{d-2} (z^2 - (gamma rho)^2)]^{-1/2}
 
-    Exactly one of ``rho`` and ``n`` must be given; ``n`` sets rho = n^{-1/2}.
-    rho = 1 (the n = 1 case) is allowed: the expressions stay finite there
-    even though the underlying Gaussian degenerates.
+    ``value`` = term_i + term_ii - 2 term_iii is taken from the form without
+    cancellation, ``adversarial_hsic2_columns`` at x = rho^2.  Exactly one of
+    ``rho`` and ``n`` (x = 1/n) must be given.  rho = 1 (n = 1) is allowed:
+    for gamma below about 1e15 the terms stay finite there even though the
+    underlying Gaussian degenerates.
     """
     gamma = _check_gamma(gamma)
     if int(d) != d or d < 2:
@@ -179,17 +183,15 @@ def adversarial_hsic2(
     if rho is None:
         if int(n) != n or n < 1:
             raise ValueError(f"n must be an integer >= 1, got {n}")
-        rho = 1.0 / math.sqrt(n)
-    rho = float(rho)
-    if not 0.0 < rho <= 1.0:
-        raise ValueError(f"rho must lie in (0, 1], got {rho}")
-    return _decomposition(*(float(t) for t in _adversarial_terms(gamma, d, rho)))
-
-
-def adversarial_hsic2_values(gamma: float, d: int, rho) -> np.ndarray:
-    """The ``value`` of ``adversarial_hsic2`` elementwise over an array of
-    correlations ``rho``, from the same closed form; unvalidated."""
-    return _hsic2_value(*_adversarial_terms(gamma, d, np.asarray(rho, dtype=float)))
+        x = 1.0 / n
+    else:
+        rho = float(rho)
+        if not 0.0 < rho <= 1.0:
+            raise ValueError(f"rho must lie in (0, 1], got {rho}")
+        x = rho * rho
+    scale, u = _scale_and_u(gamma, d, x)
+    terms = (float(scale / np.sqrt(1.0 - 4.0 * u)), scale, float(scale / np.sqrt(1.0 - u)))
+    return Hsic2Decomposition(*terms, float(adversarial_hsic2_columns(gamma, d, x)[0]))
 
 
 def minimax_constant(gamma: float, d: int) -> float:

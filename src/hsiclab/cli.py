@@ -441,13 +441,18 @@ def cmd_certify(args) -> int:
             "partii_se": se,
             "rows": [dict(zip(CERTIFY_CSV_COLUMNS, row)) for row in rows],
             "pass": {ineq.family: ineq.ok for ineq in inequalities},
+            "margins": {
+                ineq.family: {"min_margin": ineq.min_margin, "argmin_n": ineq.argmin_n} for ineq in inequalities
+            },
         }
         _write_text(args.output, _json_text(payload))
     else:
         _write_text(args.output, _csv_text(CERTIFY_CSV_COLUMNS, rows))
 
+    # the verdict stays last, after the only ": " of the line
     for ineq in inequalities:
-        print(f"{ineq.statement}: {'PASS' if ineq.ok else 'FAIL'}", file=status)
+        verdict = "PASS" if ineq.ok else "FAIL"
+        print(f"{ineq.statement} (min margin {ineq.min_margin:.3g} at n={ineq.argmin_n}): {verdict}", file=status)
     return EXIT_OK if all(ineq.ok for ineq in inequalities) else EXIT_CERTIFICATE
 
 

@@ -14,7 +14,7 @@ from itertools import islice
 import numpy as np
 
 from . import rng
-from .analytic import adversarial_hsic2_values, hsic2_gaussian, lecam_bound, minimax_constant
+from .analytic import adversarial_hsic2_columns, hsic2_gaussian, lecam_bound, minimax_constant
 from .data import BlockStructure
 from .estimators import block_stats_batch, hsic_nystrom_batch, landmark_picks, require_nystrom, require_u, require_v, stack_size
 from .gaussian import AdversarialPair, GaussianMeasure, adversarial_kl, make_adversarial_cov, sample_stack
@@ -23,13 +23,13 @@ from .kernels import KernelFamily, ProductKernel
 KL_BUDGET = 1.25
 DEFAULT_N_GRID = (64, 128, 256, 512, 1024, 2048, 4096)
 ESTIMATOR_KINDS = ("v", "u", "nystrom")
-# certificate families as (family, statement, lower column, upper column):
-# each one asserts lower <= upper at every budget
+# certificate families as (family, statement, margin column): each one
+# asserts margin >= 0 at every budget
 CERTIFICATE_FAMILIES = (
-    ("kl_exact_le_bound", "kl_exact ≤ kl_bound", "kl_exact", "kl_bound"),
-    ("kl_bound_le_budget", "kl_bound ≤ 5/4", "kl_bound", "kl_budget"),
-    ("gap_ge_floor", "hsic gap ≥ 2c/√n", "gap_floor", "analytic_gap"),
-    ("hsic2_ge_partii", "hsic² ≥ ρ²·(part-(ii) estimate − 4 SE)", "partii_bound", "hsic2"),
+    ("kl_exact_le_bound", "kl_exact ≤ kl_bound", "kl_margin"),
+    ("kl_bound_le_budget", "kl_bound ≤ 5/4", "budget_margin"),
+    ("gap_ge_floor", "hsic gap ≥ 2c/√n", "gap_margin"),
+    ("hsic2_ge_partii", "hsic² ≥ ρ²·(part-(ii) estimate − 4 SE)", "partii_margin"),
 )
 
 
@@ -74,29 +74,27 @@ def build_pair(n: int, gamma: float, block: BlockStructure) -> AdversarialPair:
 
 @dataclass(frozen=True)
 class Inequality:
-    """One certificate family, ``lower <= upper`` at every budget of a grid.
+    """One certificate family, ``margin >= 0`` at every budget of a grid.
 
     ``n`` is the first budget, in grid order, where it fails (None if it
-    never does); ``lower_value`` and ``upper_value`` are the two sides there.
+    never does); ``min_margin`` is the smallest margin, first reached at
+    ``argmin_n``.
     """
 
     family: str
     statement: str
-    lower: str
-    upper: str
-    n: int | None = None
-    lower_value: float = math.nan
-    upper_value: float = math.nan
+    margin: str
+    n: int | None
+    min_margin: float
+    argmin_n: int
 
     @property
     def ok(self) -> bool:
         return self.n is None
 
     def violation(self) -> str:
-        return (
-            f"certificate violated at n={self.n}: "
-            f"{self.lower}={self.lower_value!r} > {self.upper}={self.upper_value!r}"
-        )
+        line = f"certificate violated at n={self.n}: {self.statement}, {self.margin}={self.min_margin!r}"
+        return line if self.argmin_n == self.n else f"{line} at n={self.argmin_n}"
 
 
 def certificate_table(
@@ -105,11 +103,12 @@ def certificate_table(
     """The two-point certificates at every budget n of the grid, from one
     vectorised pass over the closed forms: columns ``rho`` = n^{-1/2},
     ``kl_exact``, ``kl_bound``, ``kl_budget``, the adversarial ``hsic2``, its
-    square root ``analytic_gap`` and the ``gap_floor`` 2c/sqrt(n), and one
-    ``Inequality`` per family whose columns are present.  Given the
-    part-(ii) gap constant as (estimate, standard error), also
-    ``partii_bound`` = rho^2 (estimate - 4 SE, floored at 0) and
-    ``partii_margin`` = hsic2 - partii_bound.
+    square root ``analytic_gap``, the ``gap_floor`` 2c/sqrt(n), the margins
+    ``kl_margin``, ``budget_margin`` and ``gap_margin`` (hsic2 - floor^2) of
+    the three families, each at rho^2 = 1/n without cancellation, and one
+    ``Inequality`` per family whose margin is present.  Given the part-(ii)
+    gap constant as (estimate, standard error), also ``partii_bound`` =
+    rho^2 (estimate - 4 SE, floored at 0) and its ``partii_margin``.
     Raises ``ValueError`` naming the first column that is not finite.
     """
     grid = tuple(n_grid)
@@ -120,16 +119,26 @@ def certificate_table(
     c = minimax_constant(gamma, block.total)
     budgets = np.asarray(n, dtype=float)
     rho = 1.0 / np.sqrt(budgets)
+    x = 1.0 / budgets
     kl_exact, kl_bound = adversarial_kl(budgets, rho)
-    hsic2 = adversarial_hsic2_values(gamma, block.total, rho)
+    hsic2, gap_margin = adversarial_hsic2_columns(gamma, block.total, x)
+    # kl_bound - kl_exact = (x/2) sum_{k>=2} (1 - 1/k) x^(k-2) at x = 1/n: positive
+    # terms that fall by 2/3 or more at x <= 1/2, so 60 of them reach rounding
+    series = np.zeros_like(x)
+    for k in range(61, 1, -1):
+        series = series * x + (1.0 - 1.0 / k)
     columns = {
         "rho": rho,
         "kl_exact": kl_exact,
         "kl_bound": kl_bound,
         "kl_budget": np.full(len(n), KL_BUDGET),
         "hsic2": hsic2,
-        "analytic_gap": np.sqrt(np.maximum(hsic2, 0.0)),
+        "analytic_gap": np.sqrt(hsic2),
         "gap_floor": 2.0 * c / np.sqrt(budgets),
+        "kl_margin": 0.5 * x * series,
+        # exactly 0 at n = 2, where kl_bound = 1/(2n) + n/(2(n-1)) attains 5/4
+        "budget_margin": KL_BUDGET - 0.5 / budgets - budgets / (2.0 * (budgets - 1.0)),
+        "gap_margin": gap_margin,
     }
     if partii is not None:
         estimate, se = partii
@@ -137,21 +146,19 @@ def certificate_table(
         bound = rho * rho * np.maximum(0.0, estimate - 4.0 * se)
         columns["partii_bound"] = bound
         columns["partii_margin"] = hsic2 - bound
-    # a NaN compares false both ways and would read as a failing certificate
+    # a NaN compares false both ways, so a NaN margin would read as passing
     for name, column in columns.items():
         bad = np.flatnonzero(~np.isfinite(column))
         if bad.size:
             raise ValueError(f"certificate column {name} is not finite at n={n[bad[0]]} (gamma={gamma!r})")
     rows = []
-    for family, statement, lower, upper in CERTIFICATE_FAMILIES:
-        if lower in columns:
-            failing = np.flatnonzero(~(columns[lower] <= columns[upper]))
-            if failing.size == 0:
-                rows.append(Inequality(family, statement, lower, upper))
-            else:
-                i = int(failing[0])
-                values = float(columns[lower][i]), float(columns[upper][i])
-                rows.append(Inequality(family, statement, lower, upper, n[i], *values))
+    for family, statement, margin in CERTIFICATE_FAMILIES:
+        if margin in columns:
+            values = columns[margin]
+            failing = np.flatnonzero(values < 0.0)
+            first = n[failing[0]] if failing.size else None
+            i = int(np.argmin(values))
+            rows.append(Inequality(family, statement, margin, first, float(values[i]), n[i]))
     return columns, tuple(rows)
 
 

@@ -8,8 +8,10 @@ enumerations are O(n^large) and only meant for small n.  ``eval_kernel``
 evaluates one pair of points, ``kl_gaussians`` is the general Gaussian KL
 through triangular solves, and ``nystrom_cross_cov`` builds the Nystrom
 features of one dataset with a plain 2-D eigendecomposition.
-``f_c`` and ``critical_slope`` are the slope form of the gap certificate,
-built on the library's own closed-form HSIC^2 terms.
+``adversarial_terms`` is the adversarial HSIC^2 as its three determinant
+terms, evaluated with math alone; the library evaluates it in a form
+without their cancellation.  ``f_c`` and ``critical_slope`` are the slope
+form of the gap certificate, built on these terms.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from hsiclab.analytic import _adversarial_terms, _check_gamma
+from hsiclab.analytic import _check_gamma
 from hsiclab.kernels import KernelFamily, gram
 
 
@@ -198,6 +200,20 @@ def random_spd(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarr
     return scale * (a @ a.T / d + 0.5 * np.eye(d))
 
 
+def adversarial_terms(gamma: float, d: int, rho: float) -> tuple[float, float, float]:
+    """The three terms of the adversarial HSIC^2 = term_i + term_ii - 2 term_iii,
+    with z = 2 gamma + 1:
+
+        term_i   = [z^{d-2} (z^2 - (2 gamma rho)^2)]^{-1/2}
+        term_ii  = z^{-d/2}
+        term_iii = [z^{d-2} (z^2 - (gamma rho)^2)]^{-1/2}
+    """
+    z = 2.0 * gamma + 1.0
+    t1 = (z ** (d - 2) * (z * z - (2.0 * gamma * rho) ** 2)) ** -0.5
+    t3 = (z ** (d - 2) * (z * z - (gamma * rho) ** 2)) ** -0.5
+    return t1, z ** (-d / 2.0), t3
+
+
 def critical_slope(gamma: float, d: int) -> float:
     """Largest slope c for which f_c stays nonnegative on (0, 1]:
     c* = gamma^2 / ((2 gamma + 1)^2 sqrt((2 gamma + 1)^d))."""
@@ -212,14 +228,15 @@ def f_c(x: float, gamma: float, d: int, c: float) -> float:
         f_c(x) = [z^{d-2}(z^2 - 4 gamma^2 x)]^{-1/2} + (z^d)^{-1/2}
                  - 2 [z^{d-2}(z^2 - gamma^2 x)]^{-1/2} - c x
 
-    Defined for 0 <= x < (1 + 1/(2 gamma))^2.  f_c(0) = 0, and with
-    c = critical_slope(gamma, d) the function is nonnegative and nondecreasing
-    on (0, 1]; evaluating at x = 1/n certifies the HSIC^2 gap at budget n.
+    from ``adversarial_terms`` at rho = sqrt(x), for 0 <= x < (1 + 1/(2 gamma))^2.
+    f_c(0) = 0, and with c = critical_slope(gamma, d) the function is
+    nonnegative and nondecreasing on (0, 1]; evaluating at x = 1/n certifies
+    the HSIC^2 gap at budget n.
     """
     gamma = _check_gamma(gamma)
     x = float(x)
     limit = (1.0 + 1.0 / (2.0 * gamma)) ** 2
     if not 0.0 <= x < limit:
         raise ValueError(f"x must lie in [0, {limit}), got {x}")
-    t1, t2, t3 = _adversarial_terms(gamma, d, math.sqrt(x))
-    return float(t1 + t2 - 2.0 * t3) - float(c) * x
+    t1, t2, t3 = adversarial_terms(gamma, d, math.sqrt(x))
+    return t1 + t2 - 2.0 * t3 - float(c) * x

@@ -371,8 +371,8 @@ class TestMinimax:
         out = capsys.readouterr().out
         violations = [line for line in out.splitlines() if "violated" in line]
         assert len(violations) == 1
-        assert violations[0].startswith("certificate violated at n=16: kl_bound=0.564")
-        assert violations[0].endswith(" > kl_budget=0.53")
+        assert violations[0].startswith("certificate violated at n=16: kl_bound ≤ 5/4, budget_margin=-0.03458")
+        assert violations[0] == f"certificate violated at n=16: kl_bound ≤ 5/4, budget_margin={0.53 - 1 / 32 - 16 / 30!r}"
         payload = json.loads(json_path.read_text())
         assert payload["certificates"] == {"hsic_gap": True, "kl_budget": False}
 
@@ -416,6 +416,11 @@ class TestCertify:
             "gap_ge_floor": True,
             "hsic2_ge_partii": True,
         }
+        # each family's smallest margin and its budget; the KL budget is
+        # attained at n = 2
+        assert set(payload["margins"]) == set(payload["pass"])
+        assert payload["margins"]["kl_bound_le_budget"] == {"min_margin": 0.0, "argmin_n": 2}
+        assert all(m["min_margin"] > 0 and m["argmin_n"] == 20 for f, m in payload["margins"].items() if f != "kl_bound_le_budget")
         # rows hold numbers, the floats the CSV form writes
         rows = payload["rows"]
         assert [row["n"] for row in rows] == list(range(2, 21))
@@ -443,12 +448,29 @@ class TestCertify:
             assert table.startswith(",".join(cli.CERTIFY_CSV_COLUMNS) + "\n")
             assert len(table.splitlines()) == 1 + 19
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--gamma", "1e-3"], ["--n-grid", "12341703,20000000,100000000"], ["--n-grid", "9007199254740992"]],
+        ids=["gamma-1e-3", "large-budgets", "largest-budget"],
+    )
+    def test_true_certificates_pass_at_the_edge_of_rounding(self, tmp_path, capsys, extra):
+        # the columns of each family agree to first order and compared as
+        # rounded floats read FAIL here; their margins hold with room to spare
+        code = main(["certify", "--blocks", "1,1", *extra, "--output", str(tmp_path / "g.json")])
+        lines = capsys.readouterr().out.splitlines()
+        # perfbench reads the verdict after the last ": "
+        assert [line.rsplit(": ", 1)[-1] for line in lines if " (min margin " in line] == ["PASS"] * 4
+        assert code == 0
+        if extra[-1] == "9007199254740992":
+            assert "hsic gap ≥ 2c/√n (min margin 2.66e-34 at n=9007199254740992): PASS" in lines
+
     def test_injected_failure_fails_one_family(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(lecam, "KL_BUDGET", 0.53)
         code = main(["certify", "--blocks", "1,1", "--n-grid", "8..64", "--output", str(tmp_path / "c.csv")])
         assert code == 1
         out = capsys.readouterr().out
-        assert "kl_bound ≤ 5/4: FAIL" in out
+        # kl_bound is 0.6339 at n = 8, the first and the smallest margin
+        assert "kl_bound ≤ 5/4 (min margin -0.104 at n=8): FAIL" in out
         assert out.count("PASS") == 3
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
@@ -604,15 +626,11 @@ class TestErrorBoundary:
             (["analytic", "--blocks", "2", "--rho", "0.5"], "need at least 2 blocks"),
             (["minimax", "--blocks", "2", "--n-grid", "8,16,32"], "need at least 2 blocks"),
             (["certify", "--blocks", "2"], "need at least 2 blocks"),
+            # the spectral draw overflows and the part-(ii) estimate is NaN
             (
                 ["certify", "--blocks", "1,1", "--gamma", "1e200", "--n-grid", "2..4", "--format", "csv"],
-                "certificate column hsic2 is not finite at n=2",
+                "certificate column partii_bound is not finite at n=2",
             ),
-            (
-                ["minimax", "--blocks", "1,1", "--gamma", "1e200", "--n-grid", "8,16,32"],
-                "certificate column hsic2 is not finite at n=8",
-            ),
-            # the spectral draw overflows and the part-(ii) estimate is NaN
             (
                 ["certify", "--blocks", "1,1", "--gamma", "5e153", "--n-grid", "2..4", "--format", "csv"],
                 "certificate column partii_bound is not finite at n=2",
@@ -629,7 +647,7 @@ class TestErrorBoundary:
         ],
         ids=[
             "u-n3", "v-n1", "u-3-blocks", "landmarks-above-n", "estimate-1-block", "analytic-1-block",
-            "minimax-1-block", "certify-1-block", "certify-gamma-1e200", "minimax-gamma-1e200", "certify-nan-partii",
+            "minimax-1-block", "certify-1-block", "certify-gamma-1e200", "certify-nan-partii",
             "minimax-u-budget-3", "minimax-landmarks-above-budget",
         ],
     )
@@ -653,19 +671,33 @@ class TestErrorBoundary:
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ["certify", "--blocks", "1,1", "--gamma", "1e200", "--n-grid", "2..4"],
-            ["minimax", "--blocks", "2,2", "--gamma", "1e200", "--n-grid", "8,16,32", "--est", "nystrom", "--landmarks", "4"],
-        ],
+        [["certify", "--blocks", "1,1", "--gamma", "1e200", "--n-grid", "2..4"]],
         ids=lambda argv: argv[0],
     )
     def test_huge_bandwidth_prints_only_the_error_line(self, tmp_path, argv):
-        # in a fresh interpreter any overflow warning would reach stderr
+        # in a fresh interpreter any overflow warning would reach stderr; the
+        # closed forms stay finite, the spectral draw does not
         child = run_fresh(["-m", "hsiclab.cli", *argv], tmp_path)
         assert child.returncode == 3
         assert child.stdout == ""
         assert len(child.stderr.splitlines()) == 1
-        assert child.stderr.startswith("error: certificate column hsic2 is not finite at n=")
+        assert child.stderr.startswith("error: certificate column partii_bound is not finite at n=")
+
+    @pytest.mark.parametrize(
+        "blocks, est",
+        [("1,1", ["--est", "v", "--est", "u"]), ("2,2", ["--est", "nystrom", "--landmarks", "4"])],
+        ids=["v-u", "nystrom"],
+    )
+    def test_huge_bandwidth_minimax_runs_to_finite_numbers(self, tmp_path, blocks, est):
+        # the closed forms hold no z * z that overflows, so gamma = 1e200
+        # gives a finite report and no numpy warning
+        argv = ["minimax", "--blocks", blocks, "--gamma", "1e200", "--n-grid", "8,16,32", "--reps", "4", *est]
+        child = run_fresh(["-m", "hsiclab.cli", *argv, "--output", "m"], tmp_path)
+        assert (child.returncode, child.stderr) == (0, "")
+        assert "certificates = {'kl_budget': True, 'hsic_gap': True}" in child.stdout
+        payload = json.loads((tmp_path / "m.json").read_text(), parse_constant=lambda name: pytest.fail(name))
+        assert [rec["n"] for rec in payload["records"]] == [8, 16, 32]
+        assert all(math.isfinite(rec["analytic_gap"]) and rec["analytic_gap"] >= rec["gap_floor"] for rec in payload["records"])
 
     def test_nan_part_two_estimate_exits_three_with_one_error_line(self, tmp_path):
         # at gamma = 5e153 the hsic2 column is finite but the part-(ii)

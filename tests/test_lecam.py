@@ -1,5 +1,7 @@
 import json
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from hsiclab import (
 from hsiclab import lecam
 from hsiclab import rng as rnglib
 from hsiclab.lecam import certificate_table
+
+from helpers import adversarial_terms
 
 B11 = BlockStructure((1, 1))
 
@@ -239,17 +243,36 @@ class TestRunExperiment:
             run_experiment(ExperimentConfig(gamma=1.0, block=B11, n_grid=(1, 4, 8), reps=2))
 
 
-# the gamma x blocks combinations of the benchmark's certify sweep
+# the gamma x blocks combinations of the benchmark's certify sweep, and
+# bandwidths far on either side of them
 SWEEP_GAMMAS = (0.25, 0.5, 1.0, 2.0, 4.0)
 SWEEP_BLOCKS = ((1, 1), (2, 2), (3, 1, 2), (4, 4))
+EDGE_GAMMAS = (1e-6, 1e-3, 1e6)
+# log-spaced budgets from 2 to 2^53, the largest the CLI accepts
+LOG_GRID = tuple(int(v) for v in np.unique(np.geomspace(2, 2**53, 400).round()))
 
 
 def _math_hsic2(gamma, d, rho):
-    """Adversarial HSIC^2 from its closed form, evaluated with math alone."""
-    z = 2.0 * gamma + 1.0
-    t1 = (z ** (d - 2) * (z * z - (2.0 * gamma * rho) ** 2)) ** -0.5
-    t3 = (z ** (d - 2) * (z * z - (gamma * rho) ** 2)) ** -0.5
-    return t1 + z ** (-d / 2.0) - 2.0 * t3
+    """Adversarial HSIC^2 from its three terms, evaluated with math alone."""
+    t1, t2, t3 = adversarial_terms(gamma, d, rho)
+    return t1 + t2 - 2.0 * t3
+
+
+def _decimal_margins(gamma, d, n):
+    """hsic2, hsic2 - (2c)^2/n and kl_bound - kl_exact at budget n, from
+    their definitions in 200-digit decimals.  With u = (gamma/z)^2/n, the
+    terms of hsic2 cancel down to about u^2 relative, and u reaches 1e-28
+    on this grid: 60 digits would leave rounding of their own."""
+    with localcontext() as ctx:
+        ctx.prec = 200
+        g, x = Decimal(gamma), 1 / Decimal(n)
+        z = 2 * g + 1
+        u = (g / z) ** 2 * x
+        scale = 1 / z.sqrt() ** d
+        hsic2 = scale * (1 / (1 - 4 * u).sqrt() + 1 - 2 / (1 - u).sqrt())
+        # (2c)^2 = gamma^2 z^(-d/2 - 2), so (2c)^2 / n = scale * u
+        kl_margin = n * (x / (1 - x) + (1 - x).ln()) / 2
+        return float(hsic2), float(hsic2 - scale * u), float(kl_margin)
 
 
 class TestCertificateTable:
@@ -267,16 +290,22 @@ class TestCertificateTable:
             for i, n in enumerate(grid):
                 rho = 1.0 / math.sqrt(n)
                 hsic2 = _math_hsic2(gamma, d, rho)
+                kl_exact = 1.0 / (2 * n) + 0.5 * n * math.log(1.0 / (1.0 - rho * rho))
+                kl_bound = 1.0 / (2 * n) + 0.5 * n * rho * rho / (1.0 - rho * rho)
                 expected = {
                     "rho": rho,
-                    "kl_exact": 1.0 / (2 * n) + 0.5 * n * math.log(1.0 / (1.0 - rho * rho)),
-                    "kl_bound": 1.0 / (2 * n) + 0.5 * n * rho * rho / (1.0 - rho * rho),
+                    "kl_exact": kl_exact,
+                    "kl_bound": kl_bound,
                     "kl_budget": 1.25,
                     "hsic2": hsic2,
                     "analytic_gap": math.sqrt(hsic2),
                     "gap_floor": 2.0 * c / math.sqrt(n),
                     "partii_bound": rho * rho * low,
                     "partii_margin": hsic2 - rho * rho * low,
+                    # kl_bound - kl_exact at rho^2 = 1/n, with the logarithm taken by log1p
+                    "kl_margin": 0.5 * n * (1.0 / (n - 1.0) + math.log1p(-1.0 / n)),
+                    # 5/4 - 1/(2n) - n/(2(n-1)) in exact rationals: 0 at n = 2
+                    "budget_margin": float(Fraction(5, 4) - Fraction(1, 2 * n) - Fraction(n, 2 * (n - 1))),
                 }
                 for name, value in expected.items():
                     assert abs(cols[name][i] - value) <= 1e-9 * abs(value), (name, gamma, n)
@@ -296,9 +325,17 @@ class TestCertificateTable:
         assert list(rows) == ["kl_exact_le_bound", "kl_bound_le_budget", "gap_ge_floor"]
         assert rows["kl_exact_le_bound"].ok and rows["gap_ge_floor"].ok
         budget = rows["kl_bound_le_budget"]
-        assert not budget.ok and budget.n == 32
-        assert budget.lower_value == columns["kl_bound"][1] > budget.upper_value == 0.53
-        assert budget.violation() == f"certificate violated at n=32: kl_bound={budget.lower_value!r} > kl_budget=0.53"
+        assert (budget.family, budget.margin, budget.n) == ("kl_bound_le_budget", "budget_margin", 32)
+        assert not budget.ok
+        # the margin is smallest at n = 8, last in the grid
+        margins = columns["budget_margin"]
+        assert budget.argmin_n == 8 and budget.min_margin == margins[3] < margins[2] < margins[1] < 0 < margins[0]
+        assert budget.min_margin == pytest.approx(0.53 - columns["kl_bound"][3], abs=1e-15)
+        assert budget.violation() == f"certificate violated at n=32: kl_bound ≤ 5/4, budget_margin={budget.min_margin!r} at n=8"
+        # in increasing order the first failure is also the smallest margin
+        (_, budget, _) = certificate_table(1.0, B11, (8, 16, 32, 64))[1]
+        assert (budget.n, budget.argmin_n) == (8, 8)
+        assert budget.violation() == f"certificate violated at n=8: kl_bound ≤ 5/4, budget_margin={budget.min_margin!r}"
 
     def test_rejects_bad_grids(self):
         for grid in ((), (1, 4), (4.5, 8)):
@@ -306,10 +343,43 @@ class TestCertificateTable:
                 certificate_table(1.0, B11, grid)
 
     def test_non_finite_column_is_named_with_its_budget(self):
-        # at gamma = 1e200 the adversarial hsic2 is NaN, which would otherwise
-        # read as a failing gap certificate
-        with pytest.raises(ValueError, match=r"^certificate column hsic2 is not finite at n=3 "):
-            certificate_table(1e200, B11, (3, 4))
+        # a NaN part-(ii) estimate (the spectral draw overflows from gamma
+        # ~ 5e153 on) would otherwise read as a failing certificate
+        with pytest.raises(ValueError, match=r"^certificate column partii_bound is not finite at n=3 "):
+            certificate_table(1.0, B11, (3, 4), (math.nan, 0.0))
+
+    @pytest.mark.parametrize("dims", SWEEP_BLOCKS)
+    def test_closed_forms_are_finite_at_any_finite_bandwidth(self, dims):
+        # no z * z is formed and log z is log1p(2 gamma), so nothing
+        # overflows into inf * 0
+        for gamma in (1e154, 1e200, 1e308):
+            columns, inequalities = certificate_table(gamma, BlockStructure(dims), (2, 3, 1000, 2**53))
+            assert all(np.all(np.isfinite(column)) for column in columns.values())
+            assert all(ineq.ok for ineq in inequalities)
+
+    @pytest.mark.parametrize("gamma", SWEEP_GAMMAS + EDGE_GAMMAS)
+    def test_margins_match_a_200_digit_reference(self, gamma):
+        for dims in SWEEP_BLOCKS:
+            block = BlockStructure(dims)
+            columns, _ = certificate_table(gamma, block, LOG_GRID)
+            for i, n in enumerate(LOG_GRID):
+                for name, exact in zip(("hsic2", "gap_margin", "kl_margin"), _decimal_margins(gamma, block.total, n)):
+                    if abs(exact) >= 1e-300:
+                        assert abs(columns[name][i] - exact) <= 1e-12 * abs(exact), (name, dims, n)
+
+    @pytest.mark.parametrize("gamma", SWEEP_GAMMAS + EDGE_GAMMAS)
+    def test_every_family_holds_up_to_the_largest_budget(self, gamma):
+        # the KL and gap families are tight to first order in 1/n; compared
+        # as two rounded columns they failed from n ~ 3e6 on
+        grid = np.unique(np.geomspace(2, 2**53, 20_000).round()).astype(np.int64).tolist()
+        for dims in SWEEP_BLOCKS:
+            block = BlockStructure(dims)
+            columns, inequalities = certificate_table(gamma, block, grid, verify_gap_partii(gamma, block, 2_000, 5))
+            assert [ineq.family for ineq in inequalities] == [family[0] for family in lecam.CERTIFICATE_FAMILIES]
+            assert all(ineq.ok for ineq in inequalities), (dims, inequalities)
+            # the margins are positive but at n = 2, where 5/4 is attained
+            assert columns["budget_margin"][0] == 0.0
+            assert all(ineq.min_margin > 0 for ineq in inequalities if ineq.family != "kl_bound_le_budget")
 
     def test_report_carries_the_table_rows(self):
         report = run_experiment(ExperimentConfig(gamma=1.0, block=B11, n_grid=(4, 8, 16), reps=2))
