@@ -137,8 +137,11 @@ def hsic2_gaussian(g: GaussianMeasure, block: BlockStructure, gamma: float) -> H
 
 def _scale_and_u(gamma: float, d: int, x):
     # z^(-d/2) and u = (gamma/z)^2 x with z = 2 gamma + 1, taking gamma/z as
-    # 1/(2 + 1/gamma) and log z as log1p(2 gamma): finite for any finite gamma
-    return math.exp(-0.5 * d * math.log1p(2.0 * gamma)), x / (2.0 + 1.0 / gamma) ** 2
+    # 1/(2 + 1/gamma) and log z as log1p(2 gamma): finite for any finite
+    # gamma; at tiny gamma the square is a float64 that overflows to inf, where
+    # a Python float raises, and u is 0
+    with np.errstate(over="ignore"):
+        return math.exp(-0.5 * d * math.log1p(2.0 * gamma)), x / np.float64(2.0 + 1.0 / gamma) ** 2
 
 
 def _excess(y):

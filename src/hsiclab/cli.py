@@ -10,8 +10,6 @@ A ``ValueError`` from the library is a rule the arguments broke, and a
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -227,17 +225,16 @@ def _json_text(obj) -> str:
 
 
 def _joined(values) -> str:
-    """One CSV cell for a list, e.g. blocks 1,1."""
-    return ",".join(map(str, values))
+    """One CSV cell for a list, e.g. blocks "1,1": quoted, as it holds a comma."""
+    return '"' + ",".join(map(str, values)) + '"'
 
 
-def _csv_text(columns, rows) -> str:
-    """csv.writer writes a Python float as its repr, the shortest round trip."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _csv_text(header, columns) -> str:
+    """CSV text of equal-length columns: a column of numbers is taken through
+    repr once (a float's shortest round trip), a column of strings as it is.
+    No cell is quoted here; the only cells that need it come from ``_joined``."""
+    cells = (column if isinstance(column[0], str) else list(map(repr, column)) for column in columns)
+    return "\n".join(map(",".join, [header, *zip(*cells)])) + "\n"
 
 
 # ------------------------------- subcommands --------------------------------
@@ -316,7 +313,7 @@ def cmd_estimate(args) -> int:
             )
             for rec in records
         ]
-        _write_text(args.output, _csv_text(ESTIMATE_CSV_COLUMNS, rows))
+        _write_text(args.output, _csv_text(ESTIMATE_CSV_COLUMNS, zip(*rows)))
     return EXIT_OK
 
 
@@ -360,8 +357,9 @@ def cmd_analytic(args) -> int:
             "term_iii": dec.term_iii,
         }
         if args.format == "csv":
-            cells = dict(payload, blocks=_joined(block.dims))
-            _write_text(args.output, _csv_text(tuple(cells), [tuple(cells.values())]))
+            # no --rho (a covariance file) is an empty cell
+            cells = dict(payload, blocks=_joined(block.dims), rho="" if args.rho is None else args.rho)
+            _write_text(args.output, _csv_text(tuple(cells), ([value] for value in cells.values())))
         else:
             _write_text(args.output, _json_text(payload))
     return EXIT_OK
@@ -394,7 +392,7 @@ def cmd_minimax(args) -> int:
         for rec in report.records
         for name, risk in rec.risks.items()
     ]
-    _write_text(base + ".csv", _csv_text(MINIMAX_CSV_COLUMNS, rows))
+    _write_text(base + ".csv", _csv_text(MINIMAX_CSV_COLUMNS, zip(*rows)))
 
     for name, fit in report.rate_fits.items():
         print(f"rate fit [{name}]: slope={fit.slope:.4f} r2={fit.r_squared:.4f}")
@@ -432,14 +430,14 @@ def cmd_certify(args) -> int:
     )
 
     # tolist() yields Python floats, which both formats write as their repr
-    rows = list(zip(kept, *(columns[name].tolist() for name in CERTIFY_CSV_COLUMNS[1:])))
+    table = [kept, *(columns[name].tolist() for name in CERTIFY_CSV_COLUMNS[1:])]
     if args.format == "json":
         payload = {
             "gamma": gamma,
             "blocks": list(block.dims),
             "partii_estimate": estimate,
             "partii_se": se,
-            "rows": [dict(zip(CERTIFY_CSV_COLUMNS, row)) for row in rows],
+            "rows": [dict(zip(CERTIFY_CSV_COLUMNS, row)) for row in zip(*table)],
             "pass": {ineq.family: ineq.ok for ineq in inequalities},
             "margins": {
                 ineq.family: {"min_margin": ineq.min_margin, "argmin_n": ineq.argmin_n} for ineq in inequalities
@@ -447,7 +445,7 @@ def cmd_certify(args) -> int:
         }
         _write_text(args.output, _json_text(payload))
     else:
-        _write_text(args.output, _csv_text(CERTIFY_CSV_COLUMNS, rows))
+        _write_text(args.output, _csv_text(CERTIFY_CSV_COLUMNS, table))
 
     # the verdict stays last, after the only ": " of the line
     for ineq in inequalities:

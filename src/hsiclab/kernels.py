@@ -14,6 +14,7 @@ probability measures and their products are valid independence kernels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -121,7 +122,15 @@ def stacked_gram(
     in ``gram`` of its pair alone.
     """
     acc = lag_sum(spec.family, x, y, out, scratch)
-    acc *= -0.5 * spec.gamma if spec.family is KernelFamily.GAUSSIAN else -spec.gamma
+    scale = -0.5 * spec.gamma if spec.family is KernelFamily.GAUSSIAN else -spec.gamma
+    if scale < -1.0:
+        # only a scale above 1 in size can take a finite lag to -inf, whose
+        # exp is the exact limit 0; the guard costs a few percent of a
+        # minimax run, so it is not entered otherwise
+        with np.errstate(over="ignore"):
+            acc *= scale
+    else:
+        acc *= scale
     np.exp(acc, out=acc)
     return acc
 
@@ -150,3 +159,22 @@ def spectral_sample(spec: KernelSpec, dim: int, n: int, seed: int) -> np.ndarray
     if spec.family is KernelFamily.GAUSSIAN:
         return np.sqrt(spec.gamma) * gen.standard_normal((int(n), int(dim)))
     return spec.gamma * gen.standard_cauchy((int(n), int(dim)))
+
+
+def spectral_exp_sq_mean(spec: KernelSpec) -> float:
+    """E[exp(-w^2)] over one coordinate w of the kernel's spectral measure:
+    (1 + 2 gamma)^(-1/2) for N(0, gamma) and e^(gamma^2) erfc(gamma) for
+    Cauchy(scale=gamma).  Finite and accurate at every finite gamma."""
+    gamma = spec.gamma
+    if spec.family is KernelFamily.GAUSSIAN:
+        # as sqrt(1/2) / sqrt(1/2 + gamma), since 1 + 2 gamma overflows
+        return math.sqrt(0.5) / math.sqrt(0.5 + gamma)
+    if gamma < 3.0:
+        return math.exp(gamma * gamma) * math.erfc(gamma)
+    # from gamma = 3 on e^(gamma^2) loses digits (and overflows past 26), so
+    # take Laplace's continued fraction 1/(sqrt(pi) (g + (1/2)/(g + 1/(g +
+    # (3/2)/(g + ...))))); 40 terms reach rounding at gamma = 3
+    t = gamma
+    for k in range(40, 0, -1):
+        t = gamma + 0.5 * k / t
+    return 1.0 / math.sqrt(math.pi) / t

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import BlockStructure
 from .gaussian import GaussianMeasure, char_fn
-from .kernels import KernelFamily, KernelSpec, spectral_sample
+from .kernels import KernelFamily, KernelSpec, spectral_exp_sq_mean, spectral_sample
 
 
 def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
@@ -53,6 +53,11 @@ def gap_constant_partii(
     and A is the set where they have opposite signs.  Strictly positive for
     any kernel whose spectral measure has full support.  Returns
     (estimate, standard error).
+
+    The coordinates of L are i.i.d. and only (w_i, w_j) decide A, so n_freq
+    pairs are drawn and each of the other d - 2 coordinates contributes its
+    exact factor E[exp(-w^2)] (``spectral_exp_sq_mean``): the same
+    expectation, at no larger variance.
     """
     block.require_multiblock()
     d = block.total
@@ -60,15 +65,17 @@ def gap_constant_partii(
         raise ValueError(f"need total dimension >= 2, got {d}")
     if n_freq < 2:
         raise ValueError(f"need at least 2 frequencies, got {n_freq}")
-    omegas = spectral_sample(spec, d, n_freq, seed)
-    i = block.dims[0] - 1
-    # at huge bandwidths pair * pair overflows against exp(-sq_norm) = 0 and
-    # the estimate is NaN; certificate_table names the column it reaches
-    with np.errstate(over="ignore", invalid="ignore"):
-        pair = omegas[:, i] * omegas[:, i + 1]
-        sq_norm = np.einsum("nd,nd->n", omegas, omegas)
-        values = np.where(pair < 0.0, pair * pair * np.exp(-sq_norm), 0.0)
-    return _mean_and_se(values)
+    omegas = spectral_sample(spec, 2, n_freq, seed)
+    # at huge bandwidths w_i w_j and |w|^2 overflow to inf; exp(-|w|^2) > 0
+    # bounds |w_i w_j| by |w|^2 / 2 < 373, so the pair is dropped where the
+    # weight is 0 and no inf * 0 is formed
+    with np.errstate(over="ignore"):
+        pair = omegas[:, 0] * omegas[:, 1]
+        weight = np.exp(-np.einsum("nd,nd->n", omegas, omegas))
+    kept = np.where((pair < 0.0) & (weight > 0.0), pair, 0.0)
+    est, se = _mean_and_se(kept * kept * weight)
+    rest = spectral_exp_sq_mean(spec) ** (d - 2)
+    return est * rest, se * rest
 
 
 def verify_gap_partii(gamma: float, block: BlockStructure, n_freq: int, seed: int) -> tuple[float, float]:

@@ -11,7 +11,9 @@ features of one dataset with a plain 2-D eigendecomposition.
 ``adversarial_terms`` is the adversarial HSIC^2 as its three determinant
 terms, evaluated with math alone; the library evaluates it in a form
 without their cancellation.  ``f_c`` and ``critical_slope`` are the slope
-form of the gap certificate, built on these terms.
+form of the gap certificate, built on these terms.  ``full_draw_gap_constant``
+is the part-(ii) Monte Carlo over all d coordinates of each frequency; the
+library draws only the two that decide the opposite-sign set.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from hsiclab.analytic import _check_gamma
-from hsiclab.kernels import KernelFamily, gram
+from hsiclab.kernels import KernelFamily, gram, spectral_sample
 
 
 def eval_kernel(spec, x, y) -> float:
@@ -240,3 +242,15 @@ def f_c(x: float, gamma: float, d: int, c: float) -> float:
         raise ValueError(f"x must lie in [0, {limit}), got {x}")
     t1, t2, t3 = adversarial_terms(gamma, d, math.sqrt(x))
     return t1 + t2 - 2.0 * t3 - float(c) * x
+
+
+def full_draw_gap_constant(spec, block, n_freq: int, seed: int) -> tuple[float, float]:
+    """The squared gap constant int_A (w_i w_j exp(-|w|^2 / 2))^2 dL(w) as
+    (estimate, standard error) from n_freq full d-coordinate frequencies,
+    (i, j) the coordinates adjacent to the first block boundary."""
+    omegas = spectral_sample(spec, block.total, n_freq, seed)
+    i = block.dims[0] - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair = omegas[:, i] * omegas[:, i + 1]
+        values = np.where(pair < 0.0, pair * pair * np.exp(-np.einsum("nd,nd->n", omegas, omegas)), 0.0)
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_freq))

@@ -626,15 +626,6 @@ class TestErrorBoundary:
             (["analytic", "--blocks", "2", "--rho", "0.5"], "need at least 2 blocks"),
             (["minimax", "--blocks", "2", "--n-grid", "8,16,32"], "need at least 2 blocks"),
             (["certify", "--blocks", "2"], "need at least 2 blocks"),
-            # the spectral draw overflows and the part-(ii) estimate is NaN
-            (
-                ["certify", "--blocks", "1,1", "--gamma", "1e200", "--n-grid", "2..4", "--format", "csv"],
-                "certificate column partii_bound is not finite at n=2",
-            ),
-            (
-                ["certify", "--blocks", "1,1", "--gamma", "5e153", "--n-grid", "2..4", "--format", "csv"],
-                "certificate column partii_bound is not finite at n=2",
-            ),
             # checked at the smallest budget before any replicate is drawn
             (
                 ["minimax", "--blocks", "1,1", "--est", "u", "--n-grid", "64,128,3"],
@@ -647,8 +638,7 @@ class TestErrorBoundary:
         ],
         ids=[
             "u-n3", "v-n1", "u-3-blocks", "landmarks-above-n", "estimate-1-block", "analytic-1-block",
-            "minimax-1-block", "certify-1-block", "certify-gamma-1e200", "certify-nan-partii",
-            "minimax-u-budget-3", "minimax-landmarks-above-budget",
+            "minimax-1-block", "certify-1-block", "minimax-u-budget-3", "minimax-landmarks-above-budget",
         ],
     )
     def test_library_rule_exits_three_with_one_error_line(self, tmp_path, monkeypatch, capsys, argv, message):
@@ -669,19 +659,33 @@ class TestErrorBoundary:
         assert not simulated
         assert not list(tmp_path.glob("out*"))
 
-    @pytest.mark.parametrize(
-        "argv",
-        [["certify", "--blocks", "1,1", "--gamma", "1e200", "--n-grid", "2..4"]],
-        ids=lambda argv: argv[0],
-    )
-    def test_huge_bandwidth_prints_only_the_error_line(self, tmp_path, argv):
-        # in a fresh interpreter any overflow warning would reach stderr; the
-        # closed forms stay finite, the spectral draw does not
-        child = run_fresh(["-m", "hsiclab.cli", *argv], tmp_path)
-        assert child.returncode == 3
-        assert child.stdout == ""
-        assert len(child.stderr.splitlines()) == 1
-        assert child.stderr.startswith("error: certificate column partii_bound is not finite at n=")
+    @pytest.mark.parametrize("blocks", ["1,1", "3,1,2"])
+    @pytest.mark.parametrize("gamma", ["1e154", "5e153", "1e200", "1.7e308"])
+    def test_huge_bandwidth_certify_passes(self, tmp_path, gamma, blocks):
+        # w_i w_j overflows in the part-(ii) draw, but no inf * 0 is formed:
+        # the estimate is 0, and under -W error any numpy warning would exit 1
+        argv = ["certify", "--blocks", blocks, "--gamma", gamma, "--n-grid", "2..4,1000"]
+        child = run_fresh(["-W", "error", "-m", "hsiclab.cli", *argv, "--output", "c.json"], tmp_path)
+        assert (child.returncode, child.stderr) == (0, "")
+        assert child.stdout.startswith("part-(ii) gap constant estimate: 0.0 ± 0.0 (1 SE)")
+        assert [line.rsplit(": ", 1)[1] for line in child.stdout.splitlines()[1:]] == ["PASS"] * 4
+        payload = json.loads((tmp_path / "c.json").read_text(), parse_constant=lambda name: pytest.fail(name))
+        assert all(payload["pass"].values()) and len(payload["rows"]) == 4
+
+    def test_huge_bandwidth_certify_writes_finite_csv(self, tmp_path, capsys):
+        # in process, with numpy warnings raised as errors: every CSV cell is
+        # a finite number and every verdict is PASS
+        argv = ["certify", "--blocks", "1,1", "--gamma", "1e200", "--n-grid", "2..4", "--format", "csv"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--output", str(tmp_path / "t.csv")]) == 0
+        stdout, stderr = capsys.readouterr()
+        assert stderr == ""
+        assert [line.rsplit(": ", 1)[1] for line in stdout.splitlines()[1:]] == ["PASS"] * 4
+        header, *rows = csv.reader(io.StringIO((tmp_path / "t.csv").read_text()))
+        assert header == list(cli.CERTIFY_CSV_COLUMNS)
+        assert [row[0] for row in rows] == ["2", "3", "4"]
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
 
     @pytest.mark.parametrize(
         "blocks, est",
@@ -699,15 +703,42 @@ class TestErrorBoundary:
         assert [rec["n"] for rec in payload["records"]] == [8, 16, 32]
         assert all(math.isfinite(rec["analytic_gap"]) and rec["analytic_gap"] >= rec["gap_floor"] for rec in payload["records"])
 
-    def test_nan_part_two_estimate_exits_three_with_one_error_line(self, tmp_path):
-        # at gamma = 5e153 the hsic2 column is finite but the part-(ii)
-        # estimate is NaN; a bound floored with max(0.0, nan) read 0 and PASSed
-        argv = ["certify", "--blocks", "1,1", "--gamma", "5e153", "--n-grid", "2..4", "--format", "csv"]
-        child = run_fresh(["-m", "hsiclab.cli", *argv, "--output", "t.csv"], tmp_path)
-        assert child.returncode == 3
-        assert child.stdout == ""
-        assert child.stderr == "error: certificate column partii_bound is not finite at n=2 (gamma=5e+153)\n"
+    def test_nan_part_two_estimate_exits_three_with_one_error_line(self, tmp_path, monkeypatch, capsys):
+        # a bound floored with max(0.0, nan) read 0 and PASSed
+        monkeypatch.setattr(cli, "verify_gap_partii", lambda *args: (math.nan, 0.0))
+        argv = ["certify", "--blocks", "1,1", "--n-grid", "2..4", "--format", "csv", "--output", str(tmp_path / "t.csv")]
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", "error: certificate column partii_bound is not finite at n=2 (gamma=1.0)\n")
         assert not list(tmp_path.iterdir())
+
+    def test_tiny_bandwidth_minimax_runs_to_finite_numbers(self, tmp_path):
+        # 1/gamma = 1e300 squared overflowed a Python float into a traceback
+        argv = ["minimax", "--blocks", "1,1", "--gamma", "1e-300", "--n-grid", "8,16,32", "--reps", "3"]
+        child = run_fresh(["-m", "hsiclab.cli", *argv, "--output", "m"], tmp_path)
+        assert (child.returncode, child.stderr) == (0, "")
+        payload = json.loads((tmp_path / "m.json").read_text(), parse_constant=lambda name: pytest.fail(name))
+        assert [rec["n"] for rec in payload["records"]] == [8, 16, 32]
+
+    def test_tiny_bandwidth_certify_prints_no_traceback(self, tmp_path):
+        # every verdict line is printed; the part-(ii) one still reads margins
+        # that underflow at this bandwidth
+        argv = ["certify", "--blocks", "1,1", "--gamma", "1e-160", "--n-grid", "2..50"]
+        child = run_fresh(["-m", "hsiclab.cli", *argv, "--output", "c.json"], tmp_path)
+        assert child.returncode in (0, 1)
+        assert child.stderr == ""
+        verdicts = [line.rsplit(": ", 1)[1] for line in child.stdout.splitlines()[1:]]
+        assert len(verdicts) == 4 and set(verdicts) <= {"PASS", "FAIL"}
+        assert json.loads((tmp_path / "c.json").read_text())["gamma"] == 1e-160
+
+    def test_huge_bandwidth_laplace_estimate_prints_no_warning(self, tmp_path):
+        # the Laplace lags scale to -inf, whose exp is the exact limit 0
+        write_csv(tmp_path / "d.csv", np.random.default_rng(0).normal(size=(12, 2)).tolist())
+        argv = ["estimate", "--blocks", "1,1", "--kernel", "laplace", "--gamma", "1e308", "--est", "v", "--est", "u"]
+        child = run_fresh(["-m", "hsiclab.cli", *argv, "--input", "d.csv"], tmp_path)
+        assert (child.returncode, child.stderr) == (0, "")
+        records = json.loads(child.stdout)
+        assert [rec["estimator"] for rec in records] == ["v", "u"]
+        assert all(math.isfinite(rec["value_hsic2"]) for rec in records)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
     def test_out_of_memory_exits_three_with_one_error_line(self, tmp_path):
@@ -807,6 +838,30 @@ class TestLibraryShape:
         assert "hsiclab.cli" in added
         heavy = ("scipy", "numpy.ma", "decimal", "fractions", "statistics", "multiprocessing", "subprocess", "importlib.metadata")
         assert [name for name in added if any(name == h or name.startswith(h + ".") for h in heavy)] == []
+
+
+class TestCsvDocuments:
+    def test_bytes_are_what_the_csv_module_writes(self, tmp_path, two_col_csv, monkeypatch):
+        # the cells that hold a comma are quoted and no other cell is; an
+        # analytic covariance file leaves the rho cell empty
+        monkeypatch.chdir(tmp_path)
+        write_csv(tmp_path / "cov.csv", [[1.0, 0.3], [0.3, 1.0]])
+        landmarks = ["--est", "nystrom", "--landmarks", "4"]
+        runs = {
+            "e.csv": ["estimate", "--blocks", "1,1", "--input", str(two_col_csv), "--est", "v", *landmarks, "--gamma", "0.5", "--gamma", "2"],
+            "a.csv": ["analytic", "--blocks", "1,1", "--input", "cov.csv"],
+            "c.csv": ["certify", "--blocks", "3,1,2", "--n-grid", "2..50"],
+        }
+        for name, argv in runs.items():
+            assert main([*argv, "--format", "csv", "--output", name]) == 0
+        assert main(["minimax", "--blocks", "1,1", "--n-grid", "8,16,32", "--reps", "2", *landmarks, "--output", "m"]) == 0
+        for name in (*runs, "m.csv"):
+            text = (tmp_path / name).read_text()
+            rewritten = io.StringIO()
+            csv.writer(rewritten, lineterminator="\n").writerows(csv.reader(io.StringIO(text)))
+            assert rewritten.getvalue() == text, name
+        assert (tmp_path / "e.csv").read_text().splitlines()[1].endswith(',12,2,"1,1","0.5,2.0",0')
+        assert (tmp_path / "a.csv").read_text().splitlines()[1].startswith('"1,1",1.0,,')
 
 
 class TestDatasetRoundTrip:

@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hsiclab import (
     lag_sum,
     spectral_sample,
 )
-from hsiclab.kernels import stacked_gram
+from hsiclab.kernels import spectral_exp_sq_mean, stacked_gram
 from helpers import eval_kernel, product_gram
 
 GAUSS1 = KernelSpec(KernelFamily.GAUSSIAN, 1.0)
@@ -129,6 +131,17 @@ class TestLagSum:
             gram(spec, x, y)
 
 
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_huge_bandwidth_gives_the_identity_without_warnings(self, family):
+        # the scaled lags overflow to -inf for the Laplace family, and
+        # exp(-inf) = 0 is the exact limit
+        x = np.random.default_rng(3).normal(size=(1, 6, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = stacked_gram(KernelSpec(family, 1e308), x, x)
+        assert np.array_equal(k[0], np.eye(6))
+
+
 class TestProductGram:
     def _dataset(self, rng, n=6, dims=(1, 2)):
         block = BlockStructure(dims)
@@ -219,3 +232,36 @@ class TestSpectralSample:
             spectral_sample(GAUSS1, 0, 10, 0)
         with pytest.raises(ValueError):
             spectral_sample(GAUSS1, 1, 0, 0)
+
+
+class TestSpectralExpSqMean:
+    GAMMAS = np.geomspace(1e-6, 1e6, 2401)
+
+    def test_gaussian_closed_form(self):
+        got = [spectral_exp_sq_mean(KernelSpec("gaussian", g)) for g in self.GAMMAS]
+        np.testing.assert_allclose(got, (1.0 + 2.0 * self.GAMMAS) ** -0.5, rtol=1e-15, atol=0)
+
+    def test_laplace_matches_erfcx(self):
+        from scipy.special import erfcx
+
+        got = [spectral_exp_sq_mean(KernelSpec("laplace", g)) for g in self.GAMMAS]
+        np.testing.assert_allclose(got, erfcx(self.GAMMAS), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("spec", [GAUSS1, LAP2, KernelSpec("laplace", 0.25)])
+    def test_monte_carlo_expectation(self, spec):
+        n = 200_000
+        vals = np.exp(-spectral_sample(spec, 1, n, 55)[:, 0] ** 2)
+        se = vals.std(ddof=1) / math.sqrt(n)
+        assert abs(vals.mean() - spectral_exp_sq_mean(spec)) <= 4 * se
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_finite_and_accurate_at_every_bandwidth(self, family):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = {g: spectral_exp_sq_mean(KernelSpec(family, g)) for g in (5e-324, 1e-300, 1e154, 1e300, sys.float_info.max)}
+        assert values[5e-324] == values[1e-300] == 1.0
+        # the leading terms sqrt(1 / (2 gamma)) and 1 / (gamma sqrt(pi))
+        for g in (1e154, 1e300):
+            lead = math.sqrt(0.5 / g) if family is KernelFamily.GAUSSIAN else 1.0 / (g * math.sqrt(math.pi))
+            assert values[g] == pytest.approx(lead, rel=1e-15)
+        assert 0.0 < values[sys.float_info.max] < 1e-150

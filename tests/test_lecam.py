@@ -343,8 +343,8 @@ class TestCertificateTable:
                 certificate_table(1.0, B11, grid)
 
     def test_non_finite_column_is_named_with_its_budget(self):
-        # a NaN part-(ii) estimate (the spectral draw overflows from gamma
-        # ~ 5e153 on) would otherwise read as a failing certificate
+        # a NaN part-(ii) estimate would otherwise read as a passing
+        # certificate: a NaN margin compares false both ways
         with pytest.raises(ValueError, match=r"^certificate column partii_bound is not finite at n=3 "):
             certificate_table(1.0, B11, (3, 4), (math.nan, 0.0))
 
@@ -356,6 +356,14 @@ class TestCertificateTable:
             columns, inequalities = certificate_table(gamma, BlockStructure(dims), (2, 3, 1000, 2**53))
             assert all(np.all(np.isfinite(column)) for column in columns.values())
             assert all(ineq.ok for ineq in inequalities)
+
+    @pytest.mark.parametrize("dims", SWEEP_BLOCKS)
+    def test_closed_forms_are_finite_at_tiny_bandwidths(self, dims):
+        # 1/gamma squared overflows to inf in float64, where a Python float
+        # raised OverflowError, and u is 0
+        for gamma in (5e-324, 1e-310, 1e-300, 1e-200, 7.4e-155, 1e-154):
+            columns, _ = certificate_table(gamma, BlockStructure(dims), (2, 3, 1000, 2**53))
+            assert all(np.all(np.isfinite(column)) for column in columns.values())
 
     @pytest.mark.parametrize("gamma", SWEEP_GAMMAS + EDGE_GAMMAS)
     def test_margins_match_a_200_digit_reference(self, gamma):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,11 +18,15 @@ from hsiclab import (
     spectral_sample,
     verify_gap_partii,
 )
+from hsiclab import rng
+from hsiclab.cli import CERTIFY_SPECTRAL_FREQS
 from hsiclab.lecam import certificate_table
-from helpers import critical_slope, random_spd
+from helpers import critical_slope, full_draw_gap_constant, random_spd
 
 B11 = BlockStructure((1, 1))
 GAUSS1 = KernelSpec(KernelFamily.GAUSSIAN, 1.0)
+# the bandwidths and block structures of the certify benchmark sweep
+CERTIFY_SWEEP = [(gamma, dims) for dims in ((1, 1), (2, 2), (3, 1, 2), (4, 4)) for gamma in (0.25, 0.5, 1.0, 2.0, 4.0)]
 
 
 def quadrature_gap_constant(gamma: float, d: int) -> float:
@@ -115,6 +120,46 @@ class TestGapConstant:
     def test_requires_two_blocks(self):
         with pytest.raises(ValueError):
             gap_constant_partii(GAUSS1, BlockStructure((2,)), 100, 0)
+
+    @pytest.mark.parametrize("gamma", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("dims", [(1, 2), (2, 2), (3, 1, 2)])
+    @pytest.mark.parametrize("family", ["gaussian", "laplace"])
+    def test_two_coordinate_draw_matches_the_full_draw(self, family, dims, gamma):
+        # the other d - 2 coordinates enter through their exact expectation;
+        # the two estimates come from independent draws
+        spec, block = KernelSpec(family, gamma), BlockStructure(dims)
+        est, se = gap_constant_partii(spec, block, 200_000, 31)
+        full, full_se = full_draw_gap_constant(spec, block, 200_000, 37)
+        assert se > 0 and full_se > 0
+        assert abs(est - full) <= 4 * math.hypot(se, full_se)
+
+    @pytest.mark.parametrize("family", ["gaussian", "laplace"])
+    def test_two_blocks_of_one_keep_every_bit_of_the_full_draw(self, family):
+        # no other coordinate: the factor is exactly 1 and the draw the same
+        spec = KernelSpec(family, 0.5)
+        assert gap_constant_partii(spec, B11, 50_000, 41) == full_draw_gap_constant(spec, B11, 50_000, 41)
+
+    @pytest.mark.parametrize("gamma, dims", CERTIFY_SWEEP)
+    def test_standard_error_is_no_larger_than_the_full_draws(self, gamma, dims):
+        # at certify's default seed and frequency count
+        block, seed = BlockStructure(dims), rng.derive(0, "partii")
+        est, se = verify_gap_partii(gamma, block, CERTIFY_SPECTRAL_FREQS, seed)
+        full = full_draw_gap_constant(KernelSpec("gaussian", gamma), block, CERTIFY_SPECTRAL_FREQS, seed)
+        if block.total == 2:
+            assert (est, se) == full
+        else:
+            assert 0 < se <= full[1]
+
+    @pytest.mark.parametrize("gamma", [5e153, 1e154, 1e200, 1.7e308])
+    def test_huge_bandwidth_estimate_underflows_to_zero(self, gamma):
+        # w_i w_j and |w|^2 overflow, but no inf * 0 is formed: the integrand
+        # is 0 at every frequency and numpy warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for dims in ((1, 1), (3, 1, 2)):
+                assert verify_gap_partii(gamma, BlockStructure(dims), 20_000, 43) == (0.0, 0.0)
+            if gamma <= 1e200:  # a larger Cauchy scale overflows the draw itself
+                assert gap_constant_partii(KernelSpec("laplace", gamma), BlockStructure((3, 1, 2)), 20_000, 43) == (0.0, 0.0)
 
 
 class TestDerivativeMonotonicity:
