@@ -27,7 +27,6 @@ from .estimators import (
     landmark_picks,
 )
 from .gaussian import (
-    AdversarialPair,
     GaussianMeasure,
     char_fn,
     kl_adversarial_bound,
@@ -61,7 +60,6 @@ from .spectral import gap_constant_partii, mmd2_spectral, verify_gap_partii
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdversarialPair",
     "BlockStats",
     "BlockStructure",
     "DEFAULT_N_GRID",

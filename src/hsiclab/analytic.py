@@ -161,40 +161,17 @@ def adversarial_hsic2_columns(gamma: float, d: int, x):
     return scale * (u + bracket), scale * bracket
 
 
-def adversarial_hsic2(
-    gamma: float, d: int, rho: float | None = None, n: int | None = None
-) -> Hsic2Decomposition:
-    """HSIC^2 of the single-correlation covariance in closed form.
-
-    With z = 2 gamma + 1:
-
-        term_i   = [z^{d-2} (z^2 - (2 gamma rho)^2)]^{-1/2}
-        term_ii  = z^{-d/2}
-        term_iii = [z^{d-2} (z^2 - (gamma rho)^2)]^{-1/2}
-
-    ``value`` = term_i + term_ii - 2 term_iii is taken from the form without
-    cancellation, ``adversarial_hsic2_columns`` at x = rho^2.  Exactly one of
-    ``rho`` and ``n`` (x = 1/n) must be given.  rho = 1 (n = 1) is allowed:
-    for gamma below about 1e15 the terms stay finite there even though the
-    underlying Gaussian degenerates.
-    """
+def adversarial_hsic2(gamma: float, d: int, n: int) -> float:
+    """The adversarial HSIC^2 at budget n: ``adversarial_hsic2_columns`` at
+    x = rho^2 = 1/n, with its arguments checked.  n = 1 (rho = 1) is allowed:
+    the value stays finite for gamma below about 1e15, even though the
+    underlying Gaussian degenerates there."""
     gamma = _check_gamma(gamma)
     if int(d) != d or d < 2:
         raise ValueError(f"d must be an integer >= 2, got {d}")
-    if (rho is None) == (n is None):
-        raise ValueError("give exactly one of rho and n")
-    if rho is None:
-        if int(n) != n or n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {n}")
-        x = 1.0 / n
-    else:
-        rho = float(rho)
-        if not 0.0 < rho <= 1.0:
-            raise ValueError(f"rho must lie in (0, 1], got {rho}")
-        x = rho * rho
-    scale, u = _scale_and_u(gamma, d, x)
-    terms = (float(scale / np.sqrt(1.0 - 4.0 * u)), scale, float(scale / np.sqrt(1.0 - u)))
-    return Hsic2Decomposition(*terms, float(adversarial_hsic2_columns(gamma, d, x)[0]))
+    if int(n) != n or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n}")
+    return float(adversarial_hsic2_columns(gamma, d, 1.0 / n)[0])
 
 
 def minimax_constant(gamma: float, d: int) -> float:

@@ -324,6 +324,8 @@ def cmd_analytic(args) -> int:
         raise CliError(EXIT_USAGE, "give exactly one of --rho and --input")
     if args.format is not None and args.output is None:
         raise CliError(EXIT_USAGE, "--format is read only with --output")
+    if args.header and args.input is None:
+        raise CliError(EXIT_USAGE, "--header is read only with --input")
     try:
         if args.rho is not None:
             cov = make_adversarial_cov(block, args.rho)

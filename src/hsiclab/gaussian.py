@@ -71,33 +71,6 @@ class GaussianMeasure:
         return cls(np.zeros(d), np.eye(d))
 
 
-@dataclass(frozen=True, eq=False)
-class AdversarialPair:
-    """Null/alternative pair for the two-point construction at sample budget n.
-
-    ``p0`` is N(0, I_d); ``p1`` correlates the two coordinates adjacent to the
-    first block boundary with rho = n^{-1/2} and shifts the mean by
-    (1/(sqrt(d) n)) in every coordinate.
-    """
-
-    p0: GaussianMeasure
-    p1: GaussianMeasure
-    n: int
-    rho: float
-    gamma: float
-    block: BlockStructure
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"sample budget must be at least 2, got {self.n}")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.p0.d != self.block.total or self.p1.d != self.block.total:
-            raise ValueError("pair dimensions do not match the block structure")
-
-
 def make_adversarial_cov(block: BlockStructure, rho: float) -> np.ndarray:
     """Identity matrix of size d with entries (i, i+1) and (i+1, i) set to rho,
     where i = ``block.dims[0] - 1``: the correlated pair straddles the first

@@ -158,7 +158,10 @@ def spectral_sample(spec: KernelSpec, dim: int, n: int, seed: int) -> np.ndarray
     gen = rng.stream(seed)
     if spec.family is KernelFamily.GAUSSIAN:
         return np.sqrt(spec.gamma) * gen.standard_normal((int(n), int(dim)))
-    return spec.gamma * gen.standard_cauchy((int(n), int(dim)))
+    # past gamma of about 1e306 a draw's scaling overflows to its exact limit
+    # +-inf; the part-(ii) weight exp(-|w|^2) sends such a frequency to 0
+    with np.errstate(over="ignore"):
+        return spec.gamma * gen.standard_cauchy((int(n), int(dim)))
 
 
 def spectral_exp_sq_mean(spec: KernelSpec) -> float:

@@ -17,7 +17,7 @@ from . import rng
 from .analytic import adversarial_hsic2_columns, hsic2_gaussian, lecam_bound, minimax_constant
 from .data import BlockStructure
 from .estimators import block_stats_batch, hsic_nystrom_batch, landmark_picks, require_nystrom, require_u, require_v, stack_size
-from .gaussian import AdversarialPair, GaussianMeasure, adversarial_kl, make_adversarial_cov, sample_stack
+from .gaussian import GaussianMeasure, adversarial_kl, make_adversarial_cov, sample_stack
 from .kernels import KernelFamily, ProductKernel
 
 KL_BUDGET = 1.25
@@ -56,20 +56,17 @@ class Estimator:
             raise ValueError(f"landmarks only apply to the nystrom kind, not {self.kind!r}")
 
 
-def build_pair(n: int, gamma: float, block: BlockStructure) -> AdversarialPair:
-    """Null N(0, I_d) versus the correlated alternative with rho_n = n^{-1/2}
-    and mean (1/(sqrt(d) n)) 1_d."""
+def build_pair(n: int, block: BlockStructure) -> tuple[GaussianMeasure, GaussianMeasure]:
+    """The two-point construction at budget n, as (null, alt): N(0, I_d)
+    versus the correlated alternative with rho_n = n^{-1/2} across the first
+    block boundary and mean (1/(sqrt(d) n)) 1_d."""
     if int(n) != n or n < 2:
         raise ValueError(f"pair construction needs an integer n >= 2, got {n}")
     n = int(n)
     block.require_multiblock()
     d = block.total
-    rho = 1.0 / math.sqrt(n)
-    p0 = GaussianMeasure.standard(d)
-    p1 = GaussianMeasure(
-        np.full(d, 1.0 / (math.sqrt(d) * n)), make_adversarial_cov(block, rho)
-    )
-    return AdversarialPair(p0=p0, p1=p1, n=n, rho=rho, gamma=float(gamma), block=block)
+    alt = GaussianMeasure(np.full(d, 1.0 / (math.sqrt(d) * n)), make_adversarial_cov(block, 1.0 / math.sqrt(n)))
+    return GaussianMeasure.standard(d), alt
 
 
 @dataclass(frozen=True)
@@ -210,11 +207,11 @@ def _validate_estimators(estimators: tuple[Estimator, ...], block: BlockStructur
             raise ValueError(f"estimator {est.name!r}: {exc}") from None
 
 
-def _simulate(
-    estimators: tuple[Estimator, ...], pair: AdversarialPair, reps: int, seed: int
-) -> dict[str, RiskResult]:
-    """Shared-draw risk simulation: every estimator sees the same datasets,
-    and dataset streams are keyed by (seed, distribution, replicate) only, so
+def _simulate(config: ExperimentConfig, n: int, null: GaussianMeasure, alt: GaussianMeasure) -> dict[str, RiskResult]:
+    """Risk of the configured estimators at budget n over the pair (null,
+    alt), from ``config.reps`` shared draws: every estimator sees the same
+    datasets, and dataset streams are keyed by (seed, distribution,
+    replicate) only, with seed = rng.derive(config.seed, "risk", n), so
     single-estimator runs reproduce multi-estimator runs bit for bit.
 
     Each replicate has its own streams, as the library would key them for
@@ -224,14 +221,15 @@ def _simulate(
     landmark set and statistic is the one the library gives for the
     replicate alone.  Errors are on the HSIC scale; ``run_experiment``
     has checked ``reps`` and the estimators."""
-    pk = ProductKernel.homogeneous(pair.block, KernelFamily.GAUSSIAN, pair.gamma)
+    estimators, reps, seed = config.estimators, config.reps, rng.derive(config.seed, "risk", n)
+    pk = ProductKernel.homogeneous(config.block, KernelFamily.GAUSSIAN, config.gamma)
     needs_stats = any(est.kind in ("v", "u") for est in estimators)
-    threshold = minimax_constant(pair.gamma, pair.block.total) / math.sqrt(pair.n)
-    size = stack_size(pair.n)
+    threshold = minimax_constant(config.gamma, config.block.total) / math.sqrt(n)
+    size = stack_size(n)
 
     per_dist: dict[str, list[DistributionRisk]] = {est.name: [] for est in estimators}
-    for label, measure in (("null", pair.p0), ("alt", pair.p1)):
-        true_sq = hsic2_gaussian(measure, pair.block, pair.gamma).value
+    for label, measure in (("null", null), ("alt", alt)):
+        true_sq = hsic2_gaussian(measure, config.block, config.gamma).value
         true_hsic = math.sqrt(max(0.0, true_sq))
         # the error buffers are the only per-replicate state: a --reps too
         # large for memory fails here, and the seeds are derived lazily, as
@@ -239,13 +237,13 @@ def _simulate(
         errors = {est.name: np.empty(reps) for est in estimators}
         gens = rng.streams(rng.derive(seed, label, r) for r in range(reps))
         picks = {
-            est.name: landmark_picks(pair.n, est.landmarks, (rng.derive(seed, label, r, "nystrom") for r in range(reps)))
+            est.name: landmark_picks(n, est.landmarks, (rng.derive(seed, label, r, "nystrom") for r in range(reps)))
             for est in estimators
             if est.kind == "nystrom"
         }
         for r0 in range(0, reps, size):
             count = min(size, reps - r0)
-            values = sample_stack(measure, pair.n, islice(gens, count))
+            values = sample_stack(measure, n, islice(gens, count))
             stats = block_stats_batch(pk, values) if needs_stats else None
             for est in estimators:
                 if est.kind == "v":
@@ -268,7 +266,7 @@ def _simulate(
                 )
             )
     return {
-        est.name: RiskResult(est.name, pair.n, threshold, *per_dist[est.name])
+        est.name: RiskResult(est.name, n, threshold, *per_dist[est.name])
         for est in estimators
     }
 
@@ -403,12 +401,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     fields = ("rho", "kl_exact", "kl_bound", "analytic_gap", "gap_floor")
     records = []
     for n, cert in zip(config.n_grid, zip(*(columns[name].tolist() for name in fields))):
-        pair = build_pair(n, config.gamma, config.block)
-        risks = (
-            _simulate(config.estimators, pair, config.reps, rng.derive(config.seed, "risk", n))
-            if config.estimators
-            else {}
-        )
+        null, alt = build_pair(n, config.block)
+        risks = _simulate(config, n, null, alt) if config.estimators else {}
         records.append(PerNRecord(n=n, **dict(zip(fields, cert)), minimax_c=c, risks=risks))
 
     rate_fits = {}

@@ -61,8 +61,6 @@ def gap_constant_partii(
     """
     block.require_multiblock()
     d = block.total
-    if d < 2:
-        raise ValueError(f"need total dimension >= 2, got {d}")
     if n_freq < 2:
         raise ValueError(f"need at least 2 frequencies, got {n_freq}")
     omegas = spectral_sample(spec, 2, n_freq, seed)

@@ -134,9 +134,9 @@ def test_criterion_03_gap_certificate():
         for d in (2, 3, 4):
             c = minimax_constant(gamma, d)
             for n in range(1, 10_001):
-                if adversarial_hsic2(gamma, d, n=n).hsic < 2.0 * c / math.sqrt(n):
+                if math.sqrt(adversarial_hsic2(gamma, d, n)) < 2.0 * c / math.sqrt(n):
                     ok = False
-    spot = adversarial_hsic2(1.0, 2, n=4).hsic
+    spot = math.sqrt(adversarial_hsic2(1.0, 2, 4))
     floor = 2.0 * minimax_constant(1.0, 2) / 2.0
     spot_ok = abs(spot - 0.103744) < 5e-6 and abs(floor - 0.096225) < 5e-6 and spot >= floor
     elapsed = time.monotonic() - start

@@ -16,6 +16,7 @@ from hsiclab import (
     minimax_constant,
     mmd2_gaussian,
 )
+from hsiclab.analytic import adversarial_hsic2_columns
 from helpers import critical_slope, f_c, random_spd
 
 B11 = BlockStructure((1, 1))
@@ -157,15 +158,20 @@ class TestHsic2Gaussian:
 
 class TestAdversarialHsic2:
     def test_worked_value_half_rho(self):
-        dec = adversarial_hsic2(1.0, 2, rho=0.5)
+        # rho = 1/2; the three terms are those of the alternative's closed form
+        value = adversarial_hsic2(1.0, 2, 4)
+        assert type(value) is float
+        assert value == pytest.approx(8**-0.5 + 9**-0.5 - 2 * 8.75**-0.5, rel=1e-12)
+        assert math.sqrt(value) == pytest.approx(0.103746, abs=1e-6)
+        dec = hsic2_gaussian(measure_with_rho(0.5), B11, 1.0)
         assert dec.term_i == pytest.approx(8**-0.5, rel=1e-12)
         assert dec.term_ii == pytest.approx(9**-0.5, rel=1e-12)
         assert dec.term_iii == pytest.approx(8.75**-0.5, rel=1e-12)
-        assert dec.value == pytest.approx(8**-0.5 + 9**-0.5 - 2 * 8.75**-0.5, rel=1e-12)
-        assert dec.hsic == pytest.approx(0.103746, abs=1e-6)
+        assert dec.value == pytest.approx(value, rel=1e-12)
 
     def test_vanishes_as_rho_goes_to_zero(self):
-        assert adversarial_hsic2(1.0, 2, rho=1e-8).value == pytest.approx(0.0, abs=1e-12)
+        # rho = 1e-8
+        assert adversarial_hsic2(1.0, 2, 10**16) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_general_closed_form(self):
         for rho in np.arange(0.1, 0.95, 0.1):
@@ -174,23 +180,18 @@ class TestAdversarialHsic2:
                     direct = hsic2_gaussian(
                         measure_with_rho(rho, block), block, gamma
                     ).value
-                    short = adversarial_hsic2(gamma, block.total, rho=rho).value
+                    short = adversarial_hsic2_columns(gamma, block.total, rho * rho)[0]
                     assert short == pytest.approx(direct, rel=1e-12)
 
     def test_accepts_n_and_unit_rho(self):
-        by_n = adversarial_hsic2(1.0, 2, n=4)
-        assert by_n.value == pytest.approx(adversarial_hsic2(1.0, 2, rho=0.5).value, rel=1e-15)
-        assert adversarial_hsic2(1.0, 2, n=1).value > 0  # rho = 1 stays finite
+        for n in (1, 2, 4, 1000):
+            assert adversarial_hsic2(1.0, 2, n) == adversarial_hsic2_columns(1.0, 2, 1.0 / n)[0]
+        assert adversarial_hsic2(1.0, 2, 1) > 0  # rho = 1 stays finite
 
     def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            adversarial_hsic2(1.0, 2)
-        with pytest.raises(ValueError):
-            adversarial_hsic2(1.0, 2, rho=0.5, n=4)
-        with pytest.raises(ValueError):
-            adversarial_hsic2(1.0, 2, rho=1.5)
-        with pytest.raises(ValueError):
-            adversarial_hsic2(1.0, 1, rho=0.5)
+        for gamma, d, n in ((1.0, 2, 0), (1.0, 2, 2.5), (1.0, 1, 4), (0.0, 2, 4)):
+            with pytest.raises(ValueError):
+                adversarial_hsic2(gamma, d, n)
 
 
 class TestMinimaxConstant:
@@ -208,7 +209,7 @@ class TestMinimaxConstant:
             for d in (2, 3, 4):
                 c = minimax_constant(gamma, d)
                 for n in (1, 2, 16, 1000):
-                    assert adversarial_hsic2(gamma, d, n=n).hsic >= 2 * c / math.sqrt(n)
+                    assert math.sqrt(adversarial_hsic2(gamma, d, n)) >= 2 * c / math.sqrt(n)
 
 
 class TestFc:

@@ -274,6 +274,12 @@ class TestAnalytic:
         assert stdout == ""
         assert stderr == "error: --format is read only with --output\n"
 
+    def test_header_without_input_is_usage_error(self, capsys):
+        assert main(["analytic", "--blocks", "1,1", "--rho", "0.5", "--header"]) == 3
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr == "error: --header is read only with --input\n"
+
     # printed by the direct determinant form, before gamma was factored out
     DIRECT_RHO05 = {
         "0.5": (0.008492518136382854, 0.09215485953753526, 0.5163977794943222, 0.49999999999999994, 0.5039526306789697),
@@ -786,6 +792,18 @@ class TestWithoutScipy:
         assert child.returncode == 0, child.stderr
         result = json.loads(child.stdout.splitlines()[-1])
         assert result == {"codes": [0, 0, 0, 0], "loaded": ["scipy"], "blocked": True}
+
+
+class TestReadme:
+    def test_library_tour_runs_as_written(self, capsys):
+        # the one python block of the README, with any warning an error
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(path, encoding="utf-8") as handle:
+            (tour,) = re.findall(r"^```python\n(.*?)^```$", handle.read(), re.S | re.M)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exec(compile(tour, "README.md", "exec"), {"__name__": "readme"})
+        assert capsys.readouterr().out.splitlines()[-1] == "0.10471529247895256"
 
 
 class TestLibraryShape:

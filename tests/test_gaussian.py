@@ -175,8 +175,8 @@ class TestKlGaussians:
             kl_gaussians(GaussianMeasure.standard(2), GaussianMeasure.standard(3))
 
     def test_adversarial_pair_per_sample_scales_to_exact(self):
-        pair = build_pair(2, 1.0, B11)
-        total = 2 * kl_gaussians(pair.p1, pair.p0)
+        null, alt = build_pair(2, B11)
+        total = 2 * kl_gaussians(alt, null)
         assert total == pytest.approx(0.25 + math.log(2.0), rel=1e-10)
 
 
@@ -207,9 +207,9 @@ class TestKlAdversarial:
 
     def test_product_additivity(self):
         for n in (2, 7, 64, 500):
-            pair = build_pair(n, 1.0, B11)
-            assert n * kl_gaussians(pair.p1, pair.p0) == pytest.approx(
-                kl_adversarial_exact(n, pair.rho), rel=1e-10
+            null, alt = build_pair(n, B11)
+            assert n * kl_gaussians(alt, null) == pytest.approx(
+                kl_adversarial_exact(n, 1.0 / math.sqrt(n)), rel=1e-10
             )
 
     def test_argument_validation(self):

@@ -38,27 +38,27 @@ B11 = BlockStructure((1, 1))
 
 class TestBuildPair:
     def test_worked_values_at_n_two(self):
-        pair = build_pair(2, 1.0, B11)
-        assert np.allclose(pair.p1.mean, np.full(2, 1.0 / (2.0 * math.sqrt(2.0))), atol=1e-15)
-        assert pair.rho == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
-        assert np.array_equal(pair.p0.mean, np.zeros(2))
-        assert np.array_equal(pair.p0.cov, np.eye(2))
-        assert pair.p1.cov[0, 1] == pair.rho
+        null, alt = build_pair(2, B11)
+        assert np.allclose(alt.mean, np.full(2, 1.0 / (2.0 * math.sqrt(2.0))), atol=1e-15)
+        assert alt.cov[0, 1] == alt.cov[1, 0] == 1.0 / math.sqrt(2.0)
+        assert np.array_equal(null.mean, np.zeros(2))
+        assert np.array_equal(null.cov, np.eye(2))
 
     def test_budget_one_hundred(self):
-        pair = build_pair(100, 1.0, B11)
-        assert pair.rho == pytest.approx(0.1, rel=1e-15)
-        kl = kl_adversarial_exact(100, pair.rho)
+        _, alt = build_pair(100, B11)
+        rho = alt.cov[0, 1]
+        assert rho == pytest.approx(0.1, rel=1e-15)
+        kl = kl_adversarial_exact(100, rho)
         assert kl == pytest.approx(0.005 + 50.0 * math.log(1.0 / 0.99), rel=1e-12)
         assert kl <= 1.25
 
     def test_null_distribution_is_independent(self):
-        pair = build_pair(32, 1.0, B11)
-        assert hsic2_gaussian(pair.p0, B11, 1.0).value == 0.0
+        null, _ = build_pair(32, B11)
+        assert hsic2_gaussian(null, B11, 1.0).value == 0.0
 
     def test_rejects_budget_below_two(self):
         with pytest.raises(ValueError):
-            build_pair(1, 1.0, B11)
+            build_pair(1, B11)
 
 
 def risk_at(est, n, reps, seed, block=B11):
@@ -78,14 +78,14 @@ class TestRiskSim:
         assert result.sup_risk >= max(result.null.rmse, result.alt.rmse) - 1e-15
 
     def test_null_error_equals_estimate(self):
-        pair = build_pair(16, 1.0, B11)
-        reps, seed = 3, 99
-        result = risk_at(Estimator("v", "v"), pair.n, reps, seed)
+        n, reps, seed = 16, 3, 99
+        null, _ = build_pair(n, B11)
+        result = risk_at(Estimator("v", "v"), n, reps, seed)
         pk = ProductKernel.homogeneous(B11, KernelFamily.GAUSSIAN, 1.0)
-        risk_seed = rnglib.derive(seed, "risk", pair.n)
+        risk_seed = rnglib.derive(seed, "risk", n)
         manual = []
         for r in range(reps):
-            ds = sample(pair.p0, pair.n, rnglib.derive(risk_seed, "null", r), B11)
+            ds = sample(null, n, rnglib.derive(risk_seed, "null", r), B11)
             manual.append(math.sqrt(max(0.0, hsic_v(pk, ds))))
         assert result.null.true_hsic == 0.0
         assert result.null.mean_error == pytest.approx(float(np.mean(manual)), abs=1e-15)
@@ -148,7 +148,7 @@ class TestHarnessEqualsLibrary:
         config = ExperimentConfig(gamma=1.0, block=block, n_grid=(n,), estimators=estimators, reps=reps, seed=seed)
         (record,) = run_experiment(config).records
         risk_seed = rnglib.derive(seed, "risk", n)
-        pair = build_pair(n, 1.0, block)
+        null, alt = build_pair(n, block)
 
         # a stack holds more than one replicate, and both kinds see the same stacks
         assert max(len(values) for values, _ in calls["stats"]) > 1
@@ -159,7 +159,7 @@ class TestHarnessEqualsLibrary:
         picks = [p for _, chunk, _ in calls["nystrom"] for p in chunk]
         nystrom = [v for _, _, chunk in calls["nystrom"] for v in chunk]
         assert len(datasets) == len(stats) == len(picks) == len(nystrom) == 2 * reps
-        labelled = [(label, measure, r) for label, measure in (("null", pair.p0), ("alt", pair.p1)) for r in range(reps)]
+        labelled = [(label, measure, r) for label, measure in (("null", null), ("alt", alt)) for r in range(reps)]
         errors = {"v": [], "u": []}
         for (label, measure, r), ds, st, rows, ny in zip(labelled, datasets, stats, picks, nystrom):
             alone = sample(measure, n, rnglib.derive(risk_seed, label, r), block)
@@ -312,8 +312,8 @@ class TestCertificateTable:
                 # the public scalar forms are views of the same formulas
                 assert cols["kl_exact"][i] == kl_adversarial_exact(n, rho)
                 assert cols["kl_bound"][i] == kl_adversarial_bound(n, rho)
-                assert cols["hsic2"][i] == adversarial_hsic2(gamma, d, n=n).value
-                assert cols["analytic_gap"][i] == adversarial_hsic2(gamma, d, n=n).hsic
+                assert cols["hsic2"][i] == adversarial_hsic2(gamma, d, n)
+                assert cols["analytic_gap"][i] == math.sqrt(adversarial_hsic2(gamma, d, n))
             assert [ineq.family for ineq in inequalities] == [family[0] for family in lecam.CERTIFICATE_FAMILIES]
             assert all(ineq.ok for ineq in inequalities)
 
