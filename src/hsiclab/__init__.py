@@ -50,7 +50,6 @@ from .lecam import (
     ExperimentConfig,
     ExperimentReport,
     RateFit,
-    RiskResult,
     build_pair,
     rate_fit,
     run_experiment,
@@ -74,7 +73,6 @@ __all__ = [
     "KernelSpec",
     "ProductKernel",
     "RateFit",
-    "RiskResult",
     "adversarial_hsic2",
     "block_stats",
     "block_stats_batch",

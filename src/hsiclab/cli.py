@@ -138,8 +138,11 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-def _require_nystrom_for_landmarks(kinds: list[str] | None, landmarks: int | None) -> None:
-    if landmarks is not None and "nystrom" not in (kinds or ()):
+def _require_nystrom_for_landmarks(kinds: list[str], landmarks: int | None) -> None:
+    """--est nystrom and --landmarks come together or not at all."""
+    if "nystrom" in kinds and landmarks is None:
+        raise CliError(EXIT_USAGE, "nystrom estimator requires --landmarks")
+    if landmarks is not None and "nystrom" not in kinds:
         raise CliError(EXIT_USAGE, "--landmarks is read only with --est nystrom")
 
 
@@ -267,8 +270,6 @@ def cmd_estimate(args) -> int:
     gammas = _gammas_for(block, args.gamma)
     kinds = args.est or ["v"]
     _require_nystrom_for_landmarks(kinds, args.landmarks)
-    if "nystrom" in kinds and args.landmarks is None:
-        raise CliError(EXIT_USAGE, "nystrom estimator requires --landmarks")
     data = read_dataset(args.input, block, header=args.header)
 
     if args.median_gamma:
@@ -372,12 +373,12 @@ def cmd_minimax(args) -> int:
     gamma = _single_gamma(args.gamma)
     seed = _check_seed(args.seed)
     n_grid = _parse_n_grid(args.n_grid) if args.n_grid else DEFAULT_N_GRID
-    if len(n_grid) < 3:
-        raise CliError(EXIT_USAGE, "rate fit needs ≥ 3 grid points")
-    _require_nystrom_for_landmarks(args.est, args.landmarks)
+    if len(set(n_grid)) < 3:
+        raise CliError(EXIT_USAGE, "rate fit needs ≥ 3 distinct grid points")
+    kinds = list(dict.fromkeys(args.est or ["v", "u"]))
+    _require_nystrom_for_landmarks(kinds, args.landmarks)
     estimators = tuple(
-        Estimator(name=kind, kind=kind, landmarks=args.landmarks if kind == "nystrom" else None)
-        for kind in dict.fromkeys(args.est or ["v", "u"])
+        Estimator(name=kind, kind=kind, landmarks=args.landmarks if kind == "nystrom" else None) for kind in kinds
     )
     report = run_experiment(ExperimentConfig(gamma, block, n_grid, estimators, args.reps, seed))
 
@@ -387,14 +388,15 @@ def cmd_minimax(args) -> int:
             base = base[: -len(suffix)]
     _write_text(base + ".json", _json_text(report.to_dict()))
 
-    # the CLI always runs at least one estimator, so every record has risks
+    # one row per budget and estimator, budgets outer; the CLI always runs
+    # at least one estimator
     rows = [
-        (rec.n, rec.rho, name, risk.sup_risk, risk.sup_exceed_prob, risk.null.rmse, risk.alt.rmse)
-        + (risk.threshold, rec.kl_exact, rec.kl_bound, rec.analytic_gap, rec.gap_floor)
-        for rec in report.records
-        for name, risk in rec.risks.items()
+        {"n": n, "estimator": name, **{key: column[i] for key, column in {**report.columns, **risk}.items()}}
+        for i, n in enumerate(report.config.n_grid)
+        for name, risk in report.risks.items()
     ]
-    _write_text(base + ".csv", _csv_text(MINIMAX_CSV_COLUMNS, zip(*rows)))
+    table = ([row[key] for row in rows] for key in MINIMAX_CSV_COLUMNS)
+    _write_text(base + ".csv", _csv_text(MINIMAX_CSV_COLUMNS, table))
 
     for name, fit in report.rate_fits.items():
         print(f"rate fit [{name}]: slope={fit.slope:.4f} r2={fit.r_squared:.4f}")

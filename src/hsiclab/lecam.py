@@ -8,7 +8,7 @@ draws, and fits the empirical convergence rate on a log-log scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -23,6 +23,10 @@ from .kernels import KernelFamily, ProductKernel
 KL_BUDGET = 1.25
 DEFAULT_N_GRID = (64, 128, 256, 512, 1024, 2048, 4096)
 ESTIMATOR_KINDS = ("v", "u", "nystrom")
+# each estimator's risk columns in an ExperimentReport, one float per budget
+RISK_COLUMNS = ("sup_risk", "exceed_prob", "rmse_null", "rmse_alt")
+# the report columns each JSON record carries after its n
+RECORD_COLUMNS = ("rho", "kl_exact", "kl_bound", "analytic_gap", "minimax_c", "gap_floor")
 # certificate families as (family, statement, margin column): each one
 # asserts margin >= 0 at every budget
 CERTIFICATE_FAMILIES = (
@@ -50,8 +54,8 @@ class Estimator:
         if self.kind not in ESTIMATOR_KINDS:
             raise ValueError(f"kind must be one of {ESTIMATOR_KINDS}, got {self.kind!r}")
         if self.kind == "nystrom":
-            if self.landmarks is None or self.landmarks < 2:
-                raise ValueError("nystrom estimator needs a landmark count >= 2")
+            if self.landmarks is None:
+                raise ValueError("the nystrom kind needs a landmark count")
         elif self.landmarks is not None:
             raise ValueError(f"landmarks only apply to the nystrom kind, not {self.kind!r}")
 
@@ -159,36 +163,6 @@ def certificate_table(
     return columns, tuple(rows)
 
 
-@dataclass(frozen=True)
-class DistributionRisk:
-    """Risk summary of one estimator under one member of the pair."""
-
-    label: str
-    true_hsic: float
-    mean_error: float
-    rmse: float
-    exceed_prob: float
-
-
-@dataclass(frozen=True)
-class RiskResult:
-    """Risk of one estimator at one sample budget, worst case over the pair."""
-
-    estimator: str
-    n: int
-    threshold: float
-    null: DistributionRisk
-    alt: DistributionRisk
-
-    @property
-    def sup_risk(self) -> float:
-        return max(self.null.rmse, self.alt.rmse)
-
-    @property
-    def sup_exceed_prob(self) -> float:
-        return max(self.null.exceed_prob, self.alt.exceed_prob)
-
-
 def _validate_estimators(estimators: tuple[Estimator, ...], block: BlockStructure, n_min: int) -> None:
     """Fail before any replicate is drawn: each estimator's own rules, checked
     at the smallest budget (every rule holds at all larger ones too)."""
@@ -207,7 +181,9 @@ def _validate_estimators(estimators: tuple[Estimator, ...], block: BlockStructur
             raise ValueError(f"estimator {est.name!r}: {exc}") from None
 
 
-def _simulate(config: ExperimentConfig, n: int, null: GaussianMeasure, alt: GaussianMeasure) -> dict[str, RiskResult]:
+def _simulate(
+    config: ExperimentConfig, n: int, null: GaussianMeasure, alt: GaussianMeasure, threshold: float
+) -> dict[str, list[tuple[float, float]]]:
     """Risk of the configured estimators at budget n over the pair (null,
     alt), from ``config.reps`` shared draws: every estimator sees the same
     datasets, and dataset streams are keyed by (seed, distribution,
@@ -219,18 +195,18 @@ def _simulate(config: ExperimentConfig, n: int, null: GaussianMeasure, alt: Gaus
     replicates (``rng.streams``) and drawn straight into stacks of ``stack_size(n)``
     replicates, which go through the estimators together.  Every dataset,
     landmark set and statistic is the one the library gives for the
-    replicate alone.  Errors are on the HSIC scale; ``run_experiment``
-    has checked ``reps`` and the estimators."""
+    replicate alone.  Errors are on the HSIC scale.  Returns, per estimator,
+    (rmse, exceedance frequency of ``threshold``) under the null and under
+    the alternative; ``run_experiment`` has checked ``reps`` and the
+    estimators."""
     estimators, reps, seed = config.estimators, config.reps, rng.derive(config.seed, "risk", n)
     pk = ProductKernel.homogeneous(config.block, KernelFamily.GAUSSIAN, config.gamma)
     needs_stats = any(est.kind in ("v", "u") for est in estimators)
-    threshold = minimax_constant(config.gamma, config.block.total) / math.sqrt(n)
     size = stack_size(n)
 
-    per_dist: dict[str, list[DistributionRisk]] = {est.name: [] for est in estimators}
+    per_dist: dict[str, list[tuple[float, float]]] = {est.name: [] for est in estimators}
     for label, measure in (("null", null), ("alt", alt)):
-        true_sq = hsic2_gaussian(measure, config.block, config.gamma).value
-        true_hsic = math.sqrt(max(0.0, true_sq))
+        true_hsic = hsic2_gaussian(measure, config.block, config.gamma).hsic
         # the error buffers are the only per-replicate state: a --reps too
         # large for memory fails here, and the seeds are derived lazily, as
         # the streams key them chunk by chunk
@@ -256,19 +232,8 @@ def _simulate(config: ExperimentConfig, n: int, null: GaussianMeasure, alt: Gaus
                 errors[est.name][r0 : r0 + count] = np.abs(np.subtract(est_hsic, true_hsic))
         for est in estimators:
             err = errors[est.name]
-            per_dist[est.name].append(
-                DistributionRisk(
-                    label=label,
-                    true_hsic=true_hsic,
-                    mean_error=float(err.mean()),
-                    rmse=float(np.sqrt(np.mean(err * err))),
-                    exceed_prob=float(np.mean(err >= threshold)),
-                )
-            )
-    return {
-        est.name: RiskResult(est.name, n, threshold, *per_dist[est.name])
-        for est in estimators
-    }
+            per_dist[est.name].append((float(np.sqrt(np.mean(err * err))), float(np.mean(err >= threshold))))
+    return per_dist
 
 
 @dataclass(frozen=True)
@@ -285,8 +250,8 @@ def rate_fit(ns, risks) -> RateFit:
     risks = np.asarray(risks, dtype=float)
     if ns.shape != risks.shape:
         raise ValueError(f"grid and risks disagree: {ns.shape} vs {risks.shape}")
-    if ns.size < 3:
-        raise ValueError("rate fit needs >= 3 grid points")
+    if len(set(ns.tolist())) < 3:
+        raise ValueError("rate fit needs ≥ 3 distinct grid points")
     if np.any(risks <= 0):
         raise ValueError("rate fit needs strictly positive risks")
     x = np.log(ns)
@@ -314,23 +279,16 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class PerNRecord:
-    """Certificates and risks at a single sample budget."""
-
-    n: int
-    rho: float
-    kl_exact: float
-    kl_bound: float
-    analytic_gap: float
-    minimax_c: float
-    gap_floor: float
-    risks: dict[str, RiskResult] = field(default_factory=dict)
-
-
-@dataclass(frozen=True, eq=False)
 class ExperimentReport:
+    """One run over the grid ``config.n_grid``, as columns of one float per
+    budget: ``columns`` holds the ``certificate_table`` columns, the
+    ``minimax_c`` constant and the risk ``threshold`` c/sqrt(n);
+    ``risks[name]`` holds an estimator's ``RISK_COLUMNS``, each sup being
+    the larger of the null and alternative values."""
+
     config: ExperimentConfig
-    records: tuple[PerNRecord, ...]
+    columns: dict[str, list[float]]
+    risks: dict[str, dict[str, list[float]]]
     rate_fits: dict[str, RateFit]
     inequalities: tuple[Inequality, ...]
     lecam_value: float
@@ -362,19 +320,11 @@ class ExperimentReport:
             },
             "records": [
                 {
-                    "n": rec.n,
-                    "rho": rec.rho,
-                    "kl_exact": rec.kl_exact,
-                    "kl_bound": rec.kl_bound,
-                    "analytic_gap": rec.analytic_gap,
-                    "minimax_c": rec.minimax_c,
-                    "gap_floor": rec.gap_floor,
-                    "sup_risk": {name: r.sup_risk for name, r in rec.risks.items()},
-                    "exceed_prob": {name: r.sup_exceed_prob for name, r in rec.risks.items()},
-                    "rmse_null": {name: r.null.rmse for name, r in rec.risks.items()},
-                    "rmse_alt": {name: r.alt.rmse for name, r in rec.risks.items()},
+                    "n": n,
+                    **{key: self.columns[key][i] for key in RECORD_COLUMNS},
+                    **{key: {name: risk[key][i] for name, risk in self.risks.items()} for key in RISK_COLUMNS},
                 }
-                for rec in self.records
+                for i, n in enumerate(cfg.n_grid)
             ],
             "certificates": dict(self.certificates),
             "rate_fits": {
@@ -391,31 +341,37 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     Deterministic in the configuration, including its seed.
     """
-    columns, inequalities = certificate_table(config.gamma, config.block, config.n_grid)
+    table, inequalities = certificate_table(config.gamma, config.block, config.n_grid)
     if config.reps < 2:
         raise ValueError(f"need at least 2 replicates, got {config.reps}")
     if config.estimators:
         _validate_estimators(config.estimators, config.block, min(config.n_grid))
 
     c = minimax_constant(config.gamma, config.block.total)
-    fields = ("rho", "kl_exact", "kl_bound", "analytic_gap", "gap_floor")
-    records = []
-    for n, cert in zip(config.n_grid, zip(*(columns[name].tolist() for name in fields))):
+    columns = {name: column.tolist() for name, column in table.items()}
+    columns["minimax_c"] = [c] * len(config.n_grid)
+    columns["threshold"] = [c / math.sqrt(n) for n in config.n_grid]
+    risks = {est.name: {key: [] for key in RISK_COLUMNS} for est in config.estimators}
+    for n, threshold in zip(config.n_grid, columns["threshold"]):
         null, alt = build_pair(n, config.block)
-        risks = _simulate(config, n, null, alt) if config.estimators else {}
-        records.append(PerNRecord(n=n, **dict(zip(fields, cert)), minimax_c=c, risks=risks))
+        simulated = _simulate(config, n, null, alt, threshold) if config.estimators else {}
+        for name, ((rmse_null, exceed_null), (rmse_alt, exceed_alt)) in simulated.items():
+            risk = risks[name]
+            risk["sup_risk"].append(max(rmse_null, rmse_alt))
+            risk["exceed_prob"].append(max(exceed_null, exceed_alt))
+            risk["rmse_null"].append(rmse_null)
+            risk["rmse_alt"].append(rmse_alt)
 
     rate_fits = {}
-    if len(config.n_grid) >= 3:
-        ns = [rec.n for rec in records]
-        for est in config.estimators:
-            risks = [rec.risks[est.name].sup_risk for rec in records]
-            if all(r > 0 for r in risks):
-                rate_fits[est.name] = rate_fit(ns, risks)
+    if len(set(config.n_grid)) >= 3:
+        for name, risk in risks.items():
+            if all(r > 0 for r in risk["sup_risk"]):
+                rate_fits[name] = rate_fit(config.n_grid, risk["sup_risk"])
 
     return ExperimentReport(
         config=config,
-        records=tuple(records),
+        columns=columns,
+        risks=risks,
         rate_fits=rate_fits,
         inequalities=inequalities,
         lecam_value=lecam_bound(KL_BUDGET),

@@ -367,7 +367,38 @@ class TestMinimax:
             ["minimax", "--blocks", "1,1", "--n-grid", "2", "--output", str(tmp_path / "x")]
         )
         assert code == 3
-        assert "rate fit needs ≥ 3 grid points" in capsys.readouterr().err
+        assert "rate fit needs ≥ 3 distinct grid points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["8,8,8", "8,8,16"])
+    def test_repeated_budgets_are_usage_error(self, tmp_path, grid):
+        # a fit through fewer than 3 distinct budgets reads r2 = 1, and numpy
+        # prints its RankWarning whatever the warning filters say
+        argv = ["-m", "hsiclab.cli", "minimax", "--blocks", "1,1", "--n-grid", grid, "--reps", "2", "--output", "x"]
+        child = run_fresh(argv, tmp_path)
+        assert (child.returncode, child.stdout) == (3, "")
+        assert child.stderr == "error: rate fit needs ≥ 3 distinct grid points\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_csv_rows_equal_json_records(self, tmp_path, capsys):
+        base = tmp_path / "agree"
+        ests = ["v", "u", "nystrom"]
+        argv = ["minimax", "--blocks", "2,2", "--n-grid", "8,16,32", "--reps", "3", "--landmarks", "4"]
+        assert main(argv + [arg for est in ests for arg in ("--est", est)] + ["--output", str(base)]) == 0
+        capsys.readouterr()
+        payload = json.loads(base.with_suffix(".json").read_text())
+        with open(base.with_suffix(".csv"), newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert tuple(rows[0]) == cli.MINIMAX_CSV_COLUMNS
+        # budgets outer, estimators inner in --est order
+        assert [(int(row["n"]), row["estimator"]) for row in rows] == [(n, est) for n in (8, 16, 32) for est in ests]
+        records = {rec["n"]: rec for rec in payload["records"]}
+        for row in rows:
+            rec, est = records[int(row["n"])], row["estimator"]
+            for key in ("rho", "kl_exact", "kl_bound", "analytic_gap", "gap_floor"):
+                assert float(row[key]) == rec[key], key
+            for key in ("sup_risk", "exceed_prob", "rmse_null", "rmse_alt"):
+                assert float(row[key]) == rec[key][est], key
+            assert float(row["threshold"]) == rec["minimax_c"] / math.sqrt(rec["n"])
 
     def test_injected_certificate_failure_names_family_and_n(self, tmp_path, monkeypatch, capsys):
         # kl_bound is 0.5646 at n = 16 and 0.5317 at n = 32, below 0.53 from n = 64 on
@@ -515,9 +546,14 @@ class TestInputContract:
         assert err.value.code == 2
 
     def test_invalid_landmarks_is_usage_error(self, tmp_path, capsys):
-        argv = ["minimax", "--blocks", "1,1", "--est", "nystrom", "--landmarks", "1", "--n-grid", "8,16,32"]
-        assert main(argv + ["--reps", "2", "--output", str(tmp_path / "x")]) == 3
-        assert "landmark count >= 2" in capsys.readouterr().err
+        argv = ["minimax", "--blocks", "1,1", "--est", "nystrom", "--n-grid", "8,16,32", "--reps", "2"]
+        argv += ["--output", str(tmp_path / "x")]
+        # the same line as estimate's for a missing --landmarks
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", "error: nystrom estimator requires --landmarks\n")
+        assert main(argv + ["--landmarks", "1"]) == 3
+        assert capsys.readouterr() == ("", "error: estimator 'nystrom': need at least 2 landmarks, got 1\n")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("subcommand", ["minimax", "certify"])
     def test_huge_n_grid_is_usage_error_before_allocating(self, tmp_path, capsys, subcommand):
@@ -807,6 +843,11 @@ class TestReadme:
 
 
 class TestLibraryShape:
+    HEAVY = ("scipy", "numpy.ma", "decimal", "fractions", "statistics", "multiprocessing", "subprocess", "importlib.metadata")
+
+    def heavy_modules(self, added):
+        return [name for name in added if any(name == h or name.startswith(h + ".") for h in self.HEAVY)]
+
     def test_no_module_reads_another_modules_private_names(self):
         # neither "from .x import _name" nor "x._name" on a module of the package
         src = os.path.dirname(cli.__file__)
@@ -854,8 +895,24 @@ class TestLibraryShape:
         assert child.returncode == 0, child.stderr
         added = json.loads(child.stdout)
         assert "hsiclab.cli" in added
-        heavy = ("scipy", "numpy.ma", "decimal", "fractions", "statistics", "multiprocessing", "subprocess", "importlib.metadata")
-        assert [name for name in added if any(name == h or name.startswith(h + ".") for h in heavy)] == []
+        assert self.heavy_modules(added) == []
+
+    def test_minimax_run_loads_no_heavy_module(self, tmp_path):
+        # a module a run imports stays resident: numpy.ma alone, which
+        # np.unique imports, raised the benchmark's peak RSS by 4 MB
+        script = (
+            "import json, sys\n"
+            "from hsiclab.cli import main\n"
+            "before = set(sys.modules)\n"
+            "code = main(['minimax', '--blocks', '2,2', '--n-grid', '8,16,32', '--reps', '2', '--est', 'v',"
+            " '--est', 'u', '--est', 'nystrom', '--landmarks', '4'])\n"
+            "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
+        )
+        child = run_fresh(["-c", script], tmp_path)
+        assert child.returncode == 0, child.stderr
+        code, added = json.loads(child.stdout.splitlines()[-1])
+        assert code == 0
+        assert self.heavy_modules(added) == []
 
 
 class TestCsvDocuments:

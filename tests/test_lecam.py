@@ -62,20 +62,18 @@ class TestBuildPair:
 
 
 def risk_at(est, n, reps, seed, block=B11):
-    """The risk of one estimator from a one-budget run; the simulation there
-    is seeded with rng.derive(seed, "risk", n)."""
+    """The risk columns of one estimator from a one-budget run, as one
+    float each; the simulation there is seeded with rng.derive(seed, "risk", n)."""
     config = ExperimentConfig(gamma=1.0, block=block, n_grid=(n,), estimators=(est,), reps=reps, seed=seed)
-    (record,) = run_experiment(config).records
-    return record.risks[est.name]
+    return {key: value for key, (value,) in run_experiment(config).risks[est.name].items()}
 
 
 class TestRiskSim:
     def test_minimal_replicates_are_legal(self):
         result = risk_at(Estimator("v", "v"), 16, 2, 7)
-        for summary in (result.null, result.alt):
-            assert math.isfinite(summary.rmse)
-            assert 0.0 <= summary.exceed_prob <= 1.0
-        assert result.sup_risk >= max(result.null.rmse, result.alt.rmse) - 1e-15
+        assert math.isfinite(result["rmse_null"]) and math.isfinite(result["rmse_alt"])
+        assert 0.0 <= result["exceed_prob"] <= 1.0
+        assert result["sup_risk"] == max(result["rmse_null"], result["rmse_alt"])
 
     def test_null_error_equals_estimate(self):
         n, reps, seed = 16, 3, 99
@@ -87,8 +85,9 @@ class TestRiskSim:
         for r in range(reps):
             ds = sample(null, n, rnglib.derive(risk_seed, "null", r), B11)
             manual.append(math.sqrt(max(0.0, hsic_v(pk, ds))))
-        assert result.null.true_hsic == 0.0
-        assert result.null.mean_error == pytest.approx(float(np.mean(manual)), abs=1e-15)
+        # the null's true HSIC is 0, so each error is the estimate itself
+        manual = np.array(manual)
+        assert result["rmse_null"] == pytest.approx(float(np.sqrt(np.mean(manual * manual))), abs=1e-15)
 
     def test_estimator_validation(self):
         with pytest.raises(ValueError):
@@ -106,7 +105,7 @@ class TestRiskSim:
 
     def test_nystrom_kind_runs(self):
         result = risk_at(Estimator("ny", "nystrom", landmarks=8), 16, 2, 3)
-        assert math.isfinite(result.sup_risk)
+        assert math.isfinite(result["sup_risk"])
 
 
 class TestHarnessEqualsLibrary:
@@ -146,7 +145,7 @@ class TestHarnessEqualsLibrary:
         monkeypatch.setattr(lecam, "hsic_nystrom_batch", nystrom_batch)
         estimators = (Estimator("v", "v"), Estimator("u", "u"), Estimator("ny", "nystrom", landmarks=landmarks))
         config = ExperimentConfig(gamma=1.0, block=block, n_grid=(n,), estimators=estimators, reps=reps, seed=seed)
-        (record,) = run_experiment(config).records
+        risks = run_experiment(config).risks
         risk_seed = rnglib.derive(seed, "risk", n)
         null, alt = build_pair(n, block)
 
@@ -171,15 +170,14 @@ class TestHarnessEqualsLibrary:
                 expected_rows = rnglib.stream(nystrom_seed, "landmarks", m).choice(n, size=landmarks, replace=False)
                 assert np.array_equal(rows[m], expected_rows)
             assert ny == hsic_nystrom(pk, alone, landmarks, nystrom_seed)
-            true_hsic = math.sqrt(max(0.0, hsic2_gaussian(measure, block, 1.0).value))
+            true_hsic = hsic2_gaussian(measure, block, 1.0).hsic
             errors["v"].append(abs(math.sqrt(max(0.0, hsic_v(pk, alone))) - true_hsic))
             errors["u"].append(abs(math.sqrt(max(0.0, hsic_u(pk, alone))) - true_hsic))
         # the reported risks are those of the library's values
         for name, err in errors.items():
             null, alt = np.array(err[:reps]), np.array(err[reps:])
-            assert record.risks[name].null.mean_error == float(null.mean())
-            assert record.risks[name].null.rmse == float(np.sqrt(np.mean(null * null)))
-            assert record.risks[name].alt.rmse == float(np.sqrt(np.mean(alt * alt)))
+            assert risks[name]["rmse_null"] == [float(np.sqrt(np.mean(null * null)))]
+            assert risks[name]["rmse_alt"] == [float(np.sqrt(np.mean(alt * alt)))]
 
 
 class TestRateFit:
@@ -202,6 +200,9 @@ class TestRateFit:
             rate_fit([10, 100, 1000], [1.0, 0.0, 0.1])
         with pytest.raises(ValueError):
             rate_fit([10, 100, 1000], [1.0, 0.1])
+        # three points through two distinct budgets fit a line exactly
+        with pytest.raises(ValueError, match="^rate fit needs ≥ 3 distinct grid points$"):
+            rate_fit([8, 8, 16], [0.3, 0.2, 0.1])
 
 
 class TestRunExperiment:
@@ -221,19 +222,23 @@ class TestRunExperiment:
 
     def test_report_structure_and_certificates(self):
         report = run_experiment(self.CONFIG)
-        assert [rec.n for rec in report.records] == [16, 32, 64]
+        assert list(report.risks) == ["v", "ny"]
+        for columns in (report.columns, *report.risks.values()):
+            assert all(len(column) == 3 and all(type(v) is float for v in column) for column in columns.values())
         assert report.certificates == {"kl_budget": True, "hsic_gap": True}
         assert report.lecam_value == pytest.approx(lecam_bound(1.25), abs=1e-15)
         assert set(report.rate_fits) <= {"v", "ny"}
-        for rec in report.records:
-            assert rec.kl_exact <= rec.kl_bound <= 1.25
-            assert rec.analytic_gap >= rec.gap_floor
+        cols = report.columns
+        for i in range(3):
+            assert cols["kl_exact"][i] <= cols["kl_bound"][i] <= 1.25
+            assert cols["analytic_gap"][i] >= cols["gap_floor"][i]
 
     def test_empty_estimator_list_gives_analytic_report(self):
         config = ExperimentConfig(gamma=1.0, block=B11, n_grid=(4, 8, 16), reps=2, seed=0)
         report = run_experiment(config)
         assert report.rate_fits == {}
-        assert all(rec.risks == {} for rec in report.records)
+        assert report.risks == {}
+        assert all(record["sup_risk"] == {} for record in report.to_dict()["records"])
         assert all(report.certificates.values())
 
     def test_grid_validation(self):
@@ -241,6 +246,9 @@ class TestRunExperiment:
             run_experiment(ExperimentConfig(gamma=1.0, block=B11, n_grid=(), reps=2))
         with pytest.raises(ValueError):
             run_experiment(ExperimentConfig(gamma=1.0, block=B11, n_grid=(1, 4, 8), reps=2))
+        # two distinct budgets give no rate fit, however often one repeats
+        config = ExperimentConfig(gamma=1.0, block=B11, n_grid=(8, 8, 16), estimators=(Estimator("v", "v"),), reps=2)
+        assert run_experiment(config).rate_fits == {}
 
 
 # the gamma x blocks combinations of the benchmark's certify sweep, and
@@ -393,6 +401,8 @@ class TestCertificateTable:
         report = run_experiment(ExperimentConfig(gamma=1.0, block=B11, n_grid=(4, 8, 16), reps=2))
         columns, inequalities = certificate_table(1.0, B11, (4, 8, 16))
         assert report.inequalities == inequalities
-        for i, rec in enumerate(report.records):
-            assert rec.kl_exact == columns["kl_exact"][i]
-            assert rec.gap_floor == columns["gap_floor"][i]
+        for name, column in columns.items():
+            assert report.columns[name] == column.tolist()
+        c = minimax_constant(1.0, 2)
+        assert report.columns["minimax_c"] == [c] * 3
+        assert report.columns["threshold"] == [c / math.sqrt(n) for n in (4, 8, 16)]
