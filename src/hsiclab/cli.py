@@ -244,7 +244,9 @@ def _csv_text(header, columns) -> str:
 
 
 def _median_heuristic(spec_family: KernelFamily, block_values: np.ndarray, seed: int) -> float:
-    """Bandwidth suggestion 1/median of pairwise (squared or l1) distances."""
+    """Bandwidth suggestion 1/median of pairwise (squared or l1) distances:
+    the exact median of the positive strict-upper-triangle lags, found by one
+    selection."""
     x = block_values
     if x.shape[0] > MEDIAN_HEURISTIC_CAP:
         idx = rng.stream(seed, "median").choice(x.shape[0], size=MEDIAN_HEURISTIC_CAP, replace=False)
@@ -252,15 +254,28 @@ def _median_heuristic(spec_family: KernelFamily, block_values: np.ndarray, seed:
     m = x.shape[0]
     positive = np.empty(m * (m - 1) // 2)
     count = 0
-    # strict upper triangle, one row tile at a time; the median ignores order
+    # strict upper triangle, one row tile at a time into one pair of buffers:
+    # the diagonal and lower triangle of a tile's t x t head are zeroed, so
+    # "lags > 0" keeps the triangle's positive lags, row-major
+    out, scratch = np.empty(TILE_ROWS * m), np.empty(TILE_ROWS * m)
+    lower = np.tri(TILE_ROWS, dtype=bool)
     for i0 in range(0, m, TILE_ROWS):
-        lags = lag_sum(spec_family, x[i0 : i0 + TILE_ROWS], x[i0:])
-        picked = lags[np.triu(lags > 0, k=1)]
+        t, width = min(TILE_ROWS, m - i0), m - i0
+        tile_out, tile_scratch = (buf[: t * width].reshape(t, width) for buf in (out, scratch))
+        lags = lag_sum(spec_family, x[i0 : i0 + t], x[i0:], tile_out, tile_scratch)
+        np.copyto(lags[:, :t], 0.0, where=lower[:t, :t])
+        picked = lags[lags > 0]
         positive[count : count + picked.size] = picked
         count += picked.size
     if count == 0:
         return float("nan")
-    return float(1.0 / np.median(positive[:count], overwrite_input=True))
+    # np.median's value, the mean of the two middle order statistics when
+    # count is even, from a single-kth partition
+    k = count // 2
+    p = positive[:count]
+    p.partition(k)
+    median = p[k] if count % 2 else (p[:k].max() + p[k]) / 2
+    return float(1.0 / median)
 
 
 def cmd_estimate(args) -> int:
@@ -373,7 +388,7 @@ def cmd_minimax(args) -> int:
     gamma = _single_gamma(args.gamma)
     seed = _check_seed(args.seed)
     n_grid = _parse_n_grid(args.n_grid) if args.n_grid else DEFAULT_N_GRID
-    if len(set(n_grid)) < 3:
+    if len(n_grid) < 3:
         raise CliError(EXIT_USAGE, "rate fit needs ≥ 3 distinct grid points")
     kinds = list(dict.fromkeys(args.est or ["v", "u"]))
     _require_nystrom_for_landmarks(kinds, args.landmarks)

@@ -341,6 +341,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     Deterministic in the configuration, including its seed.
     """
+    budgets = sorted(config.n_grid)
+    repeated = [a for a, b in zip(budgets, budgets[1:]) if a == b]
+    if repeated:
+        # a repeat would be simulated again with the same seed and weigh
+        # twice in the rate fit
+        raise ValueError(f"grid budgets must be distinct, got {repeated[0]} more than once")
     table, inequalities = certificate_table(config.gamma, config.block, config.n_grid)
     if config.reps < 2:
         raise ValueError(f"need at least 2 replicates, got {config.reps}")
@@ -363,7 +369,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             risk["rmse_alt"].append(rmse_alt)
 
     rate_fits = {}
-    if len(set(config.n_grid)) >= 3:
+    if len(config.n_grid) >= 3:
         for name, risk in risks.items():
             if all(r > 0 for r in risk["sup_risk"]):
                 rate_fits[name] = rate_fit(config.n_grid, risk["sup_risk"])

@@ -38,7 +38,13 @@ def mmd2_spectral(
     if n_freq < 2:
         raise ValueError(f"need at least 2 frequencies, got {n_freq}")
     omegas = spectral_sample(spec, g1.d, n_freq, seed)
-    values = np.abs(char_fn(g1, omegas) - char_fn(g2, omegas)) ** 2
+    # past gamma of about 1e306 a Laplace draw may be +-inf, where both
+    # characteristic functions (of positive definite covariances) vanish:
+    # such a frequency takes the integrand's limit 0
+    finite = np.isfinite(omegas).all(axis=1)
+    kept = omegas[finite]
+    values = np.zeros(omegas.shape[0])
+    values[finite] = np.abs(char_fn(g1, kept) - char_fn(g2, kept)) ** 2
     return _mean_and_se(values)
 
 

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hsiclab import BlockStructure, Dataset, KernelFamily, ProductKernel, cli, hsic_u, hsic_v, lecam
+from hsiclab import BlockStructure, Dataset, KernelFamily, ProductKernel, cli, hsic_u, hsic_v, lecam, rng
 from hsiclab.cli import main, read_dataset
 
 B11 = BlockStructure((1, 1))
@@ -125,6 +125,42 @@ class TestEstimate:
             upper = dists[np.triu_indices(len(cols), k=1)]
             expected = float(1.0 / np.median(upper[upper > 0]))
             assert f"median-heuristic gamma for block {m}: {expected!r} (not applied)" in out
+
+    # 2..7 rows give 1, 3, 6, 10, 15 and 21 pairs, odd and even counts; the
+    # rounded rows tie often; 130 rows leave a short last tile; 2100 rows
+    # are subsampled to the cap, and the cap's 2096128 pairs are even
+    MEDIAN_CASES = {
+        **{f"rows{m}": np.random.default_rng(m).normal(size=(m, 3)) for m in range(2, 8)},
+        "ties": np.random.default_rng(8).normal(size=(150, 3)).round(0),
+        "equal": np.ones((20, 3)),
+        "short_tile": np.random.default_rng(9).normal(size=(130, 3)),
+        "over_cap_seed0": np.random.default_rng(10).normal(size=(2100, 3)),
+        "over_cap_seed5": np.random.default_rng(10).normal(size=(2100, 3)),
+    }
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "laplace"])
+    @pytest.mark.parametrize("case", sorted(MEDIAN_CASES))
+    def test_median_gamma_is_the_dense_median(self, tmp_path, capsys, case, kernel):
+        x = self.MEDIAN_CASES[case]
+        seed = 5 if case.endswith("seed5") else 0
+        path = tmp_path / "rows.csv"
+        write_csv(path, x.tolist())
+        argv = ["estimate", "--input", str(path), "--blocks", "2,1", "--kernel", kernel, "--seed", str(seed)]
+        assert main(argv + ["--median-gamma", "--output", str(tmp_path / "o.json")]) == 0
+        out = capsys.readouterr().out
+        if len(x) > cli.MEDIAN_HEURISTIC_CAP:
+            x = x[rng.stream(seed, "median").choice(len(x), size=cli.MEDIAN_HEURISTIC_CAP, replace=False)]
+        for m, cols in enumerate((x[:, :2], x[:, 2:])):
+            # one coordinate at a time, in lag_sum's order, without an
+            # (m, m, d) difference tensor
+            diffs = (c[:, None] - c[None, :] for c in cols.T)
+            dists = sum(diff**2 if kernel == "gaussian" else abs(diff) for diff in diffs)
+            upper = dists[np.triu_indices(len(cols), k=1)]
+            positive = upper[upper > 0]
+            expected = float(1.0 / np.median(positive)) if positive.size else float("nan")
+            assert f"median-heuristic gamma for block {m}: {expected!r} (not applied)" in out
+        if case == "equal":
+            assert out.count("(not applied)") == out.count(": nan (not applied)") == 2
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_stdout_follows_format(self, two_col_csv, tmp_path, capsys, fmt):
@@ -369,14 +405,16 @@ class TestMinimax:
         assert code == 3
         assert "rate fit needs ≥ 3 distinct grid points" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("grid", ["8,8,8", "8,8,16"])
+    @pytest.mark.parametrize("grid", ["8,8,8", "8,8,16", "8,8,16,32"])
     def test_repeated_budgets_are_usage_error(self, tmp_path, grid):
-        # a fit through fewer than 3 distinct budgets reads r2 = 1, and numpy
-        # prints its RankWarning whatever the warning filters say
+        # a repeat would be simulated again with the same seed and weigh twice
+        # in the rate fit; a fit through fewer than 3 distinct budgets reads
+        # r2 = 1, and numpy prints its RankWarning whatever the warning
+        # filters say
         argv = ["-m", "hsiclab.cli", "minimax", "--blocks", "1,1", "--n-grid", grid, "--reps", "2", "--output", "x"]
         child = run_fresh(argv, tmp_path)
         assert (child.returncode, child.stdout) == (3, "")
-        assert child.stderr == "error: rate fit needs ≥ 3 distinct grid points\n"
+        assert child.stderr == "error: grid budgets must be distinct, got 8 more than once\n"
         assert not list(tmp_path.iterdir())
 
     def test_csv_rows_equal_json_records(self, tmp_path, capsys):

@@ -246,8 +246,13 @@ class TestRunExperiment:
             run_experiment(ExperimentConfig(gamma=1.0, block=B11, n_grid=(), reps=2))
         with pytest.raises(ValueError):
             run_experiment(ExperimentConfig(gamma=1.0, block=B11, n_grid=(1, 4, 8), reps=2))
-        # two distinct budgets give no rate fit, however often one repeats
-        config = ExperimentConfig(gamma=1.0, block=B11, n_grid=(8, 8, 16), estimators=(Estimator("v", "v"),), reps=2)
+        # a repeated budget is refused before any replicate is drawn
+        for n_grid in ((8, 8, 16), (8, 16, 8, 32)):
+            config = ExperimentConfig(gamma=1.0, block=B11, n_grid=n_grid, estimators=(Estimator("v", "v"),), reps=2)
+            with pytest.raises(ValueError, match="grid budgets must be distinct, got 8 more than once"):
+                run_experiment(config)
+        # two budgets give no rate fit
+        config = ExperimentConfig(gamma=1.0, block=B11, n_grid=(8, 16), estimators=(Estimator("v", "v"),), reps=2)
         assert run_experiment(config).rate_fits == {}
 
 

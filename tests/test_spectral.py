@@ -11,6 +11,7 @@ from hsiclab import (
     KernelFamily,
     KernelSpec,
     adversarial_hsic2,
+    char_fn,
     gap_constant_partii,
     make_adversarial_cov,
     mmd2_gaussian,
@@ -67,6 +68,32 @@ class TestMmd2Spectral:
             g2 = GaussianMeasure(rng.normal(size=d), random_spd(rng, d))
             est, se = mmd2_spectral(g1, g2, GAUSS1, 30_000, trial)
             assert abs(est - mmd2_gaussian(g1, g2, 1.0)) <= 4 * se
+
+    def test_laplace_huge_bandwidth_is_finite(self):
+        # from gamma of about 1e306 on some Cauchy draws are +-inf, where the
+        # integrand's limit is 0
+        g = GaussianMeasure.standard(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est, se = mmd2_spectral(g, g, KernelSpec(KernelFamily.LAPLACE, 1e308), 1000, 0)
+            shifted = GaussianMeasure(np.array([1e-300, 0.0]), np.eye(2))
+            est2, se2 = mmd2_spectral(g, shifted, KernelSpec(KernelFamily.LAPLACE, 1e308), 1000, 0)
+        assert (est, se) == (0.0, 0.0)
+        assert math.isfinite(est2) and math.isfinite(se2)
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    @pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3, 1e300])
+    def test_finite_draws_average_the_whole_integrand(self, family, gamma):
+        # while every draw is finite the estimate is the plain average of
+        # |psi_1 - psi_2|^2 over all of them, to the bit
+        g1 = GaussianMeasure.standard(2)
+        g2 = GaussianMeasure(np.array([0.3, -0.2]), np.diag([1.5, 0.7]))
+        spec = KernelSpec(family, gamma)
+        omegas = spectral_sample(spec, 2, 5000, 11)
+        assert np.isfinite(omegas).all()
+        values = np.abs(char_fn(g1, omegas) - char_fn(g2, omegas)) ** 2
+        expected = (float(values.mean()), float(values.std(ddof=1) / math.sqrt(5000)))
+        assert mmd2_spectral(g1, g2, spec, 5000, 11) == expected
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
