@@ -36,6 +36,9 @@ MEDIAN_HEURISTIC_CAP = 2048
 MAX_GRID_BUDGETS = 10**6
 # largest budget; every integer up to 2^53 is exact in float64
 MAX_BUDGET = 2**53
+# rows of a CSV document formatted and written at a time, so that its text
+# is never held whole
+CSV_BLOCK_ROWS = 1024
 
 ESTIMATE_CSV_COLUMNS = ("estimator", "scale", "value", "n", "d", "blocks", "gamma", "seed")
 MINIMAX_CSV_COLUMNS = (
@@ -207,12 +210,13 @@ def read_dataset(path: str, block: BlockStructure, header: bool = False) -> Data
     return Dataset(values, block)
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, chunks) -> None:
+    """Write the text chunks in turn to path, or to stdout without one."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
 
 
 def _status_stream(output: str | None):
@@ -232,12 +236,23 @@ def _joined(values) -> str:
     return '"' + ",".join(map(str, values)) + '"'
 
 
-def _csv_text(header, columns) -> str:
-    """CSV text of equal-length columns: a column of numbers is taken through
-    repr once (a float's shortest round trip), a column of strings as it is.
-    No cell is quoted here; the only cells that need it come from ``_joined``."""
-    cells = (column if isinstance(column[0], str) else list(map(repr, column)) for column in columns)
-    return "\n".join(map(",".join, [header, *zip(*cells)])) + "\n"
+def _csv_blocks(header, columns):
+    """CSV text of equal-length columns: the header line, then the rows in
+    blocks of CSV_BLOCK_ROWS.  In each block a column of strings is taken as
+    it is and a column of numbers through repr (a float's shortest round
+    trip), an array column after ``tolist`` of the block's rows, which gives
+    Python numbers.  No cell is quoted here; the only cells that need it come
+    from ``_joined``."""
+    columns = list(columns)
+    yield ",".join(header) + "\n"
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        cells = []
+        for column in columns:
+            part = column[start : start + CSV_BLOCK_ROWS]
+            if isinstance(part, np.ndarray):
+                part = part.tolist()
+            cells.append(part if isinstance(part[0], str) else map(repr, part))
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 # ------------------------------- subcommands --------------------------------
@@ -270,12 +285,17 @@ def _median_heuristic(spec_family: KernelFamily, block_values: np.ndarray, seed:
     if count == 0:
         return float("nan")
     # np.median's value, the mean of the two middle order statistics when
-    # count is even, from a single-kth partition
+    # count is even, from a single-kth partition; in Python floats, whose sum
+    # overflows to inf without a warning, and where it does each is halved first
     k = count // 2
     p = positive[:count]
     p.partition(k)
-    median = p[k] if count % 2 else (p[:k].max() + p[k]) / 2
-    return float(1.0 / median)
+    if count % 2:
+        median = float(p[k])
+    else:
+        a, b = float(p[:k].max()), float(p[k])
+        median = (a + b) / 2 if math.isfinite(a + b) else a / 2 + b / 2
+    return 1.0 / median
 
 
 def cmd_estimate(args) -> int:
@@ -314,7 +334,7 @@ def cmd_estimate(args) -> int:
         records.append(record)
 
     if args.format == "json":
-        _write_text(args.output, _json_text(records))
+        _write_text(args.output, [_json_text(records)])
     else:
         rows = [
             (
@@ -329,7 +349,7 @@ def cmd_estimate(args) -> int:
             )
             for rec in records
         ]
-        _write_text(args.output, _csv_text(ESTIMATE_CSV_COLUMNS, zip(*rows)))
+        _write_text(args.output, _csv_blocks(ESTIMATE_CSV_COLUMNS, zip(*rows)))
     return EXIT_OK
 
 
@@ -377,9 +397,9 @@ def cmd_analytic(args) -> int:
         if args.format == "csv":
             # no --rho (a covariance file) is an empty cell
             cells = dict(payload, blocks=_joined(block.dims), rho="" if args.rho is None else args.rho)
-            _write_text(args.output, _csv_text(tuple(cells), ([value] for value in cells.values())))
+            _write_text(args.output, _csv_blocks(tuple(cells), ([value] for value in cells.values())))
         else:
-            _write_text(args.output, _json_text(payload))
+            _write_text(args.output, [_json_text(payload)])
     return EXIT_OK
 
 
@@ -401,7 +421,7 @@ def cmd_minimax(args) -> int:
     for suffix in (".json", ".csv"):
         if base.endswith(suffix):
             base = base[: -len(suffix)]
-    _write_text(base + ".json", _json_text(report.to_dict()))
+    _write_text(base + ".json", [_json_text(report.to_dict())])
 
     # one row per budget and estimator, budgets outer; the CLI always runs
     # at least one estimator
@@ -411,7 +431,7 @@ def cmd_minimax(args) -> int:
         for name, risk in report.risks.items()
     ]
     table = ([row[key] for row in rows] for key in MINIMAX_CSV_COLUMNS)
-    _write_text(base + ".csv", _csv_text(MINIMAX_CSV_COLUMNS, table))
+    _write_text(base + ".csv", _csv_blocks(MINIMAX_CSV_COLUMNS, table))
 
     for name, fit in report.rate_fits.items():
         print(f"rate fit [{name}]: slope={fit.slope:.4f} r2={fit.r_squared:.4f}")
@@ -448,23 +468,24 @@ def cmd_certify(args) -> int:
         file=status,
     )
 
-    # tolist() yields Python floats, which both formats write as their repr
-    table = [kept, *(columns[name].tolist() for name in CERTIFY_CSV_COLUMNS[1:])]
+    numbers = [columns[name] for name in CERTIFY_CSV_COLUMNS[1:]]
     if args.format == "json":
+        # tolist() yields Python floats, which JSON writes as their repr
+        rows = zip(kept, *(column.tolist() for column in numbers))
         payload = {
             "gamma": gamma,
             "blocks": list(block.dims),
             "partii_estimate": estimate,
             "partii_se": se,
-            "rows": [dict(zip(CERTIFY_CSV_COLUMNS, row)) for row in zip(*table)],
+            "rows": [dict(zip(CERTIFY_CSV_COLUMNS, row)) for row in rows],
             "pass": {ineq.family: ineq.ok for ineq in inequalities},
             "margins": {
                 ineq.family: {"min_margin": ineq.min_margin, "argmin_n": ineq.argmin_n} for ineq in inequalities
             },
         }
-        _write_text(args.output, _json_text(payload))
+        _write_text(args.output, [_json_text(payload)])
     else:
-        _write_text(args.output, _csv_text(CERTIFY_CSV_COLUMNS, table))
+        _write_text(args.output, _csv_blocks(CERTIFY_CSV_COLUMNS, [kept, *numbers]))
 
     # the verdict stays last, after the only ": " of the line
     for ineq in inequalities:

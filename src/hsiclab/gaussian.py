@@ -126,7 +126,11 @@ def char_fn(g: GaussianMeasure, omega: np.ndarray):
     if not np.all(np.isfinite(om2)):
         raise ValueError("omega must be finite")
     phase = om2 @ g.mean
-    quad = np.einsum("nd,nd->n", om2 @ g.cov, om2)
+    # <w, cov w> as |L^T w|^2, a sum of squares: at huge frequencies it
+    # overflows to inf, whose exp is the limit 0, never to inf - inf
+    with np.errstate(over="ignore"):
+        half = om2 @ g.chol
+        quad = np.einsum("nd,nd->n", half, half)
     vals = np.exp(1j * phase - 0.5 * quad)
     return complex(vals[0]) if single else vals
 

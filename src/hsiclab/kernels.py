@@ -23,6 +23,10 @@ import numpy as np
 from . import rng
 from .data import BlockStructure
 
+# frequency vectors per block of ``spectral_blocks``: a Monte Carlo integrand
+# over them holds a few such blocks at once, not a few whole draws
+SPECTRAL_BLOCK_ROWS = 8192
+
 
 class KernelFamily(str, Enum):
     GAUSSIAN = "gaussian"
@@ -145,23 +149,49 @@ def gram(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return stacked_gram(spec, xm, ym)
 
 
-def spectral_sample(spec: KernelSpec, dim: int, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. frequency vectors from the kernel's spectral probability measure.
+def spectral_blocks(spec: KernelSpec, dim: int, n: int, seed: int):
+    """The rows of ``spectral_sample(spec, dim, n, seed)`` in order, as
+    arrays of at most SPECTRAL_BLOCK_ROWS rows each.
 
-    Cosine averages exp(-i <x - y, w>) over these draws converge to the
-    kernel value k(x, y) at the usual n^{-1/2} Monte Carlo rate.
+    One generator draws every block where the previous one stopped, so the
+    blocks hold the same bits as one draw of all n rows.  The arguments are
+    checked at the call, before any block is drawn.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
-    gen = rng.stream(seed)
+    n, dim, gen = int(n), int(dim), rng.stream(seed)
     if spec.family is KernelFamily.GAUSSIAN:
-        return np.sqrt(spec.gamma) * gen.standard_normal((int(n), int(dim)))
-    # past gamma of about 1e306 a draw's scaling overflows to its exact limit
-    # +-inf; the part-(ii) weight exp(-|w|^2) sends such a frequency to 0
-    with np.errstate(over="ignore"):
-        return spec.gamma * gen.standard_cauchy((int(n), int(dim)))
+        scale, draw = np.sqrt(spec.gamma), gen.standard_normal
+    else:
+        scale, draw = spec.gamma, gen.standard_cauchy
+
+    def blocks():
+        for start in range(0, n, SPECTRAL_BLOCK_ROWS):
+            block = draw((min(SPECTRAL_BLOCK_ROWS, n - start), dim))
+            # past gamma of about 1e306 a Laplace draw's scaling overflows to
+            # its exact limit +-inf; the part-(ii) weight exp(-|w|^2) sends
+            # such a frequency to 0
+            with np.errstate(over="ignore"):
+                block *= scale
+            yield block
+
+    return blocks()
+
+
+def spectral_sample(spec: KernelSpec, dim: int, n: int, seed: int) -> np.ndarray:
+    """n i.i.d. frequency vectors from the kernel's spectral probability
+    measure, shape (n, dim): the ``spectral_blocks`` joined together.
+
+    Cosine averages exp(-i <x - y, w>) over these draws converge to the
+    kernel value k(x, y) at the usual n^{-1/2} Monte Carlo rate.
+    """
+    blocks = spectral_blocks(spec, dim, n, seed)
+    out = np.empty((int(n), int(dim)))
+    for start, block in zip(range(0, int(n), SPECTRAL_BLOCK_ROWS), blocks):
+        out[start : start + block.shape[0]] = block
+    return out
 
 
 def spectral_exp_sq_mean(spec: KernelSpec) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import BlockStructure
 from .gaussian import GaussianMeasure, char_fn
-from .kernels import KernelFamily, KernelSpec, spectral_exp_sq_mean, spectral_sample
+from .kernels import KernelFamily, KernelSpec, spectral_blocks, spectral_exp_sq_mean, spectral_sample
 
 
 def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
@@ -69,15 +69,22 @@ def gap_constant_partii(
     d = block.total
     if n_freq < 2:
         raise ValueError(f"need at least 2 frequencies, got {n_freq}")
-    omegas = spectral_sample(spec, 2, n_freq, seed)
-    # at huge bandwidths w_i w_j and |w|^2 overflow to inf; exp(-|w|^2) > 0
-    # bounds |w_i w_j| by |w|^2 / 2 < 373, so the pair is dropped where the
-    # weight is 0 and no inf * 0 is formed
-    with np.errstate(over="ignore"):
-        pair = omegas[:, 0] * omegas[:, 1]
-        weight = np.exp(-np.einsum("nd,nd->n", omegas, omegas))
-    kept = np.where((pair < 0.0) & (weight > 0.0), pair, 0.0)
-    est, se = _mean_and_se(kept * kept * weight)
+    # the integrand of each block of draws goes into its rows of one array,
+    # which is reduced whole, so the blocks change no bit of the result
+    values = np.empty(n_freq)
+    start = 0
+    for omegas in spectral_blocks(spec, 2, n_freq, seed):
+        # at huge bandwidths w_i w_j and |w|^2 overflow to inf; exp(-|w|^2) > 0
+        # bounds |w_i w_j| by |w|^2 / 2 < 373, so the pair is dropped where the
+        # weight is 0 and no inf * 0 is formed
+        with np.errstate(over="ignore"):
+            pair = omegas[:, 0] * omegas[:, 1]
+            weight = np.exp(-np.einsum("nd,nd->n", omegas, omegas))
+        kept = np.where((pair < 0.0) & (weight > 0.0), pair, 0.0)
+        stop = start + omegas.shape[0]
+        np.multiply(kept * kept, weight, out=values[start:stop])
+        start = stop
+    est, se = _mean_and_se(values)
     rest = spectral_exp_sq_mean(spec) ** (d - 2)
     return est * rest, se * rest
 

@@ -14,6 +14,10 @@ without their cancellation.  ``f_c`` and ``critical_slope`` are the slope
 form of the gap certificate, built on these terms.  ``full_draw_gap_constant``
 is the part-(ii) Monte Carlo over all d coordinates of each frequency; the
 library draws only the two that decide the opposite-sign set.
+``whole_draw`` draws the spectral frequencies in one call straight from the
+seed's stream, and ``one_shot_gap_constant`` is the library's part-(ii)
+estimate from that one draw and one whole-length integrand, where the
+library works in row blocks.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ import math
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from hsiclab import rng
 from hsiclab.analytic import _check_gamma
-from hsiclab.kernels import KernelFamily, gram, spectral_sample
+from hsiclab.kernels import KernelFamily, gram, spectral_exp_sq_mean, spectral_sample
 
 
 def eval_kernel(spec, x, y) -> float:
@@ -254,3 +259,27 @@ def full_draw_gap_constant(spec, block, n_freq: int, seed: int) -> tuple[float, 
         pair = omegas[:, i] * omegas[:, i + 1]
         values = np.where(pair < 0.0, pair * pair * np.exp(-np.einsum("nd,nd->n", omegas, omegas)), 0.0)
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_freq))
+
+
+def whole_draw(spec, dim: int, n: int, seed: int) -> np.ndarray:
+    """n frequency vectors of the kernel's spectral measure from one call of
+    the seed's stream: N(0, gamma) or Cauchy(scale=gamma) coordinates."""
+    gen = rng.stream(seed)
+    if spec.family is KernelFamily.GAUSSIAN:
+        return np.sqrt(spec.gamma) * gen.standard_normal((n, dim))
+    with np.errstate(over="ignore"):
+        return spec.gamma * gen.standard_cauchy((n, dim))
+
+
+def one_shot_gap_constant(spec, block, n_freq: int, seed: int) -> tuple[float, float]:
+    """The two-coordinate part-(ii) estimate and its standard error, each
+    times the exact factor of the other d - 2 coordinates, from one
+    ``whole_draw`` and one whole-length integrand."""
+    omegas = whole_draw(spec, 2, n_freq, seed)
+    with np.errstate(over="ignore"):
+        pair = omegas[:, 0] * omegas[:, 1]
+        weight = np.exp(-np.einsum("nd,nd->n", omegas, omegas))
+    kept = np.where((pair < 0.0) & (weight > 0.0), pair, 0.0)
+    values = kept * kept * weight
+    rest = spectral_exp_sq_mean(spec) ** (block.total - 2)
+    return float(values.mean()) * rest, float(values.std(ddof=1) / math.sqrt(n_freq)) * rest

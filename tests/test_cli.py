@@ -162,6 +162,17 @@ class TestEstimate:
         if case == "equal":
             assert out.count("(not applied)") == out.count(": nan (not applied)") == 2
 
+    def test_median_gamma_of_huge_middle_lags_is_finite(self, tmp_path, capsys):
+        # four lags of 1e308: the two middle ones sum past the float maximum,
+        # so each is halved first, and numpy warns of nothing
+        path = tmp_path / "huge.csv"
+        write_csv(path, [[0, 1], [0, 2], [1e308, 3], [1e308, 4]])
+        argv = ["estimate", "--input", str(path), "--blocks", "1,1", "--kernel", "laplace", "--median-gamma"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv + ["--output", str(tmp_path / "o.json")]) == 0
+        assert "median-heuristic gamma for block 0: 1e-308 (not applied)" in capsys.readouterr().out
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_stdout_follows_format(self, two_col_csv, tmp_path, capsys, fmt):
         # without --output stdout is the records alone and the median
@@ -975,6 +986,33 @@ class TestCsvDocuments:
             assert rewritten.getvalue() == text, name
         assert (tmp_path / "e.csv").read_text().splitlines()[1].endswith(',12,2,"1,1","0.5,2.0",0')
         assert (tmp_path / "a.csv").read_text().splitlines()[1].startswith('"1,1",1.0,,')
+
+    def test_rows_of_several_blocks_are_what_the_csv_module_writes(self, tmp_path, capsys):
+        # three full row blocks and one row more, against csv.writer of the
+        # rows of the JSON document
+        base = ["certify", "--blocks", "3,1,2", "--n-grid", f"2..{3 * cli.CSV_BLOCK_ROWS + 2}", "--output"]
+        assert main([*base, str(tmp_path / "c.csv"), "--format", "csv"]) == 0
+        assert main([*base, str(tmp_path / "c.json")]) == 0
+        rows = json.loads((tmp_path / "c.json").read_text())["rows"]
+        assert len(rows) == 3 * cli.CSV_BLOCK_ROWS + 1
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(cli.CERTIFY_CSV_COLUMNS)
+        writer.writerows([row[key] for key in cli.CERTIFY_CSV_COLUMNS] for row in rows)
+        assert (tmp_path / "c.csv").read_text() == expected.getvalue()
+
+    def test_certify_csv_holds_neither_document_nor_draw_whole(self, tmp_path, capsys):
+        # the part-(ii) integrand and its deviations are the largest arrays:
+        # 1.6 MB each
+        argv = ["certify", "--blocks", "3,1,2", "--n-grid", "2..5000", "--format", "csv", "--output", str(tmp_path / "c.csv")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 5_000_000
 
 
 class TestDatasetRoundTrip:

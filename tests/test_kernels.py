@@ -15,8 +15,8 @@ from hsiclab import (
     lag_sum,
     spectral_sample,
 )
-from hsiclab.kernels import spectral_exp_sq_mean, stacked_gram
-from helpers import eval_kernel, product_gram
+from hsiclab.kernels import SPECTRAL_BLOCK_ROWS, spectral_blocks, spectral_exp_sq_mean, stacked_gram
+from helpers import eval_kernel, product_gram, whole_draw
 
 GAUSS1 = KernelSpec(KernelFamily.GAUSSIAN, 1.0)
 LAP2 = KernelSpec(KernelFamily.LAPLACE, 2.0)
@@ -232,6 +232,21 @@ class TestSpectralSample:
             spectral_sample(GAUSS1, 0, 10, 0)
         with pytest.raises(ValueError):
             spectral_sample(GAUSS1, 1, 0, 0)
+        # the blocks' arguments are checked at the call, before any is drawn
+        with pytest.raises(ValueError):
+            spectral_blocks(GAUSS1, 2, -1, 0)
+
+    @pytest.mark.parametrize("n", [1, SPECTRAL_BLOCK_ROWS - 1, SPECTRAL_BLOCK_ROWS, 2 * SPECTRAL_BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("spec", [GAUSS1, LAP2, KernelSpec("laplace", 1e307)])
+    def test_blocks_are_one_draw_cut_in_rows(self, spec, n):
+        # Philox continues where the last block stopped, so the blocks hold
+        # the bits of one draw; at 1e307 some Laplace draws are +-inf
+        blocks = list(spectral_blocks(spec, 3, n, 17))
+        assert [len(block) for block in blocks[:-1]] == [SPECTRAL_BLOCK_ROWS] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1]) <= SPECTRAL_BLOCK_ROWS
+        whole = whole_draw(spec, 3, n, 17)
+        assert np.array_equal(np.concatenate(blocks), whole)
+        assert np.array_equal(spectral_sample(spec, 3, n, 17), whole)
 
 
 class TestSpectralExpSqMean:

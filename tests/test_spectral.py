@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,7 +23,8 @@ from hsiclab import (
 from hsiclab import rng
 from hsiclab.cli import CERTIFY_SPECTRAL_FREQS
 from hsiclab.lecam import certificate_table
-from helpers import critical_slope, full_draw_gap_constant, random_spd
+from hsiclab.kernels import SPECTRAL_BLOCK_ROWS
+from helpers import critical_slope, full_draw_gap_constant, one_shot_gap_constant, random_spd
 
 B11 = BlockStructure((1, 1))
 GAUSS1 = KernelSpec(KernelFamily.GAUSSIAN, 1.0)
@@ -80,6 +82,16 @@ class TestMmd2Spectral:
             est2, se2 = mmd2_spectral(g, shifted, KernelSpec(KernelFamily.LAPLACE, 1e308), 1000, 0)
         assert (est, se) == (0.0, 0.0)
         assert math.isfinite(est2) and math.isfinite(se2)
+
+    @pytest.mark.parametrize("gamma", [1e160, 1e200, 1e300])
+    def test_laplace_huge_bandwidth_with_correlated_covariance_is_finite(self, gamma):
+        # <w, cov w> is taken as |L^T w|^2, so a huge finite frequency gives
+        # inf, whose exp is 0, where w.(cov w) summed inf and -inf to NaN
+        g1 = GaussianMeasure.standard(2)
+        g2 = GaussianMeasure(np.array([0.3, -0.2]), make_adversarial_cov(B11, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mmd2_spectral(g1, g2, KernelSpec(KernelFamily.LAPLACE, gamma), 5000, 11) == (0.0, 0.0)
 
     @pytest.mark.parametrize("family", list(KernelFamily))
     @pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3, 1e300])
@@ -165,6 +177,29 @@ class TestGapConstant:
         # no other coordinate: the factor is exactly 1 and the draw the same
         spec = KernelSpec(family, 0.5)
         assert gap_constant_partii(spec, B11, 50_000, 41) == full_draw_gap_constant(spec, B11, 50_000, 41)
+
+    @pytest.mark.parametrize(
+        "n_freq",
+        [SPECTRAL_BLOCK_ROWS - 1, SPECTRAL_BLOCK_ROWS, SPECTRAL_BLOCK_ROWS + 1, 2 * SPECTRAL_BLOCK_ROWS + 1, CERTIFY_SPECTRAL_FREQS],
+    )
+    @pytest.mark.parametrize("gamma", [0.5, 1e307])
+    @pytest.mark.parametrize("family", ["gaussian", "laplace"])
+    def test_row_blocks_keep_every_bit_of_one_draw(self, family, gamma, n_freq):
+        # the blocks of draws continue one stream and fill one integrand
+        # array, reduced whole; at 1e307 some Laplace draws are +-inf
+        spec, block = KernelSpec(family, gamma), BlockStructure((3, 1, 2))
+        assert gap_constant_partii(spec, block, n_freq, 47) == one_shot_gap_constant(spec, block, n_freq, 47)
+
+    def test_draw_holds_no_whole_length_temporaries(self):
+        # the integrand array and the standard error's deviations are the
+        # only whole-length arrays: 1.6 MB each at certify's frequency count
+        tracemalloc.start()
+        try:
+            verify_gap_partii(1.0, BlockStructure((3, 1, 2)), CERTIFY_SPECTRAL_FREQS, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
 
     @pytest.mark.parametrize("gamma, dims", CERTIFY_SWEEP)
     def test_standard_error_is_no_larger_than_the_full_draws(self, gamma, dims):
