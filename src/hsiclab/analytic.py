@@ -24,16 +24,6 @@ def _check_gamma(gamma: float) -> float:
     return gamma
 
 
-# From this bandwidth on, hsic2_gaussian takes gamma out of its determinants.
-# The identity is then below the rounding of unit-scale covariance entries, so
-# both forms agree to rounding; below it the direct form keeps its bits.
-_FACTOR_GAMMA = 1.0 / np.finfo(float).eps
-
-
-def _chol_logdet(matrix: np.ndarray) -> float:
-    return 2.0 * float(np.sum(np.log(np.diagonal(cholesky_spd(matrix)))))
-
-
 def embedding_inner(g1: GaussianMeasure, g2: GaussianMeasure, gamma: float) -> float:
     """Inner product of the kernel mean embeddings of two Gaussians under the
     Gaussian kernel exp(-gamma/2 |x-y|^2):
@@ -74,11 +64,11 @@ def mmd2_gaussian(g1: GaussianMeasure, g2: GaussianMeasure, gamma: float) -> flo
 
 @dataclass(frozen=True)
 class Hsic2Decomposition:
-    """HSIC^2 split into its three inner-product terms.
-
-    ``value = term_i + term_ii - 2 term_iii`` compares the joint embedding
-    against the product of the block marginals; it vanishes exactly when the
-    covariance is block diagonal.
+    """HSIC^2 with its three inner-product terms: ``value = term_i + term_ii
+    - 2 term_iii``, computed as a sum of nonnegative terms (see
+    ``hsic2_gaussian``), compares the joint embedding against the product of
+    the block marginals; it vanishes exactly when the covariance is block
+    diagonal.
     """
 
     term_i: float
@@ -86,53 +76,59 @@ class Hsic2Decomposition:
     term_iii: float
     value: float
 
-    def __post_init__(self) -> None:
-        if self.value < -1e-12:
-            raise ValueError(f"HSIC^2 must be nonnegative, got {self.value}")
-
     @property
     def hsic(self) -> float:
-        """Nonnegative square root of ``value``."""
-        return math.sqrt(max(0.0, self.value))
+        """Square root of ``value``."""
+        return math.sqrt(self.value)
 
 
-def _block_diagonal(cov: np.ndarray, block: BlockStructure) -> np.ndarray:
-    out = np.zeros_like(cov)
-    for sl in block.slices():
-        out[sl, sl] = cov[sl, sl]
-    return out
+# 1/35, 1/33, ..., 1/3: atanh(t) - t = t^3 sum_k t^(2k)/(2k + 3) to rounding at |t| < 1/3
+_ATANH_TAIL = 1.0 / np.arange(35.0, 1.0, -2.0)
 
 
 def hsic2_gaussian(g: GaussianMeasure, block: BlockStructure, gamma: float) -> Hsic2Decomposition:
     """Closed-form HSIC^2 of N(mean, cov) with blockwise Gaussian kernels of a
-    common bandwidth gamma:
+    common bandwidth gamma.  With S1 the covariance, S2 its block-diagonal
+    restriction, B = 2 gamma S2 + I = L L' and lambda the eigenvalues of
+    gamma L^{-1} (S1 - S2) L^{-T}, which sum to 0:
 
-        |2 gamma S1 + I|^{-1/2} + |2 gamma S2 + I|^{-1/2}
-            - 2 |gamma S1 + gamma S2 + I|^{-1/2}
+        term_i   = |2 gamma S1 + I|^{-1/2}          = |B|^{-1/2} prod (1 + 2 lambda)^{-1/2}
+        term_ii  = |2 gamma S2 + I|^{-1/2}          = |B|^{-1/2}
+        term_iii = |gamma S1 + gamma S2 + I|^{-1/2} = |B|^{-1/2} prod (1 + lambda)^{-1/2}
+        HSIC^2 = term_i + term_ii - 2 term_iii      = |B|^{-1/2} [expm1(a)^2 + e^(2a) expm1(b)]
 
-    where S1 is the covariance and S2 its block-diagonal restriction.  The
-    mean cancels and never enters.
+    with a = -sum (log1p(lambda) - lambda) / 2 >= 0 and b = sum
+    log1p(lambda^2 / (1 + 2 lambda)) / 2 >= 0: no difference is formed, so
+    every field is accurate to rounding at every finite gamma.  The mean
+    never enters.
     """
     gamma = _check_gamma(gamma)
     block.require_multiblock()
     if g.d != block.total:
         raise ValueError(f"measure has d={g.d} but block dims sum to {block.total}")
-    s1 = g.cov
-    s2 = _block_diagonal(s1, block)
-    eye = np.eye(g.d)
-    if gamma < _FACTOR_GAMMA:
-        mats = (2.0 * gamma * s1 + eye, 2.0 * gamma * s2 + eye, gamma * s1 + gamma * s2 + eye)
-        scale = 1.0
-    else:
-        # |c A + I| = c^d |A + I/c| with c = 2 gamma keeps c out of the
-        # matrices, whose entries would overflow (inf * 0 = nan) near
-        # gamma = 1e308; the common factor c^(-d/2) scales all three terms
-        # alike, so its rounding does not grow in their cancellation
-        half = 0.5 / gamma
-        mats = (s1 + half * eye, s2 + half * eye, 0.5 * (s1 + s2) + half * eye)
-        scale = math.exp(-0.5 * g.d * (math.log(2.0) + math.log(gamma)))
-    term_i, term_ii, term_iii = (scale * math.exp(-0.5 * _chol_logdet(mat)) for mat in mats)
-    return Hsic2Decomposition(term_i, term_ii, term_iii, _clamp_sq(term_i + term_ii - 2.0 * term_iii))
+    s2 = np.zeros_like(g.cov)
+    for sl in block.slices():
+        s2[sl, sl] = g.cov[sl, sl]
+    # B = 2k (r S2 + I/(2k)) with k = max(1/2, gamma), r = gamma/k: 2 gamma,
+    # which overflows near 1e308, stays out of the factored matrix
+    k = max(0.5, gamma)
+    r = gamma / k
+    chol = cholesky_spd(r * s2 + (0.5 / k) * np.eye(g.d))
+    logdet_b = g.d * (math.log(2.0) + math.log(k)) + 2.0 * float(np.sum(np.log(np.diagonal(chol))))
+    lam = 0.5 * r * np.linalg.eigvalsh(np.linalg.solve(chol, np.linalg.solve(chol, g.cov - s2).T))
+    # log1p(lam) - lam = 2 (atanh(t) - t) - 2 t^2/(1 - t) with t = lam/(2 + lam):
+    # two terms that share a sign or differ ninefold at t < 1/3 (lam < 1);
+    # from lam = 1 on the plain difference loses at most two bits
+    t = lam / (2.0 + lam)
+    series = 2.0 * t**3 * np.polyval(_ATANH_TAIL, t * t) - 2.0 * t * t / (1.0 - t)
+    a = -0.5 * float(np.sum(np.where(t < 1.0 / 3.0, series, np.log1p(lam) - lam)))
+    b = 0.5 * float(np.sum(np.log1p(lam * lam / (1.0 + 2.0 * lam))))
+    term_i = math.exp(-0.5 * (logdet_b + float(np.sum(np.log1p(2.0 * lam)))))
+    term_iii = math.exp(-0.5 * (logdet_b + float(np.sum(np.log1p(lam)))))
+    # the bracket as (|B|^{-1/4} expm1(a))^2 + term_i (1 - e^{-b}), where
+    # e^{a - log|B|/4} <= 1 (term_iii^2 <= term_i term_ii) cannot overflow
+    root = math.exp(a - 0.25 * logdet_b) * -math.expm1(-a)
+    return Hsic2Decomposition(term_i, math.exp(-0.5 * logdet_b), term_iii, root * root - term_i * math.expm1(-b))
 
 
 def _scale_and_u(gamma: float, d: int, x):

@@ -125,13 +125,17 @@ def char_fn(g: GaussianMeasure, omega: np.ndarray):
         raise ValueError(f"omega has dimension {om2.shape[1]}, measure has d={g.d}")
     if not np.all(np.isfinite(om2)):
         raise ValueError("omega must be finite")
-    phase = om2 @ g.mean
     # <w, cov w> as |L^T w|^2, a sum of squares: at huge frequencies it
-    # overflows to inf, whose exp is the limit 0, never to inf - inf
-    with np.errstate(over="ignore"):
+    # overflows to inf (or NaN, where L^T w sums inf and -inf), and there the
+    # value is its limit 0; the phase <mean, w>, which may overflow too, is
+    # used only where the modulus exp(-|L^T w|^2 / 2) is positive
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = om2 @ g.mean
         half = om2 @ g.chol
         quad = np.einsum("nd,nd->n", half, half)
-    vals = np.exp(1j * phase - 0.5 * quad)
+    live = np.exp(-0.5 * quad) > 0.0
+    vals = np.zeros(om2.shape[0], dtype=complex)
+    vals[live] = np.exp(1j * phase[live] - 0.5 * quad[live])
     return complex(vals[0]) if single else vals
 
 

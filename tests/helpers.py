@@ -17,13 +17,16 @@ library draws only the two that decide the opposite-sign set.
 ``whole_draw`` draws the spectral frequencies in one call straight from the
 seed's stream, and ``one_shot_gap_constant`` is the library's part-(ii)
 estimate from that one draw and one whole-length integrand, where the
-library works in row blocks.
+library works in row blocks.  ``decimal_hsic2`` is the general HSIC^2 as its
+three determinant terms and their difference in 200-digit decimals, with
+each determinant by elimination; the library never forms that difference.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -205,6 +208,53 @@ def random_spd(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarr
     """Random symmetric positive definite matrix with a safe spectral floor."""
     a = rng.normal(size=(d, d))
     return scale * (a @ a.T / d + 0.5 * np.eye(d))
+
+
+def correlated_cov(rng: np.random.Generator, block, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """(D + s (C - D), D): C is the correlation matrix of a ``random_spd``
+    matrix and D its block-diagonal part, so s in (0, 1] scales every
+    cross-block correlation and keeps the matrix positive definite."""
+    cov = random_spd(rng, block.total)
+    scale = np.sqrt(np.diagonal(cov))
+    corr = cov / np.outer(scale, scale)
+    diag = np.zeros_like(corr)
+    for sl in block.slices():
+        diag[sl, sl] = corr[sl, sl]
+    return diag + s * (corr - diag), diag
+
+
+def _decimal_det(rows) -> Decimal:
+    # elimination without pivoting: every matrix here is positive definite
+    rows = [list(row) for row in rows]
+    det = Decimal(1)
+    for j in range(len(rows)):
+        det *= rows[j][j]
+        for i in range(j + 1, len(rows)):
+            f = rows[i][j] / rows[j][j]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[j])]
+    return det
+
+
+def decimal_hsic2(cov: np.ndarray, block, gamma: float) -> list[float]:
+    """[term_i, term_ii, term_iii, value] of HSIC^2 = |2g S1 + I|^{-1/2} +
+    |2g S2 + I|^{-1/2} - 2 |g S1 + g S2 + I|^{-1/2} (S2 the block-diagonal part
+    of S1 = cov, g = gamma) from the exact values of the floats, in 200-digit
+    decimals."""
+    d = block.total
+    s2 = np.zeros_like(cov)
+    for sl in block.slices():
+        s2[sl, sl] = cov[sl, sl]
+    with localcontext() as ctx:
+        ctx.prec = 200
+        g = Decimal(gamma)
+        s1, s2, eye = ([[Decimal(v) for v in row] for row in m.tolist()] for m in (cov, s2, np.eye(d)))
+
+        def term(c1, c2):
+            rows = [[c1 * a + c2 * b + e for a, b, e in zip(*row)] for row in zip(s1, s2, eye)]
+            return 1 / _decimal_det(rows).sqrt()
+
+        terms = [term(2 * g, 0), term(0, 2 * g), term(g, g)]
+        return [float(t) for t in terms + [terms[0] + terms[1] - 2 * terms[2]]]
 
 
 def adversarial_terms(gamma: float, d: int, rho: float) -> tuple[float, float, float]:

@@ -17,9 +17,11 @@ from hsiclab import (
     mmd2_gaussian,
 )
 from hsiclab.analytic import adversarial_hsic2_columns
-from helpers import critical_slope, f_c, random_spd
+from helpers import correlated_cov, critical_slope, decimal_hsic2, f_c, random_spd
 
 B11 = BlockStructure((1, 1))
+# the block structures of the certify_sweep benchmark workload
+SWEEP_BLOCKS = tuple(BlockStructure(dims) for dims in ((1, 1), (2, 2), (3, 1, 2), (4, 4)))
 
 # hand-expanded determinants for gamma=1, blocks=(1,1), rho=0.6:
 # |2*Sigma+I| = 9 - 1.44 = 7.56, |2*I+I| = 9, |Sigma+I*2| -> 9 - 0.36 = 8.64
@@ -149,6 +151,20 @@ class TestHsic2Gaussian:
         for value, exact in zip(got, self._exact_rho_terms(gamma, 0.5)):
             assert value == pytest.approx(exact, rel=1e-12)
 
+    def test_matches_200_digit_reference(self):
+        # at gamma = 1e-9 the three terms agree in their first 15 to 30
+        # digits, so the value lies below the rounding of each term
+        rng = np.random.default_rng(21)
+        for block in SWEEP_BLOCKS:
+            covs = [make_adversarial_cov(block, rho) for rho in (1e-6, 1e-3, 0.5, 0.9)]
+            covs += [correlated_cov(rng, block, s)[0] for s in (1e-6, 1e-3, 1.0)]
+            for cov in covs:
+                g = GaussianMeasure(np.zeros(block.total), cov)
+                for gamma in (1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6):
+                    dec = hsic2_gaussian(g, block, gamma)
+                    got = [dec.term_i, dec.term_ii, dec.term_iii, dec.value]
+                    assert got == pytest.approx(decimal_hsic2(cov, block, gamma), rel=1e-12, abs=0.0)
+
     def test_structure_mismatch(self):
         with pytest.raises(ValueError):
             hsic2_gaussian(GaussianMeasure.standard(3), B11, 1.0)
@@ -174,14 +190,16 @@ class TestAdversarialHsic2:
         assert adversarial_hsic2(1.0, 2, 10**16) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_general_closed_form(self):
-        for rho in np.arange(0.1, 0.95, 0.1):
-            for gamma in (0.5, 1.0, 2.0):
+        # two forms of one value: the table's gap margin needs e(4u) - 2 e(u),
+        # which the general form's (a, b) pair gives only by cancelling
+        for rho in (1e-6, 1e-3, *np.arange(0.1, 0.95, 0.1)):
+            for gamma in (1e-9, 1e-6, 0.5, 1.0, 2.0, 1e3, 1e6):
                 for block in (B11, BlockStructure((2, 1)), BlockStructure((2, 2))):
                     direct = hsic2_gaussian(
                         measure_with_rho(rho, block), block, gamma
                     ).value
                     short = adversarial_hsic2_columns(gamma, block.total, rho * rho)[0]
-                    assert short == pytest.approx(direct, rel=1e-12)
+                    assert short == pytest.approx(direct, rel=1e-12, abs=0.0)
 
     def test_accepts_n_and_unit_rho(self):
         for n in (1, 2, 4, 1000):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hsiclab import (
+    DEFAULT_N_GRID,
     BlockStructure,
     Estimator,
     ExperimentConfig,
@@ -377,6 +378,16 @@ class TestCertificateTable:
         for gamma in (5e-324, 1e-310, 1e-300, 1e-200, 7.4e-155, 1e-154):
             columns, _ = certificate_table(gamma, BlockStructure(dims), (2, 3, 1000, 2**53))
             assert all(np.all(np.isfinite(column)) for column in columns.values())
+
+    @pytest.mark.parametrize("gamma", [1e-9, 1.0, 1e6])
+    def test_harness_truth_is_the_hsic2_column(self, gamma):
+        # minimax scores rmse_alt against hsic2_gaussian of the alternative:
+        # the general closed form, which must give the table's value
+        for dims in SWEEP_BLOCKS:
+            block = BlockStructure(dims)
+            columns, _ = certificate_table(gamma, block, DEFAULT_N_GRID)
+            truth = [hsic2_gaussian(build_pair(n, block)[1], block, gamma).value for n in DEFAULT_N_GRID]
+            np.testing.assert_allclose(truth, columns["hsic2"], rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("gamma", SWEEP_GAMMAS + EDGE_GAMMAS)
     def test_margins_match_a_200_digit_reference(self, gamma):

@@ -1,4 +1,5 @@
-"""Property-based checks of the V and U statistics over generated data.
+"""Property-based checks of the V and U statistics over generated data, and
+of the closed-form HSIC^2 over generated covariances and bandwidths.
 
 Sizes stay small (n <= 3 * TILE_ROWS) so the whole module runs in seconds;
 they still cross the TILE_ROWS-row tile boundaries of ``block_stats`` and
@@ -6,14 +7,26 @@ deal tiles to both of its lanes, which run in the calling thread at these
 sizes.  Runs are derandomized, so every run draws the same examples.
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsiclab import BlockStructure, Dataset, KernelFamily, KernelSpec, ProductKernel, block_stats
+from hsiclab import (
+    BlockStructure,
+    Dataset,
+    GaussianMeasure,
+    KernelFamily,
+    KernelSpec,
+    ProductKernel,
+    block_stats,
+    hsic2_gaussian,
+)
 from hsiclab.estimators import TILE_ROWS
-from helpers import product_gram
+from helpers import correlated_cov, product_gram
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 STRUCTURES = [(1, 1), (2, 1), (1, 2), (2, 2), (1, 2, 1)]
@@ -84,3 +97,31 @@ def test_tiled_sums_equal_dense_sums(case):
     stats = block_stats(pk, ds)
     assert stats.total == pytest.approx(float(prod.sum()), rel=1e-10)
     np.testing.assert_allclose(stats.rows, [g.sum(axis=1) for g in grams], rtol=1e-10)
+
+
+# every finite bandwidth the command line accepts up to 1.7e308: log-uniform
+# from the smallest subnormal on, and both edges
+BANDWIDTHS = st.one_of(
+    st.sampled_from([5e-324, 1.7e308]), st.floats(-1074.0, math.log2(1.7e308)).map(lambda e: 2.0**e)
+)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([(1, 1), (2, 2), (3, 1, 2), (4, 4)]),
+    st.integers(0, 2**32 - 1),
+    st.floats(1e-6, 1.0),
+    BANDWIDTHS,
+)
+def test_hsic2_gaussian_is_finite_and_in_range(dims, seed, s, gamma):
+    block = BlockStructure(dims)
+    cov, diag = correlated_cov(np.random.default_rng(seed), block, s)
+    mean = np.zeros(block.total)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        dec = hsic2_gaussian(GaussianMeasure(mean, cov), block, gamma)
+        independent = hsic2_gaussian(GaussianMeasure(mean, diag), block, gamma)
+    terms = (dec.term_i, dec.term_ii, dec.term_iii)
+    assert all(0.0 <= t <= 1.0 for t in terms)
+    assert 0.0 <= dec.value and math.isfinite(dec.value)
+    assert independent.value == 0.0

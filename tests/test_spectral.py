@@ -93,6 +93,16 @@ class TestMmd2Spectral:
             warnings.simplefilter("error")
             assert mmd2_spectral(g1, g2, KernelSpec(KernelFamily.LAPLACE, gamma), 5000, 11) == (0.0, 0.0)
 
+    def test_laplace_overflowing_phase_is_finite(self):
+        # <mean, w> overflows (and sums inf and -inf) at frequencies near the
+        # float maximum, where the modulus is 0: i * inf was NaN
+        g1 = GaussianMeasure.standard(3)
+        cov = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.5]])
+        g2 = GaussianMeasure(np.array([0.3, -0.2, 1.0]), cov)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert mmd2_spectral(g1, g2, KernelSpec(KernelFamily.LAPLACE, 1e308), 5000, 11) == (0.0, 0.0)
+
     @pytest.mark.parametrize("family", list(KernelFamily))
     @pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3, 1e300])
     def test_finite_draws_average_the_whole_integrand(self, family, gamma):
