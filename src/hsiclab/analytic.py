@@ -2,8 +2,9 @@
 mean-embedding inner products, MMD^2, HSIC^2, and the certificate quantities
 of the two-point lower-bound construction.
 
-Every determinant is evaluated in log space through a Cholesky factor and
-exponentiated once, so large dimensions cannot overflow.
+The first three come from one form, ``_mmd2_terms``: HSIC^2 is the MMD^2
+between the joint law and the product of its block marginals.  Every
+determinant is a log through its own Cholesky factor, exponentiated once.
 """
 
 from __future__ import annotations
@@ -24,51 +25,13 @@ def _check_gamma(gamma: float) -> float:
     return gamma
 
 
-def embedding_inner(g1: GaussianMeasure, g2: GaussianMeasure, gamma: float) -> float:
-    """Inner product of the kernel mean embeddings of two Gaussians under the
-    Gaussian kernel exp(-gamma/2 |x-y|^2):
-
-        exp(-(m1-m2)' (S1+S2+I/gamma)^{-1} (m1-m2) / 2)
-            / |gamma S1 + gamma S2 + I|^{1/2}
-
-    Symmetric in its two arguments and always in (0, 1].
-    """
-    gamma = _check_gamma(gamma)
-    if g1.d != g2.d:
-        raise ValueError(f"dimension mismatch: {g1.d} vs {g2.d}")
-    d = g1.d
-    s = g1.cov + g2.cov + np.eye(d) / gamma
-    chol = cholesky_spd(s)
-    v = np.linalg.solve(chol, g1.mean - g2.mean)
-    # |gamma S1 + gamma S2 + I| = gamma^d |S|
-    logdet = d * math.log(gamma) + 2.0 * float(np.sum(np.log(np.diagonal(chol))))
-    return math.exp(-0.5 * float(v @ v) - 0.5 * logdet)
-
-
-def _clamp_sq(value: float) -> float:
-    # squared RKHS distances are nonnegative; absorb round-off in (-1e-12, 0)
-    return 0.0 if -1e-12 < value < 0.0 else value
-
-
-def mmd2_gaussian(g1: GaussianMeasure, g2: GaussianMeasure, gamma: float) -> float:
-    """Closed-form squared maximum mean discrepancy of two Gaussians under the
-    Gaussian kernel; zero iff the measures coincide."""
-    return float(
-        _clamp_sq(
-            embedding_inner(g1, g1, gamma)
-            + embedding_inner(g2, g2, gamma)
-            - 2.0 * embedding_inner(g1, g2, gamma)
-        )
-    )
-
-
 @dataclass(frozen=True)
 class Hsic2Decomposition:
-    """HSIC^2 with its three inner-product terms: ``value = term_i + term_ii
-    - 2 term_iii``, computed as a sum of nonnegative terms (see
-    ``hsic2_gaussian``), compares the joint embedding against the product of
-    the block marginals; it vanishes exactly when the covariance is block
-    diagonal.
+    """A squared MMD with its three embedding inner products: ``value =
+    term_i + term_ii - 2 term_iii``, computed without cancellation (see
+    ``_mmd2_terms``).  For HSIC^2 the two measures are the joint law and
+    the product of its block marginals, and the value vanishes exactly when
+    the covariance is block diagonal.
     """
 
     term_i: float
@@ -82,53 +45,80 @@ class Hsic2Decomposition:
         return math.sqrt(self.value)
 
 
-# 1/35, 1/33, ..., 1/3: atanh(t) - t = t^3 sum_k t^(2k)/(2k + 3) to rounding at |t| < 1/3
-_ATANH_TAIL = 1.0 / np.arange(35.0, 1.0, -2.0)
+def _mmd2_terms(m1, s1, m2, s2, gamma: float) -> Hsic2Decomposition:
+    """MMD^2 of N(m1, S1) and N(m2, S2) under the kernel exp(-gamma/2 |x-y|^2)
+    with its embedding inner products.  With A_j = 2 gamma S_j + I and C =
+    (A_1 + A_2)/2, each determinant a log through its own Cholesky factor:
+
+        term_i = <mu1, mu1> = |A_1|^{-1/2},  term_ii = <mu2, mu2> = |A_2|^{-1/2}
+        term_iii = <mu1, mu2> = |C|^{-1/2} e^{-q},  q = gamma (m1-m2)' C^{-1} (m1-m2) / 2
+
+    term_iii <= (term_i term_ii)^{1/2} e^{-b/2}, e^{-b} = (|A_1| |A_2|)^{1/2} / |C|
+    <= 1: while e^{-b} < 1/2, value = term_i + term_ii - 2 term_iii loses under
+    two bits.  Otherwise, with A_2 = L L' and lambda the eigenvalues of gamma
+    L^{-1} (S1 - S2) L^{-T}, all in [-0.47, 6.5] there,
+
+        value = term_ii [expm1(a)^2 - 2 e^a expm1(-q) + e^(2a) expm1(b)]
+
+    with a = -sum log1p(lambda) / 2 and b = sum log1p(lambda^2 / (1 + 2
+    lambda)) / 2: three nonnegative terms, so nothing cancels.
+    """
+    gamma = _check_gamma(gamma)
+    if len(m1) != len(m2):
+        raise ValueError(f"dimension mismatch: {len(m1)} vs {len(m2)}")
+    # |2 gamma S + I| = (2k)^d |r S + I/(2k)| with k = max(1/2, gamma), r =
+    # gamma/k: 2 gamma, which overflows near 1e308, stays out of the factors
+    k = max(0.5, gamma)
+    r = gamma / k
+    eye = (0.5 / k) * np.eye(len(m1))
+    chols = [cholesky_spd(r * s + eye) for s in (s1, s2, 0.5 * (s1 + s2))]
+    half_log_2k = 0.5 * len(m1) * (math.log(2.0) + math.log(k))
+    h1, h2, h3 = (half_log_2k + float(np.sum(np.log(np.diagonal(c)))) for c in chols)
+    x = np.linalg.solve(chols[2], m1 - m2)
+    # r times the sum first: at gamma = 5e-324, r/4 is 0
+    q = 0.25 * (r * float(x @ x))
+    term_i, term_ii, term_iii = math.exp(-h1), math.exp(-h2), math.exp(-h3 - q)
+    if h1 + h2 - 2.0 * h3 < -math.log(2.0):
+        return Hsic2Decomposition(term_i, term_ii, term_iii, term_i + term_ii - 2.0 * term_iii)
+    lam = 0.5 * r * np.linalg.eigvalsh(np.linalg.solve(chols[1], np.linalg.solve(chols[1], s1 - s2).T))
+    a = -0.5 * float(np.sum(np.log1p(lam)))
+    b = 0.5 * float(np.sum(np.log1p(lam * lam / (1.0 + 2.0 * lam))))
+    # the bracket as (term_ii^(1/2) expm1(a))^2 + 2 term_ii e^a (1 - e^(-q)) +
+    # term_ii e^(2a + b) (1 - e^(-b)), each exponential taken where it is at most 1
+    root = math.exp(max(a, 0.0) - 0.5 * h2) * math.expm1(-abs(a))
+    e2ab = math.exp(-h2 - 0.5 * float(np.sum(np.log1p(2.0 * lam))))
+    value = root * root - 2.0 * math.exp(a - h2) * math.expm1(-q) - e2ab * math.expm1(-b)
+    return Hsic2Decomposition(term_i, term_ii, term_iii, value)
+
+
+def embedding_inner(g1: GaussianMeasure, g2: GaussianMeasure, gamma: float) -> float:
+    """Inner product of the kernel mean embeddings of two Gaussians under the
+    Gaussian kernel exp(-gamma/2 |x-y|^2), ``term_iii`` of ``_mmd2_terms``:
+    symmetric in its two arguments and always in [0, 1]."""
+    return _mmd2_terms(g1.mean, g1.cov, g2.mean, g2.cov, gamma).term_iii
+
+
+def mmd2_gaussian(g1: GaussianMeasure, g2: GaussianMeasure, gamma: float) -> float:
+    """Closed-form squared MMD of two Gaussians under the Gaussian kernel,
+    ``value`` of ``_mmd2_terms``: accurate for nearby measures too, as no
+    difference cancels; zero iff the measures coincide."""
+    return _mmd2_terms(g1.mean, g1.cov, g2.mean, g2.cov, gamma).value
 
 
 def hsic2_gaussian(g: GaussianMeasure, block: BlockStructure, gamma: float) -> Hsic2Decomposition:
     """Closed-form HSIC^2 of N(mean, cov) with blockwise Gaussian kernels of a
-    common bandwidth gamma.  With S1 the covariance, S2 its block-diagonal
-    restriction, B = 2 gamma S2 + I = L L' and lambda the eigenvalues of
-    gamma L^{-1} (S1 - S2) L^{-T}, which sum to 0:
-
-        term_i   = |2 gamma S1 + I|^{-1/2}          = |B|^{-1/2} prod (1 + 2 lambda)^{-1/2}
-        term_ii  = |2 gamma S2 + I|^{-1/2}          = |B|^{-1/2}
-        term_iii = |gamma S1 + gamma S2 + I|^{-1/2} = |B|^{-1/2} prod (1 + lambda)^{-1/2}
-        HSIC^2 = term_i + term_ii - 2 term_iii      = |B|^{-1/2} [expm1(a)^2 + e^(2a) expm1(b)]
-
-    with a = -sum (log1p(lambda) - lambda) / 2 >= 0 and b = sum
-    log1p(lambda^2 / (1 + 2 lambda)) / 2 >= 0: no difference is formed, so
-    every field is accurate to rounding at every finite gamma.  The mean
-    never enters.
+    common bandwidth gamma: the MMD^2 of ``_mmd2_terms`` between the joint law
+    and the product of its block marginals, N(mean, S2) with S2 the
+    block-diagonal restriction of cov.  The mean never enters; the
+    eigenvalues lambda sum to 0 here, so a is of second order in them.
     """
-    gamma = _check_gamma(gamma)
     block.require_multiblock()
     if g.d != block.total:
         raise ValueError(f"measure has d={g.d} but block dims sum to {block.total}")
     s2 = np.zeros_like(g.cov)
     for sl in block.slices():
         s2[sl, sl] = g.cov[sl, sl]
-    # B = 2k (r S2 + I/(2k)) with k = max(1/2, gamma), r = gamma/k: 2 gamma,
-    # which overflows near 1e308, stays out of the factored matrix
-    k = max(0.5, gamma)
-    r = gamma / k
-    chol = cholesky_spd(r * s2 + (0.5 / k) * np.eye(g.d))
-    logdet_b = g.d * (math.log(2.0) + math.log(k)) + 2.0 * float(np.sum(np.log(np.diagonal(chol))))
-    lam = 0.5 * r * np.linalg.eigvalsh(np.linalg.solve(chol, np.linalg.solve(chol, g.cov - s2).T))
-    # log1p(lam) - lam = 2 (atanh(t) - t) - 2 t^2/(1 - t) with t = lam/(2 + lam):
-    # two terms that share a sign or differ ninefold at t < 1/3 (lam < 1);
-    # from lam = 1 on the plain difference loses at most two bits
-    t = lam / (2.0 + lam)
-    series = 2.0 * t**3 * np.polyval(_ATANH_TAIL, t * t) - 2.0 * t * t / (1.0 - t)
-    a = -0.5 * float(np.sum(np.where(t < 1.0 / 3.0, series, np.log1p(lam) - lam)))
-    b = 0.5 * float(np.sum(np.log1p(lam * lam / (1.0 + 2.0 * lam))))
-    term_i = math.exp(-0.5 * (logdet_b + float(np.sum(np.log1p(2.0 * lam)))))
-    term_iii = math.exp(-0.5 * (logdet_b + float(np.sum(np.log1p(lam)))))
-    # the bracket as (|B|^{-1/4} expm1(a))^2 + term_i (1 - e^{-b}), where
-    # e^{a - log|B|/4} <= 1 (term_iii^2 <= term_i term_ii) cannot overflow
-    root = math.exp(a - 0.25 * logdet_b) * -math.expm1(-a)
-    return Hsic2Decomposition(term_i, math.exp(-0.5 * logdet_b), term_iii, root * root - term_i * math.expm1(-b))
+    return _mmd2_terms(g.mean, g.cov, g.mean, s2, gamma)
 
 
 def _scale_and_u(gamma: float, d: int, x):

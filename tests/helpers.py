@@ -18,8 +18,10 @@ library draws only the two that decide the opposite-sign set.
 seed's stream, and ``one_shot_gap_constant`` is the library's part-(ii)
 estimate from that one draw and one whole-length integrand, where the
 library works in row blocks.  ``decimal_hsic2`` is the general HSIC^2 as its
-three determinant terms and their difference in 200-digit decimals, with
-each determinant by elimination; the library never forms that difference.
+three determinant terms and their difference in 200-digit decimals, the
+zero-shift case of ``decimal_mmd2``, the general Gaussian MMD^2 with each
+determinant and its quadratic form by elimination; the library never forms
+that difference.
 """
 
 from __future__ import annotations
@@ -223,38 +225,58 @@ def correlated_cov(rng: np.random.Generator, block, s: float) -> tuple[np.ndarra
     return diag + s * (corr - diag), diag
 
 
-def _decimal_det(rows) -> Decimal:
-    # elimination without pivoting: every matrix here is positive definite
-    rows = [list(row) for row in rows]
+def _decimal_det_solve(rows, rhs):
+    # elimination without pivoting, then back substitution: every matrix here
+    # is positive definite
+    d = len(rows)
+    rows = [list(row) + [v] for row, v in zip(rows, rhs)]
     det = Decimal(1)
-    for j in range(len(rows)):
+    for j in range(d):
         det *= rows[j][j]
-        for i in range(j + 1, len(rows)):
+        for i in range(j + 1, d):
             f = rows[i][j] / rows[j][j]
             rows[i] = [a - f * b for a, b in zip(rows[i], rows[j])]
-    return det
+    x = [Decimal(0)] * d
+    for j in reversed(range(d)):
+        x[j] = (rows[j][d] - sum(rows[j][c] * x[c] for c in range(j + 1, d))) / rows[j][j]
+    return det, x
 
 
-def decimal_hsic2(cov: np.ndarray, block, gamma: float) -> list[float]:
-    """[term_i, term_ii, term_iii, value] of HSIC^2 = |2g S1 + I|^{-1/2} +
-    |2g S2 + I|^{-1/2} - 2 |g S1 + g S2 + I|^{-1/2} (S2 the block-diagonal part
-    of S1 = cov, g = gamma) from the exact values of the floats, in 200-digit
-    decimals."""
-    d = block.total
-    s2 = np.zeros_like(cov)
-    for sl in block.slices():
-        s2[sl, sl] = cov[sl, sl]
+def decimal_mmd2(mean1, cov1, mean2, cov2, gamma: float) -> list[float]:
+    """[term_i, term_ii, term_iii, value] of the Gaussian-kernel MMD^2 of
+    N(m1, S1) and N(m2, S2), from the exact values of the floats in 200-digit
+    decimals, with g = gamma and d = m1 - m2:
+
+        term_i   = |2g S1 + I|^{-1/2},  term_ii = |2g S2 + I|^{-1/2},
+        term_iii = |g S1 + g S2 + I|^{-1/2} exp(-g d' (g S1 + g S2 + I)^{-1} d / 2),
+        value    = term_i + term_ii - 2 term_iii
+
+    Each determinant and the quadratic form's solve are by elimination."""
     with localcontext() as ctx:
         ctx.prec = 200
         g = Decimal(gamma)
-        s1, s2, eye = ([[Decimal(v) for v in row] for row in m.tolist()] for m in (cov, s2, np.eye(d)))
+        s1, s2, eye = ([[Decimal(v) for v in row] for row in m.tolist()] for m in (cov1, cov2, np.eye(len(mean1))))
+        delta = [Decimal(a) - Decimal(b) for a, b in zip(mean1.tolist(), mean2.tolist())]
 
-        def term(c1, c2):
+        def term(c1, c2, shift):
             rows = [[c1 * a + c2 * b + e for a, b, e in zip(*row)] for row in zip(s1, s2, eye)]
-            return 1 / _decimal_det(rows).sqrt()
+            det, x = _decimal_det_solve(rows, shift)
+            return (-g * sum(a * b for a, b in zip(shift, x)) / 2).exp() / det.sqrt()
 
-        terms = [term(2 * g, 0), term(0, 2 * g), term(g, g)]
+        zero = [Decimal(0)] * len(delta)
+        terms = [term(2 * g, 0, zero), term(0, 2 * g, zero), term(g, g, delta)]
         return [float(t) for t in terms + [terms[0] + terms[1] - 2 * terms[2]]]
+
+
+def decimal_hsic2(cov: np.ndarray, block, gamma: float) -> list[float]:
+    """``decimal_mmd2`` of N(0, S1) and N(0, S2), S2 the block-diagonal part
+    of S1 = cov: HSIC^2 = |2g S1 + I|^{-1/2} + |2g S2 + I|^{-1/2} - 2 |g S1 +
+    g S2 + I|^{-1/2}."""
+    s2 = np.zeros_like(cov)
+    for sl in block.slices():
+        s2[sl, sl] = cov[sl, sl]
+    zero = np.zeros(block.total)
+    return decimal_mmd2(zero, cov, zero, s2, gamma)
 
 
 def adversarial_terms(gamma: float, d: int, rho: float) -> tuple[float, float, float]:

@@ -16,8 +16,8 @@ from hsiclab import (
     minimax_constant,
     mmd2_gaussian,
 )
-from hsiclab.analytic import adversarial_hsic2_columns
-from helpers import correlated_cov, critical_slope, decimal_hsic2, f_c, random_spd
+from hsiclab.analytic import _mmd2_terms, adversarial_hsic2_columns
+from helpers import correlated_cov, critical_slope, decimal_hsic2, decimal_mmd2, f_c, random_spd
 
 B11 = BlockStructure((1, 1))
 # the block structures of the certify_sweep benchmark workload
@@ -37,13 +37,13 @@ def measure_with_rho(rho, block=B11, mean=None):
 class TestEmbeddingInner:
     def test_standard_self_inner(self):
         g = GaussianMeasure.standard(1)
-        assert embedding_inner(g, g, 1.0) == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12)
+        assert embedding_inner(g, g, 1.0) == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12, abs=0.0)
 
     def test_shifted_cross_inner(self):
         g1 = GaussianMeasure.standard(1)
         g2 = GaussianMeasure(np.array([1.0]), np.eye(1))
         expected = math.exp(-1.0 / 6.0) / math.sqrt(3.0)
-        assert embedding_inner(g1, g2, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert embedding_inner(g1, g2, 1.0) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_symmetric_in_arguments(self):
         rng = np.random.default_rng(4)
@@ -52,7 +52,7 @@ class TestEmbeddingInner:
             g1 = GaussianMeasure(rng.normal(size=d), random_spd(rng, d))
             g2 = GaussianMeasure(rng.normal(size=d), random_spd(rng, d))
             assert embedding_inner(g1, g2, 0.7) == pytest.approx(
-                embedding_inner(g2, g1, 0.7), rel=1e-12
+                embedding_inner(g2, g1, 0.7), rel=1e-12, abs=0.0
             )
 
     def test_equal_means_reduce_to_determinant(self):
@@ -62,7 +62,7 @@ class TestEmbeddingInner:
         g2 = GaussianMeasure(mean, random_spd(rng, 3))
         gamma = 1.3
         direct = 1.0 / math.sqrt(np.linalg.det(gamma * g1.cov + gamma * g2.cov + np.eye(3)))
-        assert embedding_inner(g1, g2, gamma) == pytest.approx(direct, rel=1e-12)
+        assert embedding_inner(g1, g2, gamma) == pytest.approx(direct, rel=1e-12, abs=0.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -79,7 +79,7 @@ class TestMmd2Gaussian:
         g2 = GaussianMeasure(np.array([1.0]), np.eye(1))
         expected = (2.0 / math.sqrt(3.0)) * (1.0 - math.exp(-1.0 / 6.0))
         value = mmd2_gaussian(g1, g2, 1.0)
-        assert value == pytest.approx(expected, rel=1e-12)
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert value == pytest.approx(0.177268, abs=1e-6)
 
     def test_symmetry_and_nonnegativity(self):
@@ -90,7 +90,7 @@ class TestMmd2Gaussian:
             g2 = GaussianMeasure(rng.normal(size=d), random_spd(rng, d))
             v12 = mmd2_gaussian(g1, g2, 1.0)
             assert v12 >= 0.0
-            assert v12 == pytest.approx(mmd2_gaussian(g2, g1, 1.0), rel=1e-12)
+            assert v12 == pytest.approx(mmd2_gaussian(g2, g1, 1.0), rel=1e-12, abs=0.0)
 
     def test_triangle_inequality_on_root(self):
         rng = np.random.default_rng(11)
@@ -103,6 +103,66 @@ class TestMmd2Gaussian:
             d12 = math.sqrt(mmd2_gaussian(gs[1], gs[2], 1.0))
             d02 = math.sqrt(mmd2_gaussian(gs[0], gs[2], 1.0))
             assert d02 <= d01 + d12 + 1e-10
+
+    def test_nearby_means_keep_their_digits(self):
+        # (2/sqrt(3)) (1 - exp(-1e-12/6)): the three inner products agree to
+        # 1e-13 here, so their difference would keep about four digits
+        value = mmd2_gaussian(GaussianMeasure.standard(1), GaussianMeasure(np.array([1e-6]), np.eye(1)), 1.0)
+        assert value == pytest.approx(1.9245008972985927e-13, rel=1e-12, abs=0.0)
+
+    def test_matches_200_digit_reference(self):
+        # the second mean is 0, so the shift m1 - m2 is exact in floats; the
+        # covariances differ by exact float differences too (Sterbenz)
+        rng = np.random.default_rng(22)
+        for d in range(1, 6):
+            s1 = random_spd(rng, d)
+            sym = rng.normal(size=(d, d))
+            sym += sym.T
+            covs = [s1, *(s1 + eps * sym for eps in (1e-9, 1e-5, 1e-2)), random_spd(rng, d)]
+            unit = rng.normal(size=d)
+            unit /= np.linalg.norm(unit)
+            g2s = [GaussianMeasure(np.zeros(d), cov) for cov in covs]
+            for shift in (0.0, 1e-9, 1e-6, 1e-3, 1.0):
+                g1 = GaussianMeasure(shift * unit, s1)
+                for g2 in g2s:
+                    for gamma in (1e-6, 1e-3, 1.0, 1e3):
+                        got = [
+                            embedding_inner(g1, g1, gamma),
+                            embedding_inner(g2, g2, gamma),
+                            embedding_inner(g1, g2, gamma),
+                            mmd2_gaussian(g1, g2, gamma),
+                        ]
+                        expected = decimal_mmd2(g1.mean, g1.cov, g2.mean, g2.cov, gamma)
+                        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "cov1, cov2, mean1, gamma",
+        [
+            ([1e-6], [1.0], [0.0], 1e6),
+            # N(0, 1e-20) against N(0, 1) at gamma = 1e20, rescaled by 1e10,
+            # since a variance below 1e-12 is rejected as singular
+            ([1e-10], [1e10], [0.0], 1e10),
+            ([1e-10], [1e10], [3e-5], 1e10),
+            ([1e-11], [1e11], [0.0], 1e300),
+            ([1e-10, 1e10], [1e10, 1e-10], [0.0, 0.0], 1e-3),
+            ([1e-10, 1e10], [1e10, 1e-10], [1.0, -2.0], 1.0),
+            ([1e-10, 1e10], [1e10, 1e-10], [0.0, 0.0], 1e10),
+        ],
+    )
+    def test_measures_of_very_different_scale(self, cov1, cov2, mean1, gamma):
+        # along a direction where S1 is far below S2, 1 + 2 lambda is below
+        # lambda's rounding; each inner product has its own determinant
+        g1 = GaussianMeasure(np.array(mean1), np.diag(cov1))
+        g2 = GaussianMeasure(np.zeros(len(cov2)), np.diag(cov2))
+        term_i, term_ii, term_iii, value = decimal_mmd2(g1.mean, g1.cov, g2.mean, g2.cov, gamma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = [embedding_inner(g1, g1, gamma), embedding_inner(g2, g2, gamma), embedding_inner(g1, g2, gamma)]
+            both = [mmd2_gaussian(g1, g2, gamma), mmd2_gaussian(g2, g1, gamma)]
+            swapped = _mmd2_terms(g2.mean, g2.cov, g1.mean, g1.cov, gamma)
+        assert got == pytest.approx([term_i, term_ii, term_iii], rel=1e-12, abs=0.0)
+        assert both == pytest.approx([value, value], rel=1e-12, abs=0.0)
+        assert [swapped.term_i, swapped.term_ii] == pytest.approx([term_ii, term_i], rel=1e-12, abs=0.0)
 
 
 class TestHsic2Gaussian:
@@ -117,10 +177,10 @@ class TestHsic2Gaussian:
 
     def test_worked_decomposition_rho_06(self):
         dec = hsic2_gaussian(measure_with_rho(0.6), B11, 1.0)
-        assert dec.term_i == pytest.approx(7.56**-0.5, rel=1e-12)
-        assert dec.term_ii == pytest.approx(9**-0.5, rel=1e-12)
-        assert dec.term_iii == pytest.approx(8.64**-0.5, rel=1e-12)
-        assert dec.value == pytest.approx(HSIC2_RHO06, rel=1e-12)
+        assert dec.term_i == pytest.approx(7.56**-0.5, rel=1e-12, abs=0.0)
+        assert dec.term_ii == pytest.approx(9**-0.5, rel=1e-12, abs=0.0)
+        assert dec.term_iii == pytest.approx(8.64**-0.5, rel=1e-12, abs=0.0)
+        assert dec.value == pytest.approx(HSIC2_RHO06, rel=1e-12, abs=0.0)
         assert dec.value == pytest.approx(0.016615, abs=1e-6)
 
     def test_mean_translation_invariance_exact(self):
@@ -149,7 +209,7 @@ class TestHsic2Gaussian:
             dec = hsic2_gaussian(measure_with_rho(0.5), B11, gamma)
         got = [dec.term_i, dec.term_ii, dec.term_iii, dec.value]
         for value, exact in zip(got, self._exact_rho_terms(gamma, 0.5)):
-            assert value == pytest.approx(exact, rel=1e-12)
+            assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_matches_200_digit_reference(self):
         # at gamma = 1e-9 the three terms agree in their first 15 to 30
@@ -165,6 +225,18 @@ class TestHsic2Gaussian:
                     got = [dec.term_i, dec.term_ii, dec.term_iii, dec.value]
                     assert got == pytest.approx(decimal_hsic2(cov, block, gamma), rel=1e-12, abs=0.0)
 
+    def test_is_mmd2_to_the_product_of_marginals(self):
+        # the product of the block marginals of N(m, S1) is N(m, S2), S2 the
+        # block-diagonal part of S1: one closed form, so equal to the bit
+        rng = np.random.default_rng(23)
+        for block in SWEEP_BLOCKS:
+            cov, diag = correlated_cov(rng, block, 0.5)
+            for s1, s2 in ((cov, diag), (make_adversarial_cov(block, 0.3), np.eye(block.total))):
+                for mean in (np.zeros(block.total), rng.normal(size=block.total)):
+                    g, product = GaussianMeasure(mean, s1), GaussianMeasure(mean, s2)
+                    for gamma in (1e-6, 1.0, 1e6):
+                        assert hsic2_gaussian(g, block, gamma).value == mmd2_gaussian(g, product, gamma)
+
     def test_structure_mismatch(self):
         with pytest.raises(ValueError):
             hsic2_gaussian(GaussianMeasure.standard(3), B11, 1.0)
@@ -177,13 +249,13 @@ class TestAdversarialHsic2:
         # rho = 1/2; the three terms are those of the alternative's closed form
         value = adversarial_hsic2(1.0, 2, 4)
         assert type(value) is float
-        assert value == pytest.approx(8**-0.5 + 9**-0.5 - 2 * 8.75**-0.5, rel=1e-12)
+        assert value == pytest.approx(8**-0.5 + 9**-0.5 - 2 * 8.75**-0.5, rel=1e-12, abs=0.0)
         assert math.sqrt(value) == pytest.approx(0.103746, abs=1e-6)
         dec = hsic2_gaussian(measure_with_rho(0.5), B11, 1.0)
-        assert dec.term_i == pytest.approx(8**-0.5, rel=1e-12)
-        assert dec.term_ii == pytest.approx(9**-0.5, rel=1e-12)
-        assert dec.term_iii == pytest.approx(8.75**-0.5, rel=1e-12)
-        assert dec.value == pytest.approx(value, rel=1e-12)
+        assert dec.term_i == pytest.approx(8**-0.5, rel=1e-12, abs=0.0)
+        assert dec.term_ii == pytest.approx(9**-0.5, rel=1e-12, abs=0.0)
+        assert dec.term_iii == pytest.approx(8.75**-0.5, rel=1e-12, abs=0.0)
+        assert dec.value == pytest.approx(value, rel=1e-12, abs=0.0)
 
     def test_vanishes_as_rho_goes_to_zero(self):
         # rho = 1e-8
@@ -214,8 +286,8 @@ class TestAdversarialHsic2:
 
 class TestMinimaxConstant:
     def test_worked_values(self):
-        assert minimax_constant(1.0, 2) == pytest.approx(1.0 / (2.0 * 3.0**1.5), rel=1e-12)
-        assert minimax_constant(1.0, 4) == pytest.approx(1.0 / 18.0, rel=1e-12)
+        assert minimax_constant(1.0, 2) == pytest.approx(1.0 / (2.0 * 3.0**1.5), rel=1e-12, abs=0.0)
+        assert minimax_constant(1.0, 4) == pytest.approx(1.0 / 18.0, rel=1e-12, abs=0.0)
 
     def test_strictly_decreasing_in_dimension(self):
         values = [minimax_constant(1.0, d) for d in range(2, 40)]
@@ -238,8 +310,8 @@ class TestFc:
     def test_worked_value_at_one(self):
         # z = 3: (9-4)^{-1/2} + 9^{-1/2} - 2 (9-1)^{-1/2} - 1/27
         expected = 5**-0.5 + 1.0 / 3.0 - 2 * 8**-0.5 - 1.0 / 27.0
-        assert critical_slope(1.0, 2) == pytest.approx(1.0 / 27.0, rel=1e-12)
-        assert f_c(1.0, 1.0, 2, 1.0 / 27.0) == pytest.approx(expected, rel=1e-12)
+        assert critical_slope(1.0, 2) == pytest.approx(1.0 / 27.0, rel=1e-12, abs=0.0)
+        assert f_c(1.0, 1.0, 2, 1.0 / 27.0) == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert expected == pytest.approx(0.0364031, abs=1e-7)
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
@@ -270,7 +342,7 @@ class TestLecamBound:
         assert lecam_bound(1e-12) == pytest.approx(0.5, abs=1e-5)
 
     def test_alpha_two_switches_branch(self):
-        assert lecam_bound(2.0) == pytest.approx(math.exp(-2.0) / 4.0, rel=1e-12)
+        assert lecam_bound(2.0) == pytest.approx(math.exp(-2.0) / 4.0, rel=1e-12, abs=0.0)
 
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):

@@ -351,7 +351,7 @@ class TestAnalytic:
 
     @pytest.mark.parametrize("gamma", sorted(DIRECT_RHO05))
     def test_values_match_direct_determinants(self, gamma, capsys):
-        assert self._printed(gamma, capsys) == pytest.approx(self.DIRECT_RHO05[gamma], rel=1e-12)
+        assert self._printed(gamma, capsys) == pytest.approx(self.DIRECT_RHO05[gamma], rel=1e-12, abs=0.0)
 
 
 class TestMinimax:

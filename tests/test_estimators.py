@@ -120,11 +120,11 @@ class TestBlockStats:
         pk, ds = self._case(n, dims, family)
         grams, prod = product_gram(pk, ds)
         stats = block_stats(pk, ds)
-        assert stats.total == pytest.approx(float(prod.sum()), rel=1e-10)
+        assert stats.total == pytest.approx(float(prod.sum()), rel=1e-10, abs=0.0)
         np.testing.assert_allclose(stats.rows, [g.sum(axis=1) for g in grams], rtol=1e-10)
-        assert hsic_v(pk, ds) == pytest.approx(dense_hsic_v(grams), rel=1e-10)
+        assert hsic_v(pk, ds) == pytest.approx(dense_hsic_v(grams), rel=1e-10, abs=0.0)
         if len(dims) == 2:
-            assert hsic_u(pk, ds) == pytest.approx(dense_hsic_u(*grams), rel=1e-10)
+            assert hsic_u(pk, ds) == pytest.approx(dense_hsic_u(*grams), rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("family", list(KernelFamily))
     @pytest.mark.parametrize("dims", [(1, 1), (2, 1), (1, 2, 1)])
@@ -134,11 +134,11 @@ class TestBlockStats:
         pk, ds = self._case(THREAD_MIN_N + 17, dims, family)
         grams, prod = product_gram(pk, ds)
         stats = block_stats(pk, ds)
-        assert stats.total == pytest.approx(float(prod.sum()), rel=1e-10)
+        assert stats.total == pytest.approx(float(prod.sum()), rel=1e-10, abs=0.0)
         np.testing.assert_allclose(stats.rows, [g.sum(axis=1) for g in grams], rtol=1e-10)
-        assert hsic_v(pk, ds) == pytest.approx(dense_hsic_v(grams), rel=1e-10)
+        assert hsic_v(pk, ds) == pytest.approx(dense_hsic_v(grams), rel=1e-10, abs=0.0)
         if len(dims) == 2:
-            assert hsic_u(pk, ds) == pytest.approx(dense_hsic_u(*grams), rel=1e-10)
+            assert hsic_u(pk, ds) == pytest.approx(dense_hsic_u(*grams), rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("dims", [(1, 1), (2, 1), (1, 2, 1)])
     def test_lanes_are_bit_identical_for_any_worker_count(self, dims):
@@ -361,7 +361,7 @@ class TestHsicV:
             ds = Dataset(rng.normal(size=(n, 2)), B11)
             grams, _ = product_gram(PK11, ds)
             assert hsic_v(PK11, ds) == pytest.approx(
-                trace_form_hsic_v(grams[0], grams[1]), rel=1e-10
+                trace_form_hsic_v(grams[0], grams[1]), rel=1e-10, abs=0.0
             )
 
     def test_nonnegative_on_random_data(self):
@@ -422,7 +422,7 @@ class TestHsicNystrom:
             ds = random_dataset(seed, n=120, rho=rho)
             value = hsic_nystrom(PK11, ds, 120, seed)
             target = math.sqrt(max(0.0, hsic_v(PK11, ds)))
-            assert value == pytest.approx(target, rel=1e-6)
+            assert value == pytest.approx(target, rel=1e-6, abs=0.0)
             # the same landmark draw as hsic_nystrom's
             points = tuple(
                 ds.block_values(m)[rnglib.stream(seed, "landmarks", m).choice(120, size=120, replace=False)]
@@ -485,7 +485,7 @@ class TestMmdV:
         x = Dataset(np.array([[0.0, 0.0]]), B11)
         y = Dataset(np.array([[1.0, 1.0]]), B11)
         expected = 2.0 - 2.0 * math.exp(-0.5 * 2.0)
-        assert mmd_v(self.SPEC, x, y) == pytest.approx(expected, rel=1e-12)
+        assert mmd_v(self.SPEC, x, y) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_matches_exact_finite_sample_expectation(self):
         # E[mean gram] has a closed form through embedding inner products, so
@@ -520,17 +520,17 @@ class TestInvariances:
             ds = random_dataset(trial, n=25, rho=0.6)
             perm = rng.permutation(25)
             permuted = Dataset(ds.values[perm], B11)
-            assert hsic_v(PK11, permuted) == pytest.approx(hsic_v(PK11, ds), rel=1e-12)
-            assert hsic_u(PK11, permuted) == pytest.approx(hsic_u(PK11, ds), rel=1e-12)
+            assert hsic_v(PK11, permuted) == pytest.approx(hsic_v(PK11, ds), rel=1e-12, abs=0.0)
+            assert hsic_u(PK11, permuted) == pytest.approx(hsic_u(PK11, ds), rel=1e-12, abs=0.0)
             other = random_dataset(trial + 1000, n=25)
             assert mmd_v(KernelSpec("gaussian", 1.0), permuted, other) == pytest.approx(
-                mmd_v(KernelSpec("gaussian", 1.0), ds, other), rel=1e-12
+                mmd_v(KernelSpec("gaussian", 1.0), ds, other), rel=1e-12, abs=0.0
             )
             # full-landmark Nystrom: the landmark set is permutation stable,
             # features only change by an orthogonal reindexing
             v_perm = hsic_nystrom(PK11, permuted, 25, 5)
             v_orig = hsic_nystrom(PK11, ds, 25, 5)
-            assert v_perm == pytest.approx(v_orig, rel=1e-9)
+            assert v_perm == pytest.approx(v_orig, rel=1e-9, abs=0.0)
 
     def test_block_shift_invariance(self):
         rng = np.random.default_rng(32)

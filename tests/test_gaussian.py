@@ -27,7 +27,7 @@ class TestMakeAdversarialCov:
     def test_two_by_two(self):
         cov = make_adversarial_cov(B11, 0.5)
         assert np.array_equal(cov, [[1.0, 0.5], [0.5, 1.0]])
-        assert np.linalg.det(cov) == pytest.approx(0.75, rel=1e-12)
+        assert np.linalg.det(cov) == pytest.approx(0.75, rel=1e-12, abs=0.0)
 
     def test_index_placement_straddles_first_boundary(self):
         cov = make_adversarial_cov(BlockStructure((2, 1)), 0.3)
@@ -39,7 +39,7 @@ class TestMakeAdversarialCov:
     def test_determinant_grid(self, rho):
         for block in (B11, BlockStructure((2, 2)), BlockStructure((3, 1))):
             det = np.linalg.det(make_adversarial_cov(block, rho))
-            assert det == pytest.approx(1.0 - rho * rho, rel=1e-12)
+            assert det == pytest.approx(1.0 - rho * rho, rel=1e-12, abs=0.0)
 
     def test_rejects_unit_rho(self):
         with pytest.raises(ValueError):
@@ -132,12 +132,12 @@ class TestCharFn:
 
     def test_standard_normal_value(self):
         g = GaussianMeasure.standard(1)
-        assert char_fn(g, np.array([1.0])) == pytest.approx(math.exp(-0.5), rel=1e-12)
+        assert char_fn(g, np.array([1.0])) == pytest.approx(math.exp(-0.5), rel=1e-12, abs=0.0)
 
     def test_shifted_mean_value(self):
         g = GaussianMeasure(np.array([1.0]), np.eye(1))
         expected = math.exp(-0.5) * complex(math.cos(1.0), math.sin(1.0))
-        assert char_fn(g, np.array([1.0])) == pytest.approx(expected, rel=1e-12)
+        assert char_fn(g, np.array([1.0])) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_modulus_bounded_and_zero_mean_real(self):
         rng = np.random.default_rng(21)
@@ -160,7 +160,7 @@ class TestKlGaussians:
     def test_unit_shift_one_dim(self):
         g1 = GaussianMeasure(np.array([1.0]), np.eye(1))
         g0 = GaussianMeasure(np.array([0.0]), np.eye(1))
-        assert kl_gaussians(g1, g0) == pytest.approx(0.5, rel=1e-12)
+        assert kl_gaussians(g1, g0) == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
     def test_nonnegative_on_random_pairs(self):
         rng = np.random.default_rng(42)
@@ -177,26 +177,26 @@ class TestKlGaussians:
     def test_adversarial_pair_per_sample_scales_to_exact(self):
         null, alt = build_pair(2, B11)
         total = 2 * kl_gaussians(alt, null)
-        assert total == pytest.approx(0.25 + math.log(2.0), rel=1e-10)
+        assert total == pytest.approx(0.25 + math.log(2.0), rel=1e-10, abs=0.0)
 
 
 class TestKlAdversarial:
     def test_exact_values(self):
         assert kl_adversarial_exact(2, math.sqrt(0.5)) == pytest.approx(
-            0.25 + math.log(2.0), rel=1e-12
+            0.25 + math.log(2.0), rel=1e-12, abs=0.0
         )
         assert kl_adversarial_exact(4, 0.5) == pytest.approx(
-            0.125 + 2.0 * math.log(4.0 / 3.0), rel=1e-12
+            0.125 + 2.0 * math.log(4.0 / 3.0), rel=1e-12, abs=0.0
         )
 
     def test_vanishing_rho_limit(self):
         for n in (2, 10, 1000):
-            assert kl_adversarial_exact(n, 1e-9) == pytest.approx(1.0 / (2 * n), rel=1e-9)
+            assert kl_adversarial_exact(n, 1e-9) == pytest.approx(1.0 / (2 * n), rel=1e-9, abs=0.0)
 
     def test_bound_values(self):
-        assert kl_adversarial_bound(2, math.sqrt(0.5)) == pytest.approx(1.25, rel=1e-12)
-        assert kl_adversarial_bound(4, 0.5) == pytest.approx(0.125 + 2.0 / 3.0, rel=1e-12)
-        assert kl_adversarial_bound(100, 0.1) == pytest.approx(0.005 + 50.0 / 99.0, rel=1e-12)
+        assert kl_adversarial_bound(2, math.sqrt(0.5)) == pytest.approx(1.25, rel=1e-12, abs=0.0)
+        assert kl_adversarial_bound(4, 0.5) == pytest.approx(0.125 + 2.0 / 3.0, rel=1e-12, abs=0.0)
+        assert kl_adversarial_bound(100, 0.1) == pytest.approx(0.005 + 50.0 / 99.0, rel=1e-12, abs=0.0)
 
     def test_exact_below_bound_on_budget_grid(self):
         for n in (2, 3, 5, 17, 128, 1024, 9999):
@@ -209,7 +209,7 @@ class TestKlAdversarial:
         for n in (2, 7, 64, 500):
             null, alt = build_pair(n, B11)
             assert n * kl_gaussians(alt, null) == pytest.approx(
-                kl_adversarial_exact(n, 1.0 / math.sqrt(n)), rel=1e-10
+                kl_adversarial_exact(n, 1.0 / math.sqrt(n)), rel=1e-10, abs=0.0
             )
 
     def test_argument_validation(self):

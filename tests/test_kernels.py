@@ -41,11 +41,11 @@ class TestEvalKernel:
         assert eval_kernel(LAP2, x, x) == 1.0
 
     def test_gaussian_unit_lag(self):
-        assert eval_kernel(GAUSS1, [0.0], [1.0]) == pytest.approx(math.exp(-0.5), rel=1e-12)
+        assert eval_kernel(GAUSS1, [0.0], [1.0]) == pytest.approx(math.exp(-0.5), rel=1e-12, abs=0.0)
 
     def test_laplace_value(self):
         assert eval_kernel(LAP2, [0.0, 0.0], [1.0, 1.0]) == pytest.approx(
-            math.exp(-4.0), rel=1e-12
+            math.exp(-4.0), rel=1e-12, abs=0.0
         )
 
     def test_symmetry_and_translation_invariance(self):
@@ -71,7 +71,7 @@ class TestGram:
         x = np.array([[0.1, 2.0]])
         y = np.array([[-1.0, 0.4]])
         assert gram(LAP2, x, y)[0, 0] == pytest.approx(
-            eval_kernel(LAP2, x[0], y[0]), rel=1e-14
+            eval_kernel(LAP2, x[0], y[0]), rel=1e-14, abs=0.0
         )
 
     def test_symmetric_psd_small(self):
@@ -163,7 +163,7 @@ class TestProductGram:
         pk = ProductKernel(block, (GAUSS1, KernelSpec("gaussian", 0.5)))
         _, prod = product_gram(pk, Dataset(vals, block))
         expected = math.exp(-0.5 * 1.0) * math.exp(-0.25 * 4.0)
-        assert prod[0, 1] == pytest.approx(expected, rel=1e-12)
+        assert prod[0, 1] == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert np.all(np.diag(prod) == 1.0)
 
     @pytest.mark.parametrize("family", [KernelFamily.GAUSSIAN, KernelFamily.LAPLACE])
@@ -278,5 +278,5 @@ class TestSpectralExpSqMean:
         # the leading terms sqrt(1 / (2 gamma)) and 1 / (gamma sqrt(pi))
         for g in (1e154, 1e300):
             lead = math.sqrt(0.5 / g) if family is KernelFamily.GAUSSIAN else 1.0 / (g * math.sqrt(math.pi))
-            assert values[g] == pytest.approx(lead, rel=1e-15)
+            assert values[g] == pytest.approx(lead, rel=1e-15, abs=0.0)
         assert 0.0 < values[sys.float_info.max] < 1e-150

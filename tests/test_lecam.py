@@ -48,9 +48,9 @@ class TestBuildPair:
     def test_budget_one_hundred(self):
         _, alt = build_pair(100, B11)
         rho = alt.cov[0, 1]
-        assert rho == pytest.approx(0.1, rel=1e-15)
+        assert rho == pytest.approx(0.1, rel=1e-15, abs=0.0)
         kl = kl_adversarial_exact(100, rho)
-        assert kl == pytest.approx(0.005 + 50.0 * math.log(1.0 / 0.99), rel=1e-12)
+        assert kl == pytest.approx(0.005 + 50.0 * math.log(1.0 / 0.99), rel=1e-12, abs=0.0)
         assert kl <= 1.25
 
     def test_null_distribution_is_independent(self):
@@ -187,7 +187,7 @@ class TestRateFit:
         fit = rate_fit(ns, 3.0 / np.sqrt(ns))
         assert fit.slope == pytest.approx(-0.5, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-        assert math.exp(fit.intercept) == pytest.approx(3.0, rel=1e-10)
+        assert math.exp(fit.intercept) == pytest.approx(3.0, rel=1e-10, abs=0.0)
 
     def test_exact_inverse_power_law(self):
         ns = np.array([10, 100, 1000])

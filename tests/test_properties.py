@@ -1,5 +1,5 @@
 """Property-based checks of the V and U statistics over generated data, and
-of the closed-form HSIC^2 over generated covariances and bandwidths.
+of the closed-form HSIC^2 and MMD^2 over generated measures and bandwidths.
 
 Sizes stay small (n <= 3 * TILE_ROWS) so the whole module runs in seconds;
 they still cross the TILE_ROWS-row tile boundaries of ``block_stats`` and
@@ -8,6 +8,7 @@ sizes.  Runs are derandomized, so every run draws the same examples.
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -23,10 +24,12 @@ from hsiclab import (
     KernelSpec,
     ProductKernel,
     block_stats,
+    embedding_inner,
     hsic2_gaussian,
+    mmd2_gaussian,
 )
 from hsiclab.estimators import TILE_ROWS
-from helpers import correlated_cov, product_gram
+from helpers import correlated_cov, product_gram, random_spd
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 STRUCTURES = [(1, 1), (2, 1), (1, 2), (2, 2), (1, 2, 1)]
@@ -95,7 +98,7 @@ def test_tiled_sums_equal_dense_sums(case):
     pk, ds = case
     grams, prod = product_gram(pk, ds)
     stats = block_stats(pk, ds)
-    assert stats.total == pytest.approx(float(prod.sum()), rel=1e-10)
+    assert stats.total == pytest.approx(float(prod.sum()), rel=1e-10, abs=0.0)
     np.testing.assert_allclose(stats.rows, [g.sum(axis=1) for g in grams], rtol=1e-10)
 
 
@@ -125,3 +128,47 @@ def test_hsic2_gaussian_is_finite_and_in_range(dims, seed, s, gamma):
     assert all(0.0 <= t <= 1.0 for t in terms)
     assert 0.0 <= dec.value and math.isfinite(dec.value)
     assert independent.value == 0.0
+
+
+def _mmd2_both_ways(g1, g2, gamma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return mmd2_gaussian(g1, g2, gamma), mmd2_gaussian(g2, g1, gamma)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 1e-9, 1e-3, 1.0]),
+    st.sampled_from([1e-11, 1e-6, 1.0, 1e6, 1e11]),
+    st.one_of(st.just(0.0), st.floats(-30.0, 150.0).map(lambda e: 10.0**e)),
+    BANDWIDTHS,
+)
+def test_mmd2_gaussian_is_finite_nonnegative_and_symmetric(d, seed, eps, scale, shift, gamma):
+    # a second covariance eps away from the first (eps = 1: an unrelated one)
+    # and scaled by up to 1e11 either way, and a mean shift of up to 1e150
+    # along a random direction
+    gen = np.random.default_rng(seed)
+    cov = random_spd(gen, d)
+    sym = gen.normal(size=(d, d))
+    other = scale * (random_spd(gen, d) if eps == 1.0 else cov + eps * (sym + sym.T))
+    unit = gen.normal(size=d)
+    g1 = GaussianMeasure(np.zeros(d), cov)
+    g2 = GaussianMeasure(shift * unit / np.linalg.norm(unit), other)
+    v12, v21 = _mmd2_both_ways(g1, g2, gamma)
+    assert math.isfinite(v12) and v12 >= 0.0
+    # below the smallest normal float fewer than 53 bits are left, so
+    # relative agreement is asked for only above it
+    assert v12 == pytest.approx(v21, rel=1e-12, abs=sys.float_info.min)
+    assert _mmd2_both_ways(g2, g2, gamma) == (0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert 0.0 <= embedding_inner(g1, g2, gamma) <= 1.0
+
+
+def test_mmd2_gaussian_smallest_bandwidth_sees_a_huge_shift():
+    # gamma |shift|^2 = 4.94e-24 to first order; r/4 alone rounds to 0 here
+    far = GaussianMeasure(np.array([1e150]), np.eye(1))
+    v12, v21 = _mmd2_both_ways(GaussianMeasure.standard(1), far, 5e-324)
+    assert v12 > 0.0 and v21 > 0.0

@@ -163,8 +163,8 @@ class TestGapConstant:
         pair_s = swapped[:, 0] * swapped[:, 1]
         vals_s = np.where(pair_s < 0, pair_s**2 * np.exp(-np.einsum("nd,nd->n", swapped, swapped)), 0.0)
         est, _ = gap_constant_partii(GAUSS1, B11, 50_000, 11)
-        assert vals.mean() == pytest.approx(est, rel=1e-12)
-        assert vals_s.mean() == pytest.approx(est, rel=1e-12)
+        assert vals.mean() == pytest.approx(est, rel=1e-12, abs=0.0)
+        assert vals_s.mean() == pytest.approx(est, rel=1e-12, abs=0.0)
 
     def test_requires_two_blocks(self):
         with pytest.raises(ValueError):
@@ -265,7 +265,7 @@ class TestVerifyGapPartII:
 
     def test_worked_margin_at_n_four(self):
         (hsic2,), (bound,), (margin,) = partii_columns([4], 400_000, 17)
-        assert hsic2 == pytest.approx(adversarial_hsic2(1.0, 2, 4), rel=1e-12)
+        assert hsic2 == pytest.approx(adversarial_hsic2(1.0, 2, 4), rel=1e-12, abs=0.0)
         assert hsic2 == pytest.approx(0.010763, abs=1e-6)
         # bound is rho^2 (estimate - 4 SE), slightly below 0.25/54
         assert bound <= 0.25 * (1.0 / 54.0) + 1e-4
