@@ -75,8 +75,10 @@ def _mmd2_terms(m1, s1, m2, s2, gamma: float) -> Hsic2Decomposition:
     half_log_2k = 0.5 * len(m1) * (math.log(2.0) + math.log(k))
     h1, h2, h3 = (half_log_2k + float(np.sum(np.log(np.diagonal(c)))) for c in chols)
     x = np.linalg.solve(chols[2], m1 - m2)
-    # r times the sum first: at gamma = 5e-324, r/4 is 0
-    q = 0.25 * (r * float(x @ x))
+    # r times the sum first: at gamma = 5e-324, r/4 is 0; past |x| of about
+    # 1.3e154 the sum overflows to inf, where e^-q takes its exact limit 0
+    with np.errstate(over="ignore"):
+        q = 0.25 * (r * float(x @ x))
     term_i, term_ii, term_iii = math.exp(-h1), math.exp(-h2), math.exp(-h3 - q)
     if h1 + h2 - 2.0 * h3 < -math.log(2.0):
         return Hsic2Decomposition(term_i, term_ii, term_iii, term_i + term_ii - 2.0 * term_iii)

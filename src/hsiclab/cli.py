@@ -330,7 +330,7 @@ def cmd_estimate(args) -> int:
             record["landmarks"] = args.landmarks
         else:
             stats = stats or block_stats(pk, data)
-            record["value_hsic2"] = stats.v_statistic() if kind == "v" else stats.u_statistic()
+            record["value_hsic2"] = float(stats.v_statistic() if kind == "v" else stats.u_statistic())
         records.append(record)
 
     if args.format == "json":

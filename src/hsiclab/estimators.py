@@ -53,8 +53,9 @@ from .kernels import ProductKernel, stacked_gram
 #
 # At small n a tile is tiny and the pass is all per-call overhead, so
 # ``block_stats_batch`` stacks ``stack_size(n)`` datasets along a leading axis
-# and runs the same loop on (R, t, n) tiles; below n = 512 that is more than
-# one dataset, so the lanes never see a stack.
+# and runs the same loop on (R, t, n) tiles; below n = 1024 that is more than
+# one dataset, so the lanes never see a stack.  The V and U forms and the
+# Nystrom norm then run once per stack as well.
 TILE_ROWS = 64
 LANE_TILE_ROWS = 32
 LANES = TILE_ROWS // LANE_TILE_ROWS
@@ -63,10 +64,11 @@ THREAD_MIN_N = 2048
 
 def stack_size(n: int) -> int:
     """How many datasets of n rows share one pass of the tile loop (or one
-    Nystrom step): as many as keep a block's tiles within 2^15 floats
-    (256 KB), and at least one.  That is 512 at n = 8, 2 at n = 256 and 1
-    from n = 512 on, so the lanes at n >= THREAD_MIN_N see one dataset."""
-    return max(1, 2**15 // (min(n, TILE_ROWS) * n))
+    Nystrom step): as many as keep a block's tiles within 2^16 floats
+    (512 KB), and at least one.  That is 1024 at n = 8, 4 at n = 256, 2 at
+    n = 512 and 1 from n = 1024 on, so the lanes at n >= THREAD_MIN_N see
+    one dataset."""
+    return max(1, 2**16 // (min(n, TILE_ROWS) * n))
 
 
 def require_v(n: int) -> None:
@@ -95,53 +97,66 @@ def require_nystrom(m: int, n: int, landmarks: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class BlockStats:
-    """Sufficient statistics of the V and U forms for one dataset:
-    ``total`` = sum_ij prod_m K_m[i,j] and ``rows[m]`` = K_m 1, shape (M, n).
+    """Sufficient statistics of the V and U forms for a stack of R datasets
+    of n rows: ``total[r]`` = sum_ij prod_m K_m[i,j] of dataset r, shape
+    (R,), and ``rows[r, m]`` = K_m 1, shape (R, M, n).  Without the leading
+    axis they are those of one dataset, and the statistics are scalars.
 
     Every Gram diagonal is exactly 1 (zero lag), so nothing else is needed.
+    Each statistic is taken once for the whole stack, and each dataset's
+    entry is the same bits as the dataset alone gives.
     """
 
-    total: float
+    total: np.ndarray
     rows: np.ndarray
 
-    def v_statistic(self) -> float:
+    def v_statistic(self) -> np.ndarray:
         """Biased V-statistic of HSIC^2 for n >= 2 (see ``hsic_v``)."""
-        m, n = self.rows.shape
+        *_, m, n = self.rows.shape
         require_v(n)
         term1 = self.total / (n * n)
-        term2 = float(np.prod(self.rows.sum(axis=1))) / n ** (2 * m)
-        term3 = float(reduce(np.multiply, self.rows[:-1]) @ self.rows[-1]) / n ** (m + 1)
+        term2 = np.prod(self.rows.sum(axis=-1), axis=-1) / float(n ** (2 * m))
+        term3 = _row_dot(np.prod(self.rows[..., :-1, :], axis=-2), self.rows[..., -1, :]) / float(n ** (m + 1))
         return term1 + term2 - 2.0 * term3
 
-    def u_statistic(self) -> float:
+    def u_statistic(self) -> np.ndarray:
         """Unbiased U-statistic of HSIC^2 for exactly two blocks and n >= 4
         (see ``hsic_u``)."""
-        m, n = self.rows.shape
+        *_, m, n = self.rows.shape
         require_u(m, n)
-        k_rows, l_rows = self.rows
         # zeroed-diagonal quantities expressed through the plain Gram sums
         t1 = self.total - n
-        sk = k_rows - 1.0
-        sl = l_rows - 1.0
-        t2 = float(sk.sum()) * float(sl.sum()) / ((n - 1) * (n - 2))
-        t3 = 2.0 * float(sk @ sl) / (n - 2)
+        sk = self.rows[..., 0, :] - 1.0
+        sl = self.rows[..., 1, :] - 1.0
+        t2 = sk.sum(axis=-1) * sl.sum(axis=-1) / ((n - 1) * (n - 2))
+        t3 = 2.0 * _row_dot(sk, sl) / (n - 2)
         return (t1 + t2 - t3) / (n * (n - 3))
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a[..., i] b[..., i] as one pairwise sum along each row: the same
+    bits for a row alone, in a stack and under any BLAS thread count, where
+    BLAS ``dot`` (behind ``@`` and ``np.linalg.norm``) splits rows of more
+    than 10000 terms over its threads."""
+    return (a * b).sum(axis=-1)
 
 
 def block_stats(pk: ProductKernel, data: Dataset) -> BlockStats:
     """The sufficient statistics of one dataset: ``block_stats_batch`` of a
-    stack of one."""
-    return block_stats_batch(pk, _stack_of_one(pk, data))[0]
+    stack of one, without the stack axis."""
+    stats = block_stats_batch(pk, _stack_of_one(pk, data))
+    return BlockStats(stats.total[0], stats.rows[0])
 
 
-def block_stats_batch(pk: ProductKernel, values) -> list[BlockStats]:
-    """Sufficient statistics of each dataset of a stack ``values`` of shape
-    (R, n, d), whose columns are the kernel's blocks, from one pass of the
-    tile loop per ``stack_size(n)`` of them.  Each result is the same bits
-    as the dataset alone would give."""
+def block_stats_batch(pk: ProductKernel, values) -> BlockStats:
+    """Sufficient statistics of the stack ``values`` of shape (R, n, d),
+    whose columns are the kernel's blocks, from one pass of the tile loop
+    per ``stack_size(n)`` datasets.  Each dataset's entries are the same
+    bits as the dataset alone would give."""
     values = _require_stack(pk, values)
     size = stack_size(values.shape[1])
-    return [stats for r in range(0, len(values), size) for stats in _tile_pass(pk, values[r : r + size])]
+    parts = [_tile_pass(pk, values[r : r + size]) for r in range(0, len(values), size)]
+    return BlockStats(np.concatenate([p.total for p in parts]), np.concatenate([p.rows for p in parts]))
 
 
 def _stack_of_one(pk: ProductKernel, data: Dataset) -> np.ndarray:
@@ -167,7 +182,7 @@ def _require_stack(pk: ProductKernel, values) -> np.ndarray:
     return values
 
 
-def _tile_pass(pk: ProductKernel, values: np.ndarray) -> list[BlockStats]:
+def _tile_pass(pk: ProductKernel, values: np.ndarray) -> BlockStats:
     """Fused pass over upper-triangle row tiles of the symmetric block Grams
     of R stacked datasets, ``values`` of shape (R, n, d).
 
@@ -238,8 +253,7 @@ def _tile_pass(pk: ProductKernel, values: np.ndarray) -> list[BlockStats]:
             partials = lane(0) + second.result()
     else:
         partials = [p for j in range(lanes) for p in lane(j)]
-    rows = reduce(np.add, lane_rows)
-    return [BlockStats(math.fsum(tile[r] for tile in partials), rows[r]) for r in range(reps)]
+    return BlockStats(np.array([math.fsum(sums) for sums in zip(*partials)]), reduce(np.add, lane_rows))
 
 
 def _usable_cpus() -> int:
@@ -257,7 +271,7 @@ def hsic_v(pk: ProductKernel, data: Dataset) -> float:
 
     Always nonnegative up to round-off.
     """
-    return block_stats(pk, data).v_statistic()
+    return float(block_stats(pk, data).v_statistic())
 
 
 def hsic_u(pk: ProductKernel, data: Dataset) -> float:
@@ -268,7 +282,7 @@ def hsic_u(pk: ProductKernel, data: Dataset) -> float:
     with K~, L~ the per-block Grams with zeroed diagonals.  May be negative;
     its expectation equals the population HSIC^2.
     """
-    return block_stats(pk, data).u_statistic()
+    return float(block_stats(pk, data).u_statistic())
 
 
 def _inv_sqrt_psd(w: np.ndarray) -> np.ndarray:
@@ -306,7 +320,7 @@ def hsic_nystrom(
     landmarks = int(landmarks)
     require_nystrom(pk.block.m, data.n, landmarks)
     picks = np.array(list(landmark_picks(data.n, landmarks, [seed])))
-    return hsic_nystrom_batch(pk, values, picks)[0]
+    return float(hsic_nystrom_batch(pk, values, picks)[0])
 
 
 def landmark_picks(n: int, landmarks: int, seeds):
@@ -318,11 +332,11 @@ def landmark_picks(n: int, landmarks: int, seeds):
     return ([gen.choice(n, size=landmarks, replace=False) for gen in pair] for pair in pairs)
 
 
-def hsic_nystrom_batch(pk: ProductKernel, values, picks) -> list[float]:
+def hsic_nystrom_batch(pk: ProductKernel, values, picks) -> np.ndarray:
     """``hsic_nystrom`` of each dataset of a stack ``values`` of shape
     (R, n, d), on the landmark rows ``picks`` of shape (R, 2, landmarks)
     that ``landmark_picks`` gives its seed, in one stacked step per
-    ``stack_size(n)`` datasets."""
+    ``stack_size(n)`` datasets; shape (R,)."""
     values = _require_stack(pk, values)
     reps, n, _ = values.shape
     picks = np.asarray(picks)
@@ -331,11 +345,12 @@ def hsic_nystrom_batch(pk: ProductKernel, values, picks) -> list[float]:
     require_nystrom(pk.block.m, n, picks.shape[2])
     if picks.min() < 0 or picks.max() >= n:
         raise ValueError(f"landmark rows must lie in [0, {n})")
-    out = []
+    norms = np.empty(reps)
     size = stack_size(n)
     for r0 in range(0, reps, size):
         chunk = values[r0 : r0 + size]
         stack = np.arange(len(chunk))[:, None]
         points = [chunk[stack, picks[r0 : r0 + size, m], cols] for m, cols in enumerate(pk.block.slices())]
-        out.extend(float(np.linalg.norm(c)) for c in _stacked_cross_cov(pk, chunk, points))
-    return out
+        cov = _stacked_cross_cov(pk, chunk, points).reshape(len(chunk), -1)
+        norms[r0 : r0 + size] = np.sqrt(_row_dot(cov, cov))
+    return norms

@@ -98,17 +98,24 @@ def sample(g: GaussianMeasure, n: int, seed: int, block: BlockStructure | None =
         block = BlockStructure((g.d,))
     if block.total != g.d:
         raise ValueError(f"block dims sum to {block.total} but the measure has d={g.d}")
-    return Dataset(sample_stack(g, n, [rng.stream(seed)])[0], block)
+    return Dataset(sample_stack(g, n, [rng.stream(seed)], 1)[0], block)
 
 
-def sample_stack(g: GaussianMeasure, n: int, gens) -> np.ndarray:
-    """The rows of ``sample`` for each generator of ``gens`` in turn, stacked
-    as (R, n, d): row r is ``sample(g, n, seed).values`` when the r-th
-    generator is ``rng.stream(seed)``."""
+def sample_stack(g: GaussianMeasure, n: int, gens, count: int) -> np.ndarray:
+    """The rows of ``sample`` for each of the next ``count`` generators of
+    ``gens`` in turn, stacked as (count, n, d): row r is ``sample(g, n,
+    seed).values`` when the r-th generator is ``rng.stream(seed)``.  Each
+    generator draws straight into its slot of the stack, so it need only
+    stay valid until the next is drawn (as ``rng.streams`` yields them)."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    shape = (int(n), g.d)
-    z = np.array([gen.standard_normal(shape) for gen in gens]).reshape(-1, *shape)
+    z = np.empty((count, int(n), g.d))
+    drawn = 0
+    for slot, gen in zip(z, gens):
+        gen.standard_normal(out=slot)
+        drawn += 1
+    if drawn < count:
+        raise ValueError(f"need {count} generators, got {drawn}")
     return g.mean + z @ g.chol.T
 
 

@@ -219,17 +219,16 @@ def _simulate(
         }
         for r0 in range(0, reps, size):
             count = min(size, reps - r0)
-            values = sample_stack(measure, n, islice(gens, count))
+            values = sample_stack(measure, n, gens, count)
             stats = block_stats_batch(pk, values) if needs_stats else None
             for est in estimators:
-                if est.kind == "v":
-                    est_hsic = [math.sqrt(max(0.0, s.v_statistic())) for s in stats]
-                elif est.kind == "u":
-                    est_hsic = [math.sqrt(max(0.0, s.u_statistic())) for s in stats]
-                else:
+                if est.kind == "nystrom":
                     chunk_picks = np.array(list(islice(picks[est.name], count)))
                     est_hsic = hsic_nystrom_batch(pk, values, chunk_picks)
-                errors[est.name][r0 : r0 + count] = np.abs(np.subtract(est_hsic, true_hsic))
+                else:
+                    hsic2 = stats.v_statistic() if est.kind == "v" else stats.u_statistic()
+                    est_hsic = np.sqrt(np.maximum(hsic2, 0.0))
+                errors[est.name][r0 : r0 + count] = np.abs(est_hsic - true_hsic)
         for est in estimators:
             err = errors[est.name]
             per_dist[est.name].append((float(np.sqrt(np.mean(err * err))), float(np.mean(err >= threshold))))

@@ -19,9 +19,14 @@ from .kernels import KernelFamily, KernelSpec, spectral_blocks, spectral_exp_sq_
 
 
 def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
-    est = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(values.shape[0]))
-    return est, se
+    """The mean of ``values`` and its standard error, ``values.std(ddof=1)``
+    over sqrt(N), from the same ufuncs in the same order as ``std`` but in
+    place: ``values`` is overwritten with its squared deviations."""
+    n = values.shape[0]
+    mean = values.mean(keepdims=True)
+    values -= mean
+    np.multiply(values, values, out=values)
+    return float(mean[0]), math.sqrt(float(values.sum()) / (n - 1)) / math.sqrt(n)
 
 
 def mmd2_spectral(

@@ -82,6 +82,18 @@ class TestMmd2Gaussian:
         assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert value == pytest.approx(0.177268, abs=1e-6)
 
+    def test_huge_mean_shift_warns_of_nothing(self):
+        # the quadratic form overflows to inf, where term_iii is exactly 0
+        g1 = GaussianMeasure.standard(2)
+        g2 = GaussianMeasure(np.array([1e160, -1e160]), np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            terms = _mmd2_terms(g1.mean, g1.cov, g2.mean, g2.cov, 1.0)
+            for a, b in ((g1, g2), (g2, g1)):
+                assert mmd2_gaussian(a, b, 1.0) == 0.6666666666666667
+        assert terms.term_iii == 0.0
+        assert terms.value == pytest.approx(2.0 / 3.0, rel=1e-15, abs=0.0)
+
     def test_symmetry_and_nonnegativity(self):
         rng = np.random.default_rng(10)
         for _ in range(20):

@@ -58,6 +58,11 @@ def random_dataset(seed, n=30, block=B11, rho=0.0):
     return sample(g, n, seed, block)
 
 
+def hexes(values) -> list[str]:
+    """float.hex of each entry of a 1-d array."""
+    return [v.hex() for v in values.tolist()]
+
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_NUM_THREADS")
 
 # prints float.hex of the total, V, U (n >= 4) and every row sum of
@@ -79,6 +84,27 @@ for dims in ((1, 1), (2, 2)):
         if n >= 4:
             values.append(stats.u_statistic())
         print(dims, n, *map(float.hex, values + stats.rows.ravel().tolist()))
+"""
+
+# prints float.hex of hsic_v and hsic_u of four 12000-row datasets, then of
+# the V and U records of `estimate` on the CSV argv[1]: past 10000 rows
+# OpenBLAS splits a dot product over its threads
+V_U_CHILD = """
+import json, sys
+import numpy as np
+from hsiclab import BlockStructure, GaussianMeasure, KernelFamily, ProductKernel, hsic_u, hsic_v
+from hsiclab import make_adversarial_cov, sample
+from hsiclab.cli import main
+block = BlockStructure((1, 1))
+pk = ProductKernel.homogeneous(block, KernelFamily.GAUSSIAN, 1.0)
+g = GaussianMeasure(np.zeros(2), make_adversarial_cov(block, 0.6))
+for seed in range(4):
+    ds = sample(g, 12000, seed, block)
+    print(seed, hsic_v(pk, ds).hex(), hsic_u(pk, ds).hex())
+argv = ["estimate", "--input", sys.argv[1], "--blocks", "1,1", "--est", "v", "--est", "u", "--output", sys.argv[2]]
+assert main(argv) == 0
+with open(sys.argv[2]) as f:
+    print(*(rec["value_hsic2"].hex() for rec in json.load(f)))
 """
 
 
@@ -195,6 +221,25 @@ class TestBlockStats:
             assert len(lines) == len(outputs[0])
             assert differ == [], f"OPENBLAS_NUM_THREADS={threads}, cpus={cpus}"
 
+    def test_v_and_u_do_not_depend_on_blas_threads(self, tmp_path):
+        # their dot products are pairwise row sums, not BLAS ``dot``
+        z = np.random.default_rng(5).normal(size=(16384, 2))
+        z[:, 1] = 0.6 * z[:, 0] + 0.8 * z[:, 1]
+        np.savetxt(tmp_path / "rows.csv", z, delimiter=",")
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        src = os.path.dirname(os.path.dirname(estimators.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        outputs = []
+        for threads in ("1", "4"):
+            child = subprocess.run(
+                [sys.executable, "-c", V_U_CHILD, str(tmp_path / "rows.csv"), str(tmp_path / f"est{threads}.json")],
+                env=dict(env, OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True, timeout=300,
+            )
+            assert child.returncode == 0, child.stderr
+            outputs.append(child.stdout.splitlines())
+        assert len(outputs[0]) == 5
+        assert outputs[1] == outputs[0]
+
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
     def test_forked_child_makes_its_own_pool(self):
         # no lane thread outlives a call, so the child has none to miss
@@ -279,7 +324,7 @@ class TestBlockStatsBatch:
     """Stacking datasets along the tile loop's leading axis changes no bit of
     any one dataset's statistics, whatever its neighbours in the stack."""
 
-    @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (2, 1)])
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (2, 1), (1, 2, 1)])
     @pytest.mark.parametrize("n", [2, 8, 63, 64, 65, 128, 129, 256, 257, 2047, 2048])
     def test_stacking_does_not_change_the_bits(self, monkeypatch, n, dims):
         block = BlockStructure(dims)
@@ -289,16 +334,33 @@ class TestBlockStatsBatch:
         for size in (1, 2, 7):
             monkeypatch.setattr(estimators, "stack_size", lambda n: size)
             stacked = block_stats_batch(pk, np.array([ds.values for ds in datasets]))
-            assert len(stacked) == len(datasets)
-            for a, b in zip(alone, stacked):
-                assert b.total.hex() == a.total.hex(), size
-                assert np.array_equal(b.rows, a.rows), size
-                assert b.v_statistic().hex() == a.v_statistic().hex(), size
-                if n >= 4:
-                    assert b.u_statistic().hex() == a.u_statistic().hex(), size
+            assert stacked.total.shape == (len(datasets),)
+            assert hexes(stacked.total) == [a.total.hex() for a in alone], size
+            assert np.array_equal(stacked.rows, [a.rows for a in alone]), size
+            assert hexes(stacked.v_statistic()) == [a.v_statistic().hex() for a in alone], size
+            if block.m == 2 and n >= 4:
+                assert hexes(stacked.u_statistic()) == [a.u_statistic().hex() for a in alone], size
+
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (1, 2, 1)])
+    @pytest.mark.parametrize("n", [16, 256, 512])
+    def test_several_stacks_give_each_dataset_its_bits(self, n, dims):
+        # two full stacks of the real stack_size and a short third one
+        block = BlockStructure(dims)
+        pk = ProductKernel.homogeneous(block, KernelFamily.GAUSSIAN, 1.0)
+        reps = 2 * estimators.stack_size(n) + 1
+        datasets = [random_dataset(rnglib.derive(n, r), n, block, rho=0.6) for r in range(reps)]
+        values = np.array([ds.values for ds in datasets])
+        stats = block_stats_batch(pk, values)
+        assert hexes(stats.v_statistic()) == [hsic_v(pk, ds).hex() for ds in datasets]
+        if block.m == 2:
+            assert hexes(stats.u_statistic()) == [hsic_u(pk, ds).hex() for ds in datasets]
+            seeds = [rnglib.derive(n, r, "nystrom") for r in range(reps)]
+            picks = np.array(list(landmark_picks(n, 4, seeds)))
+            alone = [hsic_nystrom(pk, ds, 4, seed).hex() for ds, seed in zip(datasets, seeds)]
+            assert hexes(hsic_nystrom_batch(pk, values, picks)) == alone
 
     def test_stack_size_holds_a_tile_set_of_one_block(self):
-        assert [estimators.stack_size(n) for n in (8, 64, 256, 512, THREAD_MIN_N)] == [512, 8, 2, 1, 1]
+        assert [estimators.stack_size(n) for n in (8, 64, 256, 512, THREAD_MIN_N)] == [1024, 16, 4, 2, 1]
 
     def test_rejects_mixed_datasets(self):
         with pytest.raises(ValueError, match="do not match"):
@@ -318,7 +380,7 @@ class TestBlockStatsBatch:
         values = np.array([ds.values for ds in datasets])
         picks = np.array(list(landmark_picks(40, 6, seeds)))
         assert picks.shape == (5, 2, 6)
-        assert hsic_nystrom_batch(PK11, values, picks) == alone
+        assert hexes(hsic_nystrom_batch(PK11, values, picks)) == [a.hex() for a in alone]
         with pytest.raises(ValueError, match="landmark rows for 5 datasets"):
             hsic_nystrom_batch(PK11, values, picks[:4])
         with pytest.raises(ValueError, match=r"in \[0, 40\)"):

@@ -119,10 +119,17 @@ class TestSample:
     def test_stacked_rows_are_each_seed_alone(self, d):
         g = GaussianMeasure(np.arange(d) / 3.0, random_spd(np.random.default_rng(d), d))
         seeds = [0, 7, 2**40 + 9, -3]
-        stack = sample_stack(g, 33, rng.streams(seeds))
+        stack = sample_stack(g, 33, rng.streams(seeds), len(seeds))
         assert stack.shape == (4, 33, d)
         for rows, seed in zip(stack, seeds):
             assert np.array_equal(rows, sample(g, 33, seed).values)
+            z = rng.stream(seed).standard_normal((33, d))
+            assert np.array_equal(rows, g.mean + z @ g.chol.T)
+        # each call takes only its own generators from a shared iterator
+        gens = rng.streams(seeds)
+        assert np.array_equal(np.concatenate([sample_stack(g, 33, gens, 3), sample_stack(g, 33, gens, 1)]), stack)
+        with pytest.raises(ValueError, match="need 2 generators, got 1"):
+            sample_stack(g, 33, rng.streams(seeds[:1]), 2)
 
 
 class TestCharFn:

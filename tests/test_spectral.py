@@ -201,8 +201,8 @@ class TestGapConstant:
         assert gap_constant_partii(spec, block, n_freq, 47) == one_shot_gap_constant(spec, block, n_freq, 47)
 
     def test_draw_holds_no_whole_length_temporaries(self):
-        # the integrand array and the standard error's deviations are the
-        # only whole-length arrays: 1.6 MB each at certify's frequency count
+        # the integrand array is the only whole-length array: 1.6 MB at
+        # certify's frequency count
         tracemalloc.start()
         try:
             verify_gap_partii(1.0, BlockStructure((3, 1, 2)), CERTIFY_SPECTRAL_FREQS, 5)
@@ -210,6 +210,21 @@ class TestGapConstant:
         finally:
             tracemalloc.stop()
         assert peak < 5_000_000
+
+    @pytest.mark.parametrize("family", ["gaussian", "laplace"])
+    def test_standard_error_is_taken_in_place(self, family):
+        # the deviations overwrite the integrand array: std(ddof=1) would
+        # hold a second whole-length copy; a first small call sets up what
+        # numpy allocates once
+        n_freq = 200_000
+        gap_constant_partii(KernelSpec(family, 1.0), BlockStructure((3, 1, 2)), 100, 5)
+        tracemalloc.start()
+        try:
+            gap_constant_partii(KernelSpec(family, 1.0), BlockStructure((3, 1, 2)), n_freq, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n_freq
 
     @pytest.mark.parametrize("gamma, dims", CERTIFY_SWEEP)
     def test_standard_error_is_no_larger_than_the_full_draws(self, gamma, dims):
