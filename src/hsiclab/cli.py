@@ -21,7 +21,7 @@ from .analytic import hsic2_gaussian
 from .data import BlockStructure, Dataset
 from .estimators import TILE_ROWS, block_stats, hsic_nystrom
 from .gaussian import GaussianMeasure, make_adversarial_cov
-from .kernels import KernelFamily, KernelSpec, ProductKernel, lag_sum
+from .kernels import KernelFamily, KernelSpec, ProductKernel, coordinate_major, lag_sum
 from .lecam import DEFAULT_N_GRID, Estimator, ExperimentConfig, certificate_table, run_experiment
 from .spectral import verify_gap_partii
 
@@ -266,6 +266,8 @@ def _median_heuristic(spec_family: KernelFamily, block_values: np.ndarray, seed:
     if x.shape[0] > MEDIAN_HEURISTIC_CAP:
         idx = rng.stream(seed, "median").choice(x.shape[0], size=MEDIAN_HEURISTIC_CAP, replace=False)
         x = x[idx]
+    # lag_sum then reads each coordinate of a tile's columns on unit stride
+    x = coordinate_major(x)
     m = x.shape[0]
     positive = np.empty(m * (m - 1) // 2)
     count = 0

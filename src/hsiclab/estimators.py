@@ -26,7 +26,7 @@ import numpy as np
 
 from . import rng
 from .data import Dataset
-from .kernels import ProductKernel, stacked_gram
+from .kernels import ProductKernel, coordinate_major, stacked_gram
 
 # ``block_stats`` cuts the upper triangle of the block Grams into row tiles
 # and deals tile i to lane i % LANES.  Each lane sums its tiles in order into
@@ -54,21 +54,32 @@ from .kernels import ProductKernel, stacked_gram
 # At small n a tile is tiny and the pass is all per-call overhead, so
 # ``block_stats_batch`` stacks ``stack_size(n)`` datasets along a leading axis
 # and runs the same loop on (R, t, n) tiles; below n = 1024 that is more than
-# one dataset, so the lanes never see a stack.  The V and U forms and the
-# Nystrom norm then run once per stack as well.
+# one dataset, so the lanes never see a stack.  The V and U forms then run
+# once per stack as well.  Each stack reads a coordinate-major copy of each
+# block's points, so the lag subtractions run on unit stride: on a 2-vCPU
+# Xeon one coordinate of a 32 x 4096 tile took 24 us instead of 57.  The
+# Nystrom step holds smaller arrays and stacks ``stack_size(n, landmarks)``
+# datasets of its own.
 TILE_ROWS = 64
 LANE_TILE_ROWS = 32
 LANES = TILE_ROWS // LANE_TILE_ROWS
 THREAD_MIN_N = 2048
+# n x l arrays the Nystrom step holds per block and dataset at its peak: the
+# other block's features, and this block's lags, their scratch and features
+NYSTROM_ARRAYS = 4
 
 
-def stack_size(n: int) -> int:
-    """How many datasets of n rows share one pass of the tile loop (or one
-    Nystrom step): as many as keep a block's tiles within 2^16 floats
-    (512 KB), and at least one.  That is 1024 at n = 8, 4 at n = 256, 2 at
-    n = 512 and 1 from n = 1024 on, so the lanes at n >= THREAD_MIN_N see
-    one dataset."""
-    return max(1, 2**16 // (min(n, TILE_ROWS) * n))
+def stack_size(n: int, landmarks: int | None = None) -> int:
+    """How many datasets of n rows share one stacked step: as many as keep
+    the step's arrays for one block within 2^16 floats (512 KB), and at least
+    one.  A pass of the tile loop (``landmarks`` None) holds a
+    min(n, TILE_ROWS) x n tile per dataset: 1024 datasets at n = 8, 4 at
+    n = 256, 2 at n = 512 and 1 from n = 1024 on, so the lanes at
+    n >= THREAD_MIN_N see one dataset.  A Nystrom step with l landmarks holds
+    about NYSTROM_ARRAYS n x l arrays per dataset, so one of them stays within
+    2^14 floats: 16 datasets at n = 256 and l = 4."""
+    width = min(n, TILE_ROWS) if landmarks is None else NYSTROM_ARRAYS * landmarks
+    return max(1, 2**16 // (width * n))
 
 
 def require_v(n: int) -> None:
@@ -152,7 +163,8 @@ def block_stats_batch(pk: ProductKernel, values) -> BlockStats:
     """Sufficient statistics of the stack ``values`` of shape (R, n, d),
     whose columns are the kernel's blocks, from one pass of the tile loop
     per ``stack_size(n)`` datasets.  Each dataset's entries are the same
-    bits as the dataset alone would give."""
+    bits as the dataset alone would give, for any memory layout of
+    ``values``."""
     values = _require_stack(pk, values)
     size = stack_size(values.shape[1])
     parts = [_tile_pass(pk, values[r : r + size]) for r in range(0, len(values), size)]
@@ -193,8 +205,9 @@ def _tile_pass(pk: ProductKernel, values: np.ndarray) -> BlockStats:
     THREAD_MIN_N rows on in two threads if the process may use more than one
     CPU, with the same result for any CPU count.  No thread outlives the call.
 
-    The tile buffers (a row per thread) and the per-lane accumulators are
-    allocated here, so the helper thread allocates nothing of tile size.  Tile
+    The tile buffers (a row per thread), the per-lane accumulators and the
+    coordinate-major copy of each block's points are allocated here, so the
+    helper thread allocates nothing of tile size.  Tile
     sums are taken with ``einsum`` rather than BLAS ``dot``, whose own
     threads would make them depend on the CPU count; unlike a multiply and
     a sum, it reads each tile once.  They are taken one dataset at a time:
@@ -203,7 +216,7 @@ def _tile_pass(pk: ProductKernel, values: np.ndarray) -> BlockStats:
     """
     m = pk.block.m
     reps, n, _ = values.shape
-    blocks = [values[:, :, cols] for cols in pk.block.slices()]
+    blocks = [coordinate_major(values[:, :, cols]) for cols in pk.block.slices()]
     height = LANE_TILE_ROWS if n >= THREAD_MIN_N else TILE_ROWS
     threaded = n >= THREAD_MIN_N and _usable_cpus() > 1
     # a lane with no tile would add only zeros, so it is not run
@@ -292,14 +305,21 @@ def _inv_sqrt_psd(w: np.ndarray) -> np.ndarray:
     return (vecs / np.sqrt(vals)[:, None, :]) @ vecs.transpose(0, 2, 1)
 
 
-def _stacked_cross_cov(pk: ProductKernel, values: np.ndarray, points) -> np.ndarray:
+def _stacked_cross_cov(pk: ProductKernel, values: np.ndarray, picks: np.ndarray) -> np.ndarray:
     """Centered Nystrom cross-covariances of R stacked datasets, ``values`` of
-    shape (R, n, d), on per-block landmark stacks ``points[m]`` of shape
-    (R, l_m, d_m); shape (R, l_0, l_1).  One stacked ``eigh`` per block."""
+    shape (R, n, d), on the landmark rows ``picks`` of shape (R, 2, l) of
+    each block; shape (R, l, l).  One stacked ``eigh`` per block.
+
+    The lags run along the l landmarks, so the points' layout does not enter
+    them: coordinate-major copies, as the tile pass reads, made this step 2-7%
+    slower at every (n, l) measured."""
     phis = []
-    for spec, cols, lm in zip(pk.specs, pk.block.slices(), points):
+    stack = np.arange(len(values))[:, None]
+    for spec, cols, rows in zip(pk.specs, pk.block.slices(), picks.transpose(1, 0, 2)):
+        x = values[:, :, cols]
+        lm = x[stack, rows]
         w = stacked_gram(spec, lm, lm)
-        phis.append(stacked_gram(spec, values[:, :, cols], lm) @ _inv_sqrt_psd(w))
+        phis.append(stacked_gram(spec, x, lm) @ _inv_sqrt_psd(w))
     phi0, phi1 = phis
     means = [phi.mean(axis=1) for phi in phis]
     return phi0.transpose(0, 2, 1) @ phi1 / values.shape[1] - means[0][:, :, None] * means[1][:, None, :]
@@ -336,7 +356,7 @@ def hsic_nystrom_batch(pk: ProductKernel, values, picks) -> np.ndarray:
     """``hsic_nystrom`` of each dataset of a stack ``values`` of shape
     (R, n, d), on the landmark rows ``picks`` of shape (R, 2, landmarks)
     that ``landmark_picks`` gives its seed, in one stacked step per
-    ``stack_size(n)`` datasets; shape (R,)."""
+    ``stack_size(n, landmarks)`` datasets; shape (R,)."""
     values = _require_stack(pk, values)
     reps, n, _ = values.shape
     picks = np.asarray(picks)
@@ -346,11 +366,9 @@ def hsic_nystrom_batch(pk: ProductKernel, values, picks) -> np.ndarray:
     if picks.min() < 0 or picks.max() >= n:
         raise ValueError(f"landmark rows must lie in [0, {n})")
     norms = np.empty(reps)
-    size = stack_size(n)
+    size = stack_size(n, picks.shape[2])
     for r0 in range(0, reps, size):
-        chunk = values[r0 : r0 + size]
-        stack = np.arange(len(chunk))[:, None]
-        points = [chunk[stack, picks[r0 : r0 + size, m], cols] for m, cols in enumerate(pk.block.slices())]
-        cov = _stacked_cross_cov(pk, chunk, points).reshape(len(chunk), -1)
+        cov = _stacked_cross_cov(pk, values[r0 : r0 + size], picks[r0 : r0 + size])
+        cov = cov.reshape(len(cov), -1)
         norms[r0 : r0 + size] = np.sqrt(_row_dot(cov, cov))
     return norms

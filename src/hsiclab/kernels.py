@@ -83,7 +83,9 @@ def lag_sum(
     so translated inputs produce (numerically) identical output and no
     (n, m, d) difference tensor is formed.  ``out`` receives the result and
     ``scratch`` holds the second and later coordinates (both float64 of the
-    result's shape); each one missing is allocated.
+    result's shape); each one missing is allocated.  The result is the same
+    floats for any memory layout of x and y; given y as a
+    ``coordinate_major`` view, each subtraction reads y along unit stride.
     """
     xm = np.atleast_2d(np.asarray(x, dtype=float))
     ym = np.atleast_2d(np.asarray(y, dtype=float))
@@ -108,6 +110,14 @@ def lag_sum(
             lag_into(scratch, q)
             acc += scratch
     return acc
+
+
+def coordinate_major(points: np.ndarray) -> np.ndarray:
+    """A copy of ``points`` of shape (..., n, d), returned as a view of the
+    same shape whose n axis has unit stride: each coordinate's n values are
+    contiguous, as ``lag_sum`` reads them.  The floats are those of
+    ``points``; the copy costs O(n d)."""
+    return np.ascontiguousarray(np.swapaxes(points, -1, -2)).swapaxes(-1, -2)
 
 
 def stacked_gram(

@@ -192,8 +192,9 @@ def _simulate(
 
     Each replicate has its own streams, as the library would key them for
     its seeds; every family of them is keyed in vectorised passes over many
-    replicates (``rng.streams``) and drawn straight into stacks of ``stack_size(n)``
-    replicates, which go through the estimators together.  Every dataset,
+    replicates (``rng.streams``) and drawn straight into chunks of the largest
+    ``stack_size`` of the estimators' steps, which go through the estimators
+    together; each step splits a chunk into stacks of its own.  Every dataset,
     landmark set and statistic is the one the library gives for the
     replicate alone.  Errors are on the HSIC scale.  Returns, per estimator,
     (rmse, exceedance frequency of ``threshold``) under the null and under
@@ -202,7 +203,8 @@ def _simulate(
     estimators, reps, seed = config.estimators, config.reps, rng.derive(config.seed, "risk", n)
     pk = ProductKernel.homogeneous(config.block, KernelFamily.GAUSSIAN, config.gamma)
     needs_stats = any(est.kind in ("v", "u") for est in estimators)
-    size = stack_size(n)
+    # the tile pass's stacks for V and U, the Nystrom step's for each landmark count
+    size = max(stack_size(n, est.landmarks) for est in estimators)
 
     per_dist: dict[str, list[tuple[float, float]]] = {est.name: [] for est in estimators}
     for label, measure in (("null", null), ("alt", alt)):

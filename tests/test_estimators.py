@@ -34,6 +34,7 @@ from hsiclab import (
 from hsiclab import estimators
 from hsiclab import rng as rnglib
 from hsiclab.estimators import LANE_TILE_ROWS, LANES, THREAD_MIN_N, TILE_ROWS
+from hsiclab.kernels import coordinate_major
 from helpers import (
     dense_hsic_u,
     dense_hsic_v,
@@ -361,6 +362,59 @@ class TestBlockStatsBatch:
 
     def test_stack_size_holds_a_tile_set_of_one_block(self):
         assert [estimators.stack_size(n) for n in (8, 64, 256, 512, THREAD_MIN_N)] == [1024, 16, 4, 2, 1]
+
+    def test_nystrom_stack_size_holds_four_feature_sets_of_one_block(self):
+        sizes = [estimators.stack_size(n, landmarks) for n, landmarks in ((8, 4), (64, 4), (256, 4), (256, 16), (4096, 64))]
+        assert sizes == [512, 64, 16, 4, 1]
+
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (1, 2, 1)])
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_layout_changes_no_bit(self, n, dims):
+        # the tile pass reads a coordinate-major copy of whatever it is given
+        block = BlockStructure(dims)
+        pk = ProductKernel.homogeneous(block, KernelFamily.GAUSSIAN, 1.0)
+        values = np.array([random_dataset(rnglib.derive(n, r), n, block, rho=0.6).values for r in range(6)])
+        expected = block_stats_batch(pk, values)
+        seeds = [rnglib.derive(n, r, "nystrom") for r in range(len(values))]
+        picks = np.array(list(landmark_picks(n, 4, seeds)))
+        for other in (coordinate_major(values), np.asfortranarray(values)):
+            assert not other.flags.c_contiguous
+            stats = block_stats_batch(pk, other)
+            assert hexes(stats.total) == hexes(expected.total)
+            assert np.array_equal(stats.rows, expected.rows)
+            if block.m == 2:
+                assert hexes(hsic_nystrom_batch(pk, other, picks)) == hexes(hsic_nystrom_batch(pk, values, picks))
+
+    @pytest.mark.parametrize("landmarks", [4, 16])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_several_nystrom_stacks_give_each_dataset_its_bits(self, n, landmarks):
+        # two full Nystrom stacks of the real stack_size and a short third one
+        block = BlockStructure((2, 2))
+        pk = ProductKernel.homogeneous(block, KernelFamily.GAUSSIAN, 1.0)
+        reps = 2 * estimators.stack_size(n, landmarks) + 1
+        datasets = [random_dataset(rnglib.derive(n, r), n, block, rho=0.6) for r in range(reps)]
+        seeds = [rnglib.derive(n, r, "nystrom") for r in range(reps)]
+        picks = np.array(list(landmark_picks(n, landmarks, seeds)))
+        alone = [hsic_nystrom(pk, ds, landmarks, seed).hex() for ds, seed in zip(datasets, seeds)]
+        assert hexes(hsic_nystrom_batch(pk, np.array([ds.values for ds in datasets]), picks)) == alone
+
+    def test_nystrom_stack_stays_below_the_tile_buffers(self):
+        # one full Nystrom stack holds about four n x l feature sets per
+        # block; a larger stack budget would outgrow the tile pass's three
+        # 2^16-float buffers at the same n and raise a minimax run's peak
+        n, landmarks = 256, 4
+        pk = ProductKernel.homogeneous(BlockStructure((2, 2)), KernelFamily.GAUSSIAN, 1.0)
+        reps = estimators.stack_size(n, landmarks)
+        values = np.array([random_dataset(rnglib.derive(n, r), n, pk.block, rho=0.6).values for r in range(reps)])
+        picks = np.array(list(landmark_picks(n, landmarks, range(reps))))
+        hsic_nystrom_batch(pk, values[:1], picks[:1])
+        tracemalloc.start()
+        try:
+            hsic_nystrom_batch(pk, values, picks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**16 * 8
 
     def test_rejects_mixed_datasets(self):
         with pytest.raises(ValueError, match="do not match"):

@@ -15,7 +15,7 @@ from hsiclab import (
     lag_sum,
     spectral_sample,
 )
-from hsiclab.kernels import SPECTRAL_BLOCK_ROWS, spectral_blocks, spectral_exp_sq_mean, stacked_gram
+from hsiclab.kernels import SPECTRAL_BLOCK_ROWS, coordinate_major, spectral_blocks, spectral_exp_sq_mean, stacked_gram
 from helpers import eval_kernel, product_gram, whole_draw
 
 GAUSS1 = KernelSpec(KernelFamily.GAUSSIAN, 1.0)
@@ -130,6 +130,24 @@ class TestLagSum:
         with pytest.raises(ValueError, match="2-D"):
             gram(spec, x, y)
 
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_layout_changes_no_bit(self, family, dims):
+        # block columns of row-major stacks, as the estimators cut them, and
+        # their coordinate-major copies, whose n axis has unit stride
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(3, 7, dims + 2))[..., 1 : 1 + dims]
+        y = rng.normal(size=(3, 5, dims + 2))[..., 1 : 1 + dims]
+        spec = KernelSpec(family, 1.0)
+        for a, b in ((x, y), (x[0], y[0])):
+            ac, bc = coordinate_major(a), coordinate_major(b)
+            assert np.array_equal(ac, a) and np.array_equal(bc, b)
+            assert ac.strides[-2] == bc.strides[-2] == ac.itemsize
+            lags, grams = lag_sum(family, a, b), stacked_gram(spec, a, b)
+            for pair in ((ac, bc), (a, bc), (ac, b)):
+                assert np.array_equal(lag_sum(family, *pair), lags)
+                assert np.array_equal(stacked_gram(spec, *pair), grams)
 
     @pytest.mark.parametrize("family", list(KernelFamily))
     def test_huge_bandwidth_gives_the_identity_without_warnings(self, family):

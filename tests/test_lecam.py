@@ -30,6 +30,7 @@ from hsiclab import (
 )
 from hsiclab import lecam
 from hsiclab import rng as rnglib
+from hsiclab.estimators import stack_size
 from hsiclab.lecam import certificate_table
 
 from helpers import adversarial_terms
@@ -125,10 +126,17 @@ class TestHarnessEqualsLibrary:
         monkeypatch.setattr(rnglib, "_KEY_CHUNK", 3)
         self.check_replicates(monkeypatch, 8)
 
-    def check_replicates(self, monkeypatch, n):
+    def test_replicate_by_replicate_across_tile_stacks(self, monkeypatch):
+        # 40 replicates at n = 256 go in chunks of one Nystrom stack, 16,
+        # each of which the tile pass splits into stacks of 4
+        chunks = self.check_replicates(monkeypatch, 256, reps=40)
+        assert [len(values) for values in chunks] == [16, 16, 8] * 2
+        assert stack_size(256) == 4
+
+    def check_replicates(self, monkeypatch, n, reps=9):
         block = BlockStructure((2, 2))
         pk = ProductKernel.homogeneous(block, KernelFamily.GAUSSIAN, 1.0)
-        reps, seed, landmarks = 9, 17, 4
+        seed, landmarks = 17, 4
         calls = {"stats": [], "nystrom": []}
         real_stats, real_nystrom = lecam.block_stats_batch, lecam.hsic_nystrom_batch
 
@@ -180,6 +188,7 @@ class TestHarnessEqualsLibrary:
             null, alt = np.array(err[:reps]), np.array(err[reps:])
             assert risks[name]["rmse_null"] == [float(np.sqrt(np.mean(null * null)))]
             assert risks[name]["rmse_alt"] == [float(np.sqrt(np.mean(alt * alt)))]
+        return [values for values, _ in calls["stats"]]
 
 
 class TestRateFit:
