@@ -258,10 +258,10 @@ def _csv_blocks(header, columns):
 # ------------------------------- subcommands --------------------------------
 
 
-def _median_heuristic(spec_family: KernelFamily, block_values: np.ndarray, seed: int) -> float:
+def _median_heuristic(spec_family: KernelFamily, block_values: np.ndarray, seed: int) -> float | None:
     """Bandwidth suggestion 1/median of pairwise (squared or l1) distances:
     the exact median of the positive strict-upper-triangle lags, found by one
-    selection."""
+    selection; None where no lag is positive."""
     x = block_values
     if x.shape[0] > MEDIAN_HEURISTIC_CAP:
         idx = rng.stream(seed, "median").choice(x.shape[0], size=MEDIAN_HEURISTIC_CAP, replace=False)
@@ -285,7 +285,7 @@ def _median_heuristic(spec_family: KernelFamily, block_values: np.ndarray, seed:
         positive[count : count + picked.size] = picked
         count += picked.size
     if count == 0:
-        return float("nan")
+        return None
     # np.median's value, the mean of the two middle order statistics when
     # count is even, from a single-kth partition; in Python floats, whose sum
     # overflows to inf without a warning, and where it does each is halved first
@@ -313,7 +313,8 @@ def cmd_estimate(args) -> int:
         status = _status_stream(args.output)
         for m in range(block.m):
             suggestion = _median_heuristic(family, data.block_values(m), seed)
-            print(f"median-heuristic gamma for block {m}: {suggestion!r} (not applied)", file=status)
+            text = "none, no pairwise lag is positive" if suggestion is None else f"{suggestion!r} (not applied)"
+            print(f"median-heuristic gamma for block {m}: {text}", file=status)
 
     pk = ProductKernel(block, tuple(KernelSpec(family, g) for g in gammas))
     stats = None  # one tiled pass serves both the V and the U record

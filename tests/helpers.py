@@ -8,6 +8,9 @@ enumerations are O(n^large) and only meant for small n.  ``eval_kernel``
 evaluates one pair of points, ``kl_gaussians`` is the general Gaussian KL
 through triangular solves, and ``nystrom_cross_cov`` builds the Nystrom
 features of one dataset with a plain 2-D eigendecomposition.
+``points_major_nystrom`` is the stacked Nystrom estimate with each block's
+landmark Gram in the points' orientation, k(x, L); the library builds k(L, x)
+and multiplies its transpose.
 ``adversarial_terms`` is the adversarial HSIC^2 as its three determinant
 terms, evaluated with math alone; the library evaluates it in a form
 without their cancellation.  ``f_c`` and ``critical_slope`` are the slope
@@ -35,7 +38,8 @@ from scipy.linalg import solve_triangular
 
 from hsiclab import rng
 from hsiclab.analytic import _check_gamma
-from hsiclab.kernels import KernelFamily, gram, spectral_exp_sq_mean, spectral_sample
+from hsiclab.estimators import _inv_sqrt_psd
+from hsiclab.kernels import KernelFamily, gram, spectral_exp_sq_mean, spectral_sample, stacked_gram
 
 
 def eval_kernel(spec, x, y) -> float:
@@ -96,6 +100,24 @@ def nystrom_cross_cov(pk, data, landmark_points) -> np.ndarray:
         phi = gram(spec, data.block_values(m), lm) @ ((vecs / np.sqrt(vals)) @ vecs.T)
         phis.append(phi - phi.mean(axis=0))
     return phis[0].T @ phis[1] / data.n
+
+
+def points_major_nystrom(pk, values, picks) -> np.ndarray:
+    """The Nystrom estimates of one stack of datasets, ``values`` of shape
+    (R, n, d) with landmark rows ``picks`` of shape (R, 2, l), with each
+    block's features built in the points' orientation,
+    ``stacked_gram(spec, x, lm) @ W^(-1/2)`` of shape (R, n, l), and the
+    library's floored inverse square root, centering and norm."""
+    phis = []
+    stack = np.arange(len(values))[:, None]
+    for spec, cols, rows in zip(pk.specs, pk.block.slices(), np.transpose(picks, (1, 0, 2))):
+        x = values[:, :, cols]
+        lm = x[stack, rows]
+        phis.append(stacked_gram(spec, x, lm) @ _inv_sqrt_psd(stacked_gram(spec, lm, lm)))
+    means = [phi.mean(axis=1) for phi in phis]
+    cov = phis[0].transpose(0, 2, 1) @ phis[1] / values.shape[1] - means[0][:, :, None] * means[1][:, None, :]
+    cov = cov.reshape(len(cov), -1)
+    return np.sqrt((cov * cov).sum(axis=-1))
 
 
 def product_gram(pk, data):

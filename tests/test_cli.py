@@ -19,6 +19,8 @@ from hsiclab import BlockStructure, Dataset, KernelFamily, ProductKernel, cli, h
 from hsiclab.cli import main, read_dataset
 
 B11 = BlockStructure((1, 1))
+# the median-heuristic line of a block without a positive pairwise lag
+NO_SUGGESTION = "none, no pairwise lag is positive"
 
 
 def write_csv(path, rows):
@@ -157,10 +159,22 @@ class TestEstimate:
             dists = sum(diff**2 if kernel == "gaussian" else abs(diff) for diff in diffs)
             upper = dists[np.triu_indices(len(cols), k=1)]
             positive = upper[upper > 0]
-            expected = float(1.0 / np.median(positive)) if positive.size else float("nan")
-            assert f"median-heuristic gamma for block {m}: {expected!r} (not applied)" in out
+            expected = f"{float(1.0 / np.median(positive))!r} (not applied)" if positive.size else NO_SUGGESTION
+            assert f"median-heuristic gamma for block {m}: {expected}\n" in out
         if case == "equal":
-            assert out.count("(not applied)") == out.count(": nan (not applied)") == 2
+            assert out.count(f": {NO_SUGGESTION}\n") == 2 and "(not applied)" not in out
+
+    def test_median_gamma_of_a_constant_block_says_there_is_none(self, tmp_path, capsys):
+        # a constant column has no positive lag: no bandwidth, and no bare nan
+        x = np.random.default_rng(4).normal(size=(50, 3))
+        x[:, 2] = 1.5
+        path = tmp_path / "const.csv"
+        write_csv(path, x.tolist())
+        argv = ["estimate", "--input", str(path), "--blocks", "2,1", "--est", "v", "--median-gamma"]
+        assert main(argv + ["--output", str(tmp_path / "o.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("median-heuristic gamma for block 0: ") and lines[0].endswith(" (not applied)")
+        assert lines[1] == f"median-heuristic gamma for block 1: {NO_SUGGESTION}"
 
     def test_median_gamma_of_huge_middle_lags_is_finite(self, tmp_path, capsys):
         # four lags of 1e308: the two middle ones sum past the float maximum,

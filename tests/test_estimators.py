@@ -42,6 +42,7 @@ from helpers import (
     naive_hsic_u,
     naive_hsic_v,
     nystrom_cross_cov,
+    points_major_nystrom,
     product_gram,
     trace_form_hsic_v,
 )
@@ -397,6 +398,20 @@ class TestBlockStatsBatch:
         picks = np.array(list(landmark_picks(n, landmarks, seeds)))
         alone = [hsic_nystrom(pk, ds, landmarks, seed).hex() for ds, seed in zip(datasets, seeds)]
         assert hexes(hsic_nystrom_batch(pk, np.array([ds.values for ds in datasets]), picks)) == alone
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 1)])
+    @pytest.mark.parametrize(
+        "n, landmarks", [(n, l) for n in (8, 64, 256, 4096) for l in (2, 4, 64) if l <= n]
+    )
+    def test_nystrom_features_keep_the_points_major_bits(self, n, landmarks, dims):
+        # k(L, x) read through its transposed view enters the same products
+        # as k(x, L), with the same bits
+        pk = ProductKernel.homogeneous(BlockStructure(dims), KernelFamily.GAUSSIAN, 1.0)
+        reps = min(3, estimators.stack_size(n, landmarks))
+        values = np.array([random_dataset(rnglib.derive(n, r), n, pk.block, rho=0.6).values for r in range(reps)])
+        picks = np.array(list(landmark_picks(n, landmarks, range(reps))))
+        expected = points_major_nystrom(pk, values, picks)
+        assert hexes(hsic_nystrom_batch(pk, values, picks)) == hexes(expected)
 
     def test_nystrom_stack_stays_below_the_tile_buffers(self):
         # one full Nystrom stack holds about four n x l feature sets per

@@ -11,10 +11,13 @@ from hsiclab import (
     KernelFamily,
     KernelSpec,
     ProductKernel,
+    block_stats,
     gram,
     lag_sum,
     spectral_sample,
 )
+from hsiclab import kernels
+from hsiclab.estimators import THREAD_MIN_N
 from hsiclab.kernels import SPECTRAL_BLOCK_ROWS, coordinate_major, spectral_blocks, spectral_exp_sq_mean, stacked_gram
 from helpers import eval_kernel, product_gram, whole_draw
 
@@ -133,21 +136,66 @@ class TestLagSum:
 
     @pytest.mark.parametrize("family", list(KernelFamily))
     @pytest.mark.parametrize("dims", [1, 2, 3])
-    def test_layout_changes_no_bit(self, family, dims):
+    def test_layout_changes_no_bit(self, family, dims, monkeypatch):
         # block columns of row-major stacks, as the estimators cut them, and
-        # their coordinate-major copies, whose n axis has unit stride
+        # their coordinate-major copies, whose n axis has unit stride; rows
+        # on both sides of UNBUFFERED_MIN_WIDTH, against the same call under
+        # numpy's default buffer
         rng = np.random.default_rng(8)
-        x = rng.normal(size=(3, 7, dims + 2))[..., 1 : 1 + dims]
-        y = rng.normal(size=(3, 5, dims + 2))[..., 1 : 1 + dims]
         spec = KernelSpec(family, 1.0)
-        for a, b in ((x, y), (x[0], y[0])):
-            ac, bc = coordinate_major(a), coordinate_major(b)
-            assert np.array_equal(ac, a) and np.array_equal(bc, b)
-            assert ac.strides[-2] == bc.strides[-2] == ac.itemsize
-            lags, grams = lag_sum(family, a, b), stacked_gram(spec, a, b)
-            for pair in ((ac, bc), (a, bc), (ac, b)):
-                assert np.array_equal(lag_sum(family, *pair), lags)
-                assert np.array_equal(stacked_gram(spec, *pair), grams)
+        for width in (5, 8, 32, 63, 64, 65, 256, 2048):
+            x = rng.normal(size=(3, 7, dims + 2))[..., 1 : 1 + dims]
+            y = rng.normal(size=(3, width, dims + 2))[..., 1 : 1 + dims]
+            for a, b in ((x, y), (x[0], y[0])):
+                ac, bc = coordinate_major(a), coordinate_major(b)
+                assert np.array_equal(ac, a) and np.array_equal(bc, b)
+                assert ac.strides[-2] == bc.strides[-2] == ac.itemsize
+                with monkeypatch.context() as patch:
+                    patch.setattr(kernels, "UNBUFFERED_MIN_WIDTH", sys.maxsize)
+                    lags, grams = lag_sum(family, a, b), stacked_gram(spec, a, b)
+                for pair in ((a, b), (ac, bc), (a, bc), (ac, b)):
+                    assert np.array_equal(lag_sum(family, *pair), lags)
+                    assert np.array_equal(stacked_gram(spec, *pair), grams)
+
+    def test_subtractions_alone_run_under_a_row_buffer(self, monkeypatch):
+        # rows of UNBUFFERED_MIN_WIDTH or more floats enter the scope once
+        # per coordinate, narrower rows never
+        sizes = []
+        setbufsize = np.setbufsize
+
+        def recording(size):
+            sizes.append(size)
+            return setbufsize(size)
+
+        monkeypatch.setattr(np, "setbufsize", recording)
+        x = np.zeros((4, 3))
+        caller = np.getbufsize()
+        lag_sum(KernelFamily.GAUSSIAN, x, np.zeros((kernels.UNBUFFERED_MIN_WIDTH - 1, 3)))
+        assert sizes == []
+        lag_sum(KernelFamily.GAUSSIAN, x, np.zeros((kernels.UNBUFFERED_MIN_WIDTH, 3)))
+        assert sizes == [kernels.ROW_BUFSIZE, caller] * 3
+
+    @pytest.mark.parametrize("caller", [None, 2**16])
+    def test_callers_buffer_size_survives(self, caller):
+        # numpy 1.x keeps the size in a thread-local error object that
+        # errstate does not restore, so the scope restores it itself
+        previous = np.getbufsize()
+        if caller is not None:
+            np.setbufsize(caller)
+        try:
+            size = np.getbufsize()
+            x, y = np.zeros((4, 2)), np.zeros((256, 2))
+            lag_sum(KernelFamily.LAPLACE, x, y)
+            assert np.getbufsize() == size
+            with pytest.raises(ValueError):
+                lag_sum(KernelFamily.LAPLACE, x, y, out=np.empty((4, 255)))
+            assert np.getbufsize() == size
+            # from THREAD_MIN_N rows on, the lanes may run on a helper thread
+            data = Dataset(np.random.default_rng(2).normal(size=(THREAD_MIN_N, 2)), BlockStructure((1, 1)))
+            block_stats(ProductKernel.homogeneous(data.block, KernelFamily.GAUSSIAN, 1.0), data)
+            assert np.getbufsize() == size
+        finally:
+            np.setbufsize(previous)
 
     @pytest.mark.parametrize("family", list(KernelFamily))
     def test_huge_bandwidth_gives_the_identity_without_warnings(self, family):
