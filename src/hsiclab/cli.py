@@ -10,6 +10,7 @@ A ``ValueError`` from the library is a rule the arguments broke, and a
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -19,9 +20,9 @@ import numpy as np
 from . import rng
 from .analytic import hsic2_gaussian
 from .data import BlockStructure, Dataset
-from .estimators import TILE_ROWS, block_stats, hsic_nystrom
+from .estimators import block_stats, hsic_nystrom, median_lags
 from .gaussian import GaussianMeasure, make_adversarial_cov
-from .kernels import KernelFamily, KernelSpec, ProductKernel, coordinate_major, lag_sum
+from .kernels import KernelFamily, KernelSpec, ProductKernel
 from .lecam import DEFAULT_N_GRID, Estimator, ExperimentConfig, certificate_table, run_experiment
 from .spectral import verify_gap_partii
 
@@ -31,7 +32,6 @@ EXIT_DATA = 2
 EXIT_USAGE = 3
 
 CERTIFY_SPECTRAL_FREQS = 200_000
-MEDIAN_HEURISTIC_CAP = 2048
 # largest number of budgets an --n-grid may expand to
 MAX_GRID_BUDGETS = 10**6
 # largest budget; every integer up to 2^53 is exact in float64
@@ -153,45 +153,74 @@ def _require_nystrom_for_landmarks(kinds: list[str], landmarks: int | None) -> N
 
 
 def read_matrix(path: str, header: bool = False) -> np.ndarray:
-    """Parse a comma-separated numeric file (UTF-8, no header by default)."""
-    rows: list[list[float]] = []
+    """Parse a comma-separated numeric file (UTF-8, no header by default).
+
+    Lines are read and converted CSV_BLOCK_ROWS at a time: each block's cells
+    go through one ``map(float, ...)`` and one ``np.isfinite``, and only a
+    block that fails is scanned line by line, to name its first bad line."""
+    parts = []
     width = None
     try:
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise CliError(EXIT_DATA, f"cannot read {path}: {exc}") from exc
     with handle:
-        try:
-            for lineno, line in enumerate(handle, start=1):
-                if header and lineno == 1:
-                    continue
-                if not line.strip():
-                    continue
-                cells = line.strip().split(",")
-                try:
-                    row = [float(cell) for cell in cells]
-                    finite = all(map(math.isfinite, row))
-                except ValueError:
-                    finite = False
-                if not finite:
-                    column = next(j for j, cell in enumerate(cells) if not _is_finite_number(cell))
-                    raise CliError(
-                        EXIT_DATA,
-                        f"{path}: line {lineno}, column {column + 1}: {cells[column].strip()!r} is not a finite number",
-                    )
-                if width is None:
-                    width = len(row)
-                elif len(row) != width:
-                    raise CliError(
-                        EXIT_DATA,
-                        f"{path}: line {lineno}: expected {width} columns, found {len(row)}",
-                    )
-                rows.append(row)
-        except UnicodeDecodeError as exc:
-            raise CliError(EXIT_DATA, f"{path}: not UTF-8 text: cannot decode byte 0x{exc.object[exc.start]:02x}") from exc
-    if not rows:
+        for start in itertools.count(1, CSV_BLOCK_ROWS):
+            # the lines decoded before a bad byte are checked before it is
+            # reported, as a line-by-line reader would
+            lines, undecodable = [], None
+            try:
+                lines.extend(itertools.islice(handle, CSV_BLOCK_ROWS))
+            except UnicodeDecodeError as exc:
+                undecodable = exc
+            if header and start == 1 and lines:
+                lines[0] = ""
+            rows = [line.split(",") for line in map(str.strip, lines) if line]
+            if rows:
+                width = width or len(rows[0])
+                values = _finite_rows(rows, width)
+                if values is None:
+                    _raise_first_bad_line(path, lines, start, width)
+                parts.append(values)
+            if undecodable is not None:
+                byte = undecodable.object[undecodable.start]
+                raise CliError(EXIT_DATA, f"{path}: not UTF-8 text: cannot decode byte 0x{byte:02x}") from undecodable
+            if len(lines) < CSV_BLOCK_ROWS:
+                break
+    if not parts:
         raise CliError(EXIT_DATA, f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
+    return np.concatenate(parts)
+
+
+def _finite_rows(rows: list[list[str]], width: int) -> np.ndarray | None:
+    """The cells of ``rows`` as a float array of shape (len(rows), width), or
+    None where a row has another number of cells or a cell is not a finite
+    number."""
+    if any(len(row) != width for row in rows):
+        return None
+    try:
+        values = np.fromiter(map(float, itertools.chain.from_iterable(rows)), float, len(rows) * width)
+    except ValueError:
+        return None
+    return values.reshape(len(rows), width) if np.isfinite(values).all() else None
+
+
+def _raise_first_bad_line(path: str, lines: list[str], start: int, width: int) -> None:
+    """Raise the data error of the first of ``lines``, numbered from
+    ``start``, that is not blank and holds a cell that is not a finite number
+    or another number of cells than ``width``."""
+    for lineno, line in enumerate(lines, start=start):
+        if not line.strip():
+            continue
+        cells = line.strip().split(",")
+        column = next((j for j, cell in enumerate(cells) if not _is_finite_number(cell)), None)
+        if column is not None:
+            raise CliError(
+                EXIT_DATA,
+                f"{path}: line {lineno}, column {column + 1}: {cells[column].strip()!r} is not a finite number",
+            )
+        if len(cells) != width:
+            raise CliError(EXIT_DATA, f"{path}: line {lineno}: expected {width} columns, found {len(cells)}")
 
 
 def _is_finite_number(cell: str) -> bool:
@@ -258,46 +287,17 @@ def _csv_blocks(header, columns):
 # ------------------------------- subcommands --------------------------------
 
 
-def _median_heuristic(spec_family: KernelFamily, block_values: np.ndarray, seed: int) -> float | None:
-    """Bandwidth suggestion 1/median of pairwise (squared or l1) distances:
-    the exact median of the positive strict-upper-triangle lags, found by one
-    selection; None where no lag is positive."""
-    x = block_values
-    if x.shape[0] > MEDIAN_HEURISTIC_CAP:
-        idx = rng.stream(seed, "median").choice(x.shape[0], size=MEDIAN_HEURISTIC_CAP, replace=False)
-        x = x[idx]
-    # lag_sum then reads each coordinate of a tile's columns on unit stride
-    x = coordinate_major(x)
-    m = x.shape[0]
-    positive = np.empty(m * (m - 1) // 2)
-    count = 0
-    # strict upper triangle, one row tile at a time into one pair of buffers:
-    # the diagonal and lower triangle of a tile's t x t head are zeroed, so
-    # "lags > 0" keeps the triangle's positive lags, row-major
-    out, scratch = np.empty(TILE_ROWS * m), np.empty(TILE_ROWS * m)
-    lower = np.tri(TILE_ROWS, dtype=bool)
-    for i0 in range(0, m, TILE_ROWS):
-        t, width = min(TILE_ROWS, m - i0), m - i0
-        tile_out, tile_scratch = (buf[: t * width].reshape(t, width) for buf in (out, scratch))
-        lags = lag_sum(spec_family, x[i0 : i0 + t], x[i0:], tile_out, tile_scratch)
-        np.copyto(lags[:, :t], 0.0, where=lower[:t, :t])
-        picked = lags[lags > 0]
-        positive[count : count + picked.size] = picked
-        count += picked.size
-    if count == 0:
-        return None
-    # np.median's value, the mean of the two middle order statistics when
-    # count is even, from a single-kth partition; in Python floats, whose sum
-    # overflows to inf without a warning, and where it does each is halved first
-    k = count // 2
-    p = positive[:count]
-    p.partition(k)
-    if count % 2:
-        median = float(p[k])
-    else:
-        a, b = float(p[:k].max()), float(p[k])
-        median = (a + b) / 2 if math.isfinite(a + b) else a / 2 + b / 2
-    return 1.0 / median
+def _median_suggestion(median: float | None) -> str:
+    """The text of one block's median-heuristic line: the bandwidth 1/median,
+    or in words why there is none."""
+    if median is None:
+        return "none, no pairwise lag is positive"
+    if median == math.inf:
+        return "none, the median pairwise lag overflows"
+    gamma = 1.0 / median
+    if gamma == math.inf:
+        return f"none, the median pairwise lag {median!r} is too small to invert"
+    return f"{gamma!r} (not applied)"
 
 
 def cmd_estimate(args) -> int:
@@ -311,10 +311,8 @@ def cmd_estimate(args) -> int:
 
     if args.median_gamma:
         status = _status_stream(args.output)
-        for m in range(block.m):
-            suggestion = _median_heuristic(family, data.block_values(m), seed)
-            text = "none, no pairwise lag is positive" if suggestion is None else f"{suggestion!r} (not applied)"
-            print(f"median-heuristic gamma for block {m}: {text}", file=status)
+        for m, median in enumerate(median_lags(family, data, seed)):
+            print(f"median-heuristic gamma for block {m}: {_median_suggestion(median)}", file=status)
 
     pk = ProductKernel(block, tuple(KernelSpec(family, g) for g in gammas))
     stats = None  # one tiled pass serves both the V and the U record

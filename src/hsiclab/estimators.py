@@ -11,6 +11,8 @@
   the landmark rows ``landmark_picks`` draws.
 * ``require_v``, ``require_u``, ``require_nystrom``: the rules each
   estimator puts on its input, checked where the estimators run.
+* ``median_lags``: per block, the median pairwise lag behind the median
+  heuristic's bandwidth suggestion 1/median.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import rng
 from .data import Dataset
-from .kernels import ProductKernel, coordinate_major, stacked_gram
+from .kernels import KernelFamily, ProductKernel, coordinate_major, lag_sum, stacked_gram
 
 # ``block_stats`` cuts the upper triangle of the block Grams into row tiles
 # and deals tile i to lane i % LANES.  Each lane sums its tiles in order into
@@ -67,6 +69,8 @@ THREAD_MIN_N = 2048
 # n x l arrays the Nystrom step holds per block and dataset at its peak: the
 # other block's features, and this block's lags, their scratch and features
 NYSTROM_ARRAYS = 4
+# rows the median heuristic reads: a larger dataset is subsampled to this many
+MEDIAN_HEURISTIC_CAP = 2048
 
 
 def stack_size(n: int, landmarks: int | None = None) -> int:
@@ -274,6 +278,72 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def median_lags(family: KernelFamily, data: Dataset, seed: int):
+    """Lazily, for each block of ``data`` in order, the exact median of its
+    positive pairwise lags (squared l2 for the Gaussian family, l1 for the
+    Laplace family), or None where no lag is positive.  A lag past the float
+    range counts as inf, without a warning.
+
+    Past MEDIAN_HEURISTIC_CAP rows, every block reads the same uniform
+    subsample of the rows without replacement, drawn once from
+    ``rng.stream(seed, "median")``.  When more than one CPU is usable, the
+    blocks are dealt in turn to the calling thread and one helper thread that
+    lives only for the call; each median is the same float either way.  Each
+    block holds one buffer of its m(m - 1)/2 lags (16.8 MB at the cap), so
+    two are alive at once with the helper.
+    """
+    values = data.values
+    if data.n > MEDIAN_HEURISTIC_CAP:
+        values = values[rng.stream(seed, "median").choice(data.n, size=MEDIAN_HEURISTIC_CAP, replace=False)]
+    blocks = [values[:, cols] for cols in data.block.slices()]
+    if _usable_cpus() == 1:
+        yield from (_median_lag(family, x) for x in blocks)
+        return
+    with ThreadPoolExecutor(1, thread_name_prefix="hsiclab-median") as helper:
+        for m in range(0, len(blocks), 2):
+            second = [helper.submit(_median_lag, family, x) for x in blocks[m + 1 : m + 2]]
+            yield _median_lag(family, blocks[m])
+            yield from (future.result() for future in second)
+
+
+def _median_lag(family: KernelFamily, x: np.ndarray) -> float | None:
+    """The exact median of the positive strict-upper-triangle lags of the
+    points x, found by one selection; None where no lag is positive.  Lags
+    that overflow are inf under the ``errstate`` set here, which holds for
+    the thread that runs the block only."""
+    with np.errstate(over="ignore"):
+        # lag_sum then reads each coordinate of a tile's columns on unit stride
+        x = coordinate_major(x)
+        m = x.shape[0]
+        positive = np.empty(m * (m - 1) // 2)
+        count = 0
+        # strict upper triangle, one row tile at a time into one pair of
+        # buffers: the diagonal and lower triangle of a tile's t x t head are
+        # zeroed, so "lags > 0" keeps the triangle's positive lags, row-major
+        out, scratch = np.empty(TILE_ROWS * m), np.empty(TILE_ROWS * m)
+        lower = np.tri(TILE_ROWS, dtype=bool)
+        for i0 in range(0, m, TILE_ROWS):
+            t, width = min(TILE_ROWS, m - i0), m - i0
+            tile_out, tile_scratch = (buf[: t * width].reshape(t, width) for buf in (out, scratch))
+            lags = lag_sum(family, x[i0 : i0 + t], x[i0:], tile_out, tile_scratch)
+            np.copyto(lags[:, :t], 0.0, where=lower[:t, :t])
+            picked = lags[lags > 0]
+            positive[count : count + picked.size] = picked
+            count += picked.size
+    if count == 0:
+        return None
+    # np.median's value, the mean of the two middle order statistics when
+    # count is even, from a single-kth partition; in Python floats, whose sum
+    # overflows to inf without a warning, and where it does each is halved first
+    k = count // 2
+    p = positive[:count]
+    p.partition(k)
+    if count % 2:
+        return float(p[k])
+    a, b = float(p[:k].max()), float(p[k])
+    return (a + b) / 2 if math.isfinite(a + b) else a / 2 + b / 2
 
 
 def hsic_v(pk: ProductKernel, data: Dataset) -> float:

@@ -34,7 +34,12 @@ SPECTRAL_BLOCK_ROWS = 8192
 # under a ROW_BUFSIZE buffer (a size numpy 1.x accepts too), then restores the
 # caller's size; unbuffered, widths 8-32 took 1.1-2.7x the time.  The squares
 # stay outside, as do all sums: the tile's row sums took up to 1.9x the time.
+# The subtraction's three operands share the default buffer, so numpy never
+# buffers a row of NEVER_BUFFERED_WIDTH = ceil(8192 / 3) floats or more: from
+# there the scope only costs, 1.06-1.2x the time at widths 2731-8192 on 32- and
+# 64-row tiles, where width 2730 took 0.26x.
 UNBUFFERED_MIN_WIDTH = 64
+NEVER_BUFFERED_WIDTH = 2731
 ROW_BUFSIZE = 16
 
 
@@ -103,7 +108,7 @@ def lag_sum(
         raise ValueError(f"column counts differ: {xm.shape[-1]} vs {ym.shape[-1]}")
     shape = (*xm.shape[:-1], ym.shape[-2])
     gaussian = KernelFamily(family) is KernelFamily.GAUSSIAN
-    unbuffered = shape[-1] >= UNBUFFERED_MIN_WIDTH
+    unbuffered = UNBUFFERED_MIN_WIDTH <= shape[-1] < NEVER_BUFFERED_WIDTH
 
     def lag_into(buf, q):
         caller_size = np.setbufsize(ROW_BUFSIZE) if unbuffered else None

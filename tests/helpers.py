@@ -24,7 +24,8 @@ library works in row blocks.  ``decimal_hsic2`` is the general HSIC^2 as its
 three determinant terms and their difference in 200-digit decimals, the
 zero-shift case of ``decimal_mmd2``, the general Gaussian MMD^2 with each
 determinant and its quadratic form by elimination; the library never forms
-that difference.
+that difference.  ``line_read_matrix`` parses a CSV file one line at a time
+into a list of rows, where the command line converts blocks of lines.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from scipy.linalg import solve_triangular
 
 from hsiclab import rng
 from hsiclab.analytic import _check_gamma
+from hsiclab.cli import EXIT_DATA, CliError
 from hsiclab.estimators import _inv_sqrt_psd
 from hsiclab.kernels import KernelFamily, gram, spectral_exp_sq_mean, spectral_sample, stacked_gram
 
@@ -377,3 +379,53 @@ def one_shot_gap_constant(spec, block, n_freq: int, seed: int) -> tuple[float, f
     values = kept * kept * weight
     rest = spectral_exp_sq_mean(spec) ** (block.total - 2)
     return float(values.mean()) * rest, float(values.std(ddof=1) / math.sqrt(n_freq)) * rest
+
+
+def line_read_matrix(path: str, header: bool = False) -> np.ndarray:
+    """``cli.read_matrix`` one line at a time: each line's cells through a
+    list comprehension of floats, every row held in one list of lists."""
+    rows: list[list[float]] = []
+    width = None
+    try:
+        handle = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise CliError(EXIT_DATA, f"cannot read {path}: {exc}") from exc
+    with handle:
+        try:
+            for lineno, line in enumerate(handle, start=1):
+                if header and lineno == 1:
+                    continue
+                if not line.strip():
+                    continue
+                cells = line.strip().split(",")
+                try:
+                    row = [float(cell) for cell in cells]
+                    finite = all(map(math.isfinite, row))
+                except ValueError:
+                    finite = False
+                if not finite:
+                    column = next(j for j, cell in enumerate(cells) if not _is_finite_number(cell))
+                    raise CliError(
+                        EXIT_DATA,
+                        f"{path}: line {lineno}, column {column + 1}: {cells[column].strip()!r} is not a finite number",
+                    )
+                if width is None:
+                    width = len(row)
+                elif len(row) != width:
+                    raise CliError(
+                        EXIT_DATA,
+                        f"{path}: line {lineno}: expected {width} columns, found {len(row)}",
+                    )
+                rows.append(row)
+        except UnicodeDecodeError as exc:
+            raise CliError(EXIT_DATA, f"{path}: not UTF-8 text: cannot decode byte 0x{exc.object[exc.start]:02x}") from exc
+    if not rows:
+        raise CliError(EXIT_DATA, f"{path}: no data rows")
+    return np.asarray(rows, dtype=float)
+
+
+def _is_finite_number(cell: str) -> bool:
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False

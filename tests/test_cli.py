@@ -9,14 +9,16 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from hsiclab import BlockStructure, Dataset, KernelFamily, ProductKernel, cli, hsic_u, hsic_v, lecam, rng
+from hsiclab import BlockStructure, Dataset, KernelFamily, ProductKernel, cli, estimators, hsic_u, hsic_v, lecam, rng
 from hsiclab.cli import main, read_dataset
+from helpers import line_read_matrix
 
 B11 = BlockStructure((1, 1))
 # the median-heuristic line of a block without a positive pairwise lag
@@ -150,8 +152,8 @@ class TestEstimate:
         argv = ["estimate", "--input", str(path), "--blocks", "2,1", "--kernel", kernel, "--seed", str(seed)]
         assert main(argv + ["--median-gamma", "--output", str(tmp_path / "o.json")]) == 0
         out = capsys.readouterr().out
-        if len(x) > cli.MEDIAN_HEURISTIC_CAP:
-            x = x[rng.stream(seed, "median").choice(len(x), size=cli.MEDIAN_HEURISTIC_CAP, replace=False)]
+        if len(x) > estimators.MEDIAN_HEURISTIC_CAP:
+            x = x[rng.stream(seed, "median").choice(len(x), size=estimators.MEDIAN_HEURISTIC_CAP, replace=False)]
         for m, cols in enumerate((x[:, :2], x[:, 2:])):
             # one coordinate at a time, in lag_sum's order, without an
             # (m, m, d) difference tensor
@@ -282,6 +284,188 @@ class TestEstimate:
     def test_single_block_is_usage_error(self, two_col_csv, capsys):
         assert main(["estimate", "--input", str(two_col_csv), "--blocks", "2", "--est", "v"]) == 3
         assert "need at least 2 blocks" in capsys.readouterr().err
+
+
+class TestMedianWorkers:
+    """``--median-gamma`` deals the blocks to the calling thread and one
+    helper thread when more than one CPU is usable."""
+
+    @staticmethod
+    def rows_over_cap():
+        # blocks 2,1,3 over more rows than the cap, the last block constant
+        x = np.random.default_rng(12).normal(size=(estimators.MEDIAN_HEURISTIC_CAP + 100, 6))
+        x[:, 3:] = -0.25
+        return x
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "laplace"])
+    def test_suggestions_do_not_depend_on_the_cpu_count(self, tmp_path, capsys, monkeypatch, kernel):
+        write_csv(tmp_path / "rows.csv", self.rows_over_cap().tolist())
+        argv = ["estimate", "--input", str(tmp_path / "rows.csv"), "--blocks", "2,1,3", "--kernel", kernel]
+        argv += ["--median-gamma", "--seed", "3", "--output", str(tmp_path / "o.json")]
+        median_lag, threads = estimators._median_lag, []
+
+        def recording(family, x):
+            threads.append((x.shape[1], threading.current_thread() is threading.main_thread()))
+            return median_lag(family, x)
+
+        monkeypatch.setattr(estimators, "_median_lag", recording)
+        texts = {}
+        for cpus in (1, 64):
+            monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
+            del threads[:]
+            assert main(argv) == 0
+            texts[cpus] = capsys.readouterr().out
+            # block 1 of three is the helper's, blocks 0 and 2 the caller's
+            assert sorted(threads) == [(1, cpus == 1), (2, True), (3, True)]
+        assert texts[1] == texts[64]
+        lines = texts[1].splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"median-heuristic gamma for block {m}" for m in range(3)]
+        assert lines[0].endswith(" (not applied)") and lines[1].endswith(" (not applied)")
+        assert lines[2] == f"median-heuristic gamma for block 2: {NO_SUGGESTION}"
+
+    @pytest.mark.parametrize("cpus", [1, 64])
+    def test_no_thread_outlives_the_call(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
+        write_csv(tmp_path / "rows.csv", np.random.default_rng(13).normal(size=(300, 3)).tolist())
+        before = threading.enumerate()
+        argv = ["estimate", "--input", str(tmp_path / "rows.csv"), "--blocks", "1,1,1", "--median-gamma"]
+        assert main(argv + ["--output", str(tmp_path / "o.json")]) == 0
+        assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("cpus", [1, 64])
+    def test_memory_error_in_one_block_exits_three_after_the_earlier_lines(self, tmp_path, capsys, monkeypatch, cpus):
+        # block 1 of blocks 1,2,3 is the one of width 2; on two workers it
+        # runs on the helper thread
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
+        median_lag = estimators._median_lag
+
+        def failing(family, x):
+            if x.shape[1] == 2:
+                raise MemoryError("injected")
+            return median_lag(family, x)
+
+        monkeypatch.setattr(estimators, "_median_lag", failing)
+        x = np.random.default_rng(14).normal(size=(40, 6))
+        write_csv(tmp_path / "rows.csv", x.tolist())
+        before = threading.enumerate()
+        argv = ["estimate", "--input", str(tmp_path / "rows.csv"), "--blocks", "1,2,3", "--median-gamma"]
+        assert main(argv + ["--output", str(tmp_path / "o.json")]) == 3
+        stdout, stderr = capsys.readouterr()
+        assert [line.split(":")[0] for line in stdout.splitlines()] == ["median-heuristic gamma for block 0"]
+        assert stderr == "error: out of memory: injected\n"
+        assert not (tmp_path / "o.json").exists()
+        assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("cpus", [1, 64])
+    def test_lags_past_the_float_range_raise_no_warning(self, monkeypatch, cpus):
+        # every Gaussian lag overflows in its square or its difference; of
+        # block 1's Laplace lags one overflows in its difference, and the
+        # median of the three is finite
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
+        data = Dataset(np.array([[1e154, 1e308, 0.0], [-1e154, -1e308, 0.0], [1e154, 1.0, 1e154]]), BlockStructure((1, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            gaussian = list(estimators.median_lags(KernelFamily.GAUSSIAN, data, 0))
+            laplace = list(estimators.median_lags(KernelFamily.LAPLACE, data, 0))
+        assert gaussian == [math.inf, math.inf]
+        assert laplace == [2e154, 1e308]
+
+    def test_suggestion_words_each_case_without_a_bandwidth(self):
+        assert cli._median_suggestion(None) == NO_SUGGESTION
+        assert cli._median_suggestion(math.inf) == "none, the median pairwise lag overflows"
+        assert cli._median_suggestion(1e-320) == "none, the median pairwise lag 1e-320 is too small to invert"
+        assert cli._median_suggestion(1e308) == "1e-308 (not applied)"
+        assert cli._median_suggestion(4.0) == "0.25 (not applied)"
+
+    def test_subnormal_median_lag_is_worded(self, tmp_path):
+        # the median lag of block 0 is (1e-160)^2 = 1e-320, whose reciprocal
+        # overflows; this printed "inf (not applied)"
+        write_csv(tmp_path / "d.csv", [[0, 0], [1e-160, 1], [0, 2]])
+        argv = ["-W", "error::RuntimeWarning", "-m", "hsiclab.cli", "estimate", "--input", "d.csv"]
+        child = run_fresh(argv + ["--blocks", "1,1", "--median-gamma"], tmp_path)
+        assert (child.returncode, child.stderr.splitlines()) == (
+            0,
+            [
+                "median-heuristic gamma for block 0: none, the median pairwise lag 1e-320 is too small to invert",
+                "median-heuristic gamma for block 1: 1.0 (not applied)",
+            ],
+        )
+        assert [rec["estimator"] for rec in json.loads(child.stdout)] == ["v"]
+
+
+def _parse(path, header, reader):
+    """What ``reader`` makes of the file: its array's shape and bytes, or its
+    error's exit code and message."""
+    try:
+        values = reader(str(path), header=header)
+    except cli.CliError as err:
+        return ("error", err.code, str(err))
+    return ("array", values.dtype.str, values.shape, values.tobytes())
+
+
+def _rows(count, start=0):
+    return [f"{i * 0.5!r},{-i / 3!r},{i}" for i in range(start, start + count)]
+
+
+class TestReadMatrix:
+    """The line-block parser gives the per-line reader's arrays and messages."""
+
+    CASES = {
+        "crlf": (b"1,2\r\n3,4\r\n5,6\r\n", False),
+        "lone_cr": (b"1,2\r3,4\r5,6\r", False),
+        "mixed_endings": (b"1,2\r\n3,4\n5,6\r7,8", False),
+        "whitespace_lines": (b"\n  \n1,2\n\t\n3,4\n \r\n5,6\n\n", False),
+        "odd_cells": (b"1_0, 1.5 \n+1e3,-0\n1e-320,  -2_5.5_0  \n", False),
+        "plus_inf": (b"1,2\n 3 , +inf \n", False),
+        "huge_exponent": (b"1,2\n1e400,3\n", False),
+        "empty_cell": (b"1,2,3\n4,,6\n", False),
+        "nan_in_a_later_block": ("\n".join(_rows(1500) + ["7,nan,8"] + _rows(700)).encode(), False),
+        "width_before_bad_cell": (b"1,2\n3\n4,x\n", False),
+        "width_after_bad_cell": (b"1,2\n3,x\n4\n", False),
+        "bad_cell_on_a_short_line": (b"1,2\nx\n", False),
+        "width_from_first_data_line": (b"\n\n1,2,3\n4,5\n", False),
+        "wide_line_in_a_later_block": ("\n".join(_rows(2000) + ["1,2,3,4"]).encode(), False),
+        "non_utf8_past_the_first_block": ("\n".join(_rows(3000)).encode() + b"\n1,\xff\n", False),
+        "bad_cell_before_non_utf8": ("\n".join(["1,oops,2"] + _rows(3000)).encode() + b"\n1,\xfe\n", False),
+        "non_utf8_before_bad_cell": ("\n".join(_rows(3000)).encode() + b"\n1,\xff\n1,oops,2\n", False),
+        "bad_cell_and_non_utf8_one_block": ("\n".join(_rows(900) + ["1,oops,2"] + _rows(100)).encode() + b"\n\xff\n", False),
+        # the bad cell is decoded in an earlier 8 KB chunk than the bad byte
+        "bad_cell_chunks_before_non_utf8": ("\n".join(_rows(99) + ["1,oops,2"] + _rows(800)).encode() + b"\n\xff\n", False),
+        "header_blank_first_line": (b"\n1,2\n3,4\n", True),
+        "header_blank_then_names": (b"\na,b\n1,2\n", True),
+        "header": (b"a,b\n1,2\n", True),
+        "header_only": (b"a,b\n", True),
+        "no_trailing_newline": (b"1,2\n3,4", False),
+        "empty": (b"", False),
+        "blank_only": (b"\n \n\r\n", False),
+        "byte_order_mark": (b"\xef\xbb\xbf1,2\n", False),
+        "exactly_one_block": ("\n".join(_rows(cli.CSV_BLOCK_ROWS)).encode() + b"\n", False),
+        "many_blocks": ("\n".join(_rows(3 * cli.CSV_BLOCK_ROWS + 7)).encode(), False),
+    }
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, cli.CSV_BLOCK_ROWS])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_arrays_and_messages_as_the_line_reader(self, tmp_path, monkeypatch, case, block_rows):
+        content, header = self.CASES[case]
+        path = tmp_path / "m.csv"
+        path.write_bytes(content)
+        expected = _parse(path, header, line_read_matrix)
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+        assert _parse(path, header, cli.read_matrix) == expected
+
+    def test_no_line_list_of_the_whole_file_is_held(self, tmp_path):
+        # a list of 20000 rows of Python floats took 4.5 MB; the blocks take
+        # the array twice (its parts and their concatenation) and one block
+        x = np.random.default_rng(15).normal(size=(20000, 3))
+        write_dataset(tmp_path / "m.csv", Dataset(x, BlockStructure((2, 1))))
+        tracemalloc.start()
+        try:
+            values = cli.read_matrix(str(tmp_path / "m.csv"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(values, x)
+        assert peak < 2 * x.nbytes + 1_000_000
 
 
 class TestAnalytic:

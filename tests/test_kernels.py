@@ -174,6 +174,31 @@ class TestLagSum:
         assert sizes == []
         lag_sum(KernelFamily.GAUSSIAN, x, np.zeros((kernels.UNBUFFERED_MIN_WIDTH, 3)))
         assert sizes == [kernels.ROW_BUFSIZE, caller] * 3
+        # rows numpy never buffers skip the scope
+        del sizes[:]
+        lag_sum(KernelFamily.GAUSSIAN, x, np.zeros((kernels.NEVER_BUFFERED_WIDTH - 1, 3)))
+        assert sizes == [kernels.ROW_BUFSIZE, caller] * 3
+        del sizes[:]
+        lag_sum(KernelFamily.GAUSSIAN, x, np.zeros((kernels.NEVER_BUFFERED_WIDTH, 3)))
+        assert sizes == []
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    @pytest.mark.parametrize("stacked", [False, True], ids=["2-D", "stacked"])
+    def test_rows_past_the_buffer_keep_their_bits(self, family, stacked, monkeypatch):
+        # on both sides of NEVER_BUFFERED_WIDTH, the hex of every lag is that
+        # of the same call with every row of 64+ floats in the scope, and of
+        # the same call under numpy's default buffer
+        rng = np.random.default_rng(11)
+        for width in (kernels.NEVER_BUFFERED_WIDTH + offset for offset in (-2, -1, 0, 1, 1365)):
+            x = coordinate_major(rng.normal(size=(2, 33, 3)))
+            y = coordinate_major(rng.normal(size=(2, width, 3)) * 1e3)
+            if not stacked:
+                x, y = x[0], y[0]
+            lags = lag_sum(family, x, y).tobytes().hex()
+            for name in ("NEVER_BUFFERED_WIDTH", "UNBUFFERED_MIN_WIDTH"):
+                with monkeypatch.context() as patch:
+                    patch.setattr(kernels, name, sys.maxsize)
+                    assert lag_sum(family, x, y).tobytes().hex() == lags, (width, name)
 
     @pytest.mark.parametrize("caller", [None, 2**16])
     def test_callers_buffer_size_survives(self, caller):
