@@ -9,7 +9,6 @@ minimax experiment harness with a command-line front end.
 from .analytic import (
     Hsic2Decomposition,
     adversarial_hsic2,
-    embedding_inner,
     hsic2_gaussian,
     lecam_bound,
     minimax_constant,
@@ -41,7 +40,6 @@ from .kernels import (
     ProductKernel,
     gram,
     lag_sum,
-    spectral_sample,
 )
 from .lecam import (
     DEFAULT_N_GRID,
@@ -78,7 +76,6 @@ __all__ = [
     "block_stats_batch",
     "build_pair",
     "char_fn",
-    "embedding_inner",
     "gap_constant_partii",
     "gram",
     "hsic2_gaussian",
@@ -99,6 +96,5 @@ __all__ = [
     "run_experiment",
     "sample",
     "sample_stack",
-    "spectral_sample",
     "verify_gap_partii",
 ]

@@ -1,8 +1,8 @@
 """Closed forms for Gaussian measures under Gaussian product kernels:
-mean-embedding inner products, MMD^2, HSIC^2, and the certificate quantities
-of the two-point lower-bound construction.
+MMD^2, HSIC^2 with its mean-embedding inner products, and the certificate
+quantities of the two-point lower-bound construction.
 
-The first three come from one form, ``_mmd2_terms``: HSIC^2 is the MMD^2
+MMD^2 and HSIC^2 come from one form, ``_mmd2_terms``: HSIC^2 is the MMD^2
 between the joint law and the product of its block marginals.  Every
 determinant is a log through its own Cholesky factor, exponentiated once.
 """
@@ -91,13 +91,6 @@ def _mmd2_terms(m1, s1, m2, s2, gamma: float) -> Hsic2Decomposition:
     e2ab = math.exp(-h2 - 0.5 * float(np.sum(np.log1p(2.0 * lam))))
     value = root * root - 2.0 * math.exp(a - h2) * math.expm1(-q) - e2ab * math.expm1(-b)
     return Hsic2Decomposition(term_i, term_ii, term_iii, value)
-
-
-def embedding_inner(g1: GaussianMeasure, g2: GaussianMeasure, gamma: float) -> float:
-    """Inner product of the kernel mean embeddings of two Gaussians under the
-    Gaussian kernel exp(-gamma/2 |x-y|^2), ``term_iii`` of ``_mmd2_terms``:
-    symmetric in its two arguments and always in [0, 1]."""
-    return _mmd2_terms(g1.mean, g1.cov, g2.mean, g2.cov, gamma).term_iii
 
 
 def mmd2_gaussian(g1: GaussianMeasure, g2: GaussianMeasure, gamma: float) -> float:

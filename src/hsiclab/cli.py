@@ -13,6 +13,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -240,12 +241,16 @@ def read_dataset(path: str, block: BlockStructure, header: bool = False) -> Data
 
 
 def _write_text(path: str | None, chunks) -> None:
-    """Write the text chunks in turn to path, or to stdout without one."""
+    """Write the text chunks in turn to path, or to stdout without one.  An
+    unwritable path is a data error; a closed stdout is left to ``entrypoint``."""
     if path is None:
         sys.stdout.writelines(chunks)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.writelines(chunks)
+    except OSError as exc:
+        raise CliError(EXIT_DATA, f"cannot write {path}: {exc}") from exc
 
 
 def _status_stream(output: str | None):
@@ -271,17 +276,28 @@ def _csv_blocks(header, columns):
     it is and a column of numbers through repr (a float's shortest round
     trip), an array column after ``tolist`` of the block's rows, which gives
     Python numbers.  No cell is quoted here; the only cells that need it come
-    from ``_joined``."""
+    from ``_joined``.  As in JSON, nan and inf are refused: a float column
+    that holds one is a data error at the call, before any text is made."""
     columns = list(columns)
-    yield ",".join(header) + "\n"
-    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        cells = []
-        for column in columns:
-            part = column[start : start + CSV_BLOCK_ROWS]
-            if isinstance(part, np.ndarray):
-                part = part.tolist()
-            cells.append(part if isinstance(part[0], str) else map(repr, part))
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+    for name, column in zip(header, columns):
+        if isinstance(column, np.ndarray) or isinstance(column[0], float):
+            values = np.asarray(column, dtype=float)
+            finite = np.isfinite(values)
+            if not finite.all():
+                raise CliError(EXIT_DATA, f"cannot write CSV: column {name} holds {float(values[~finite][0])!r}")
+
+    def blocks():
+        yield ",".join(header) + "\n"
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            cells = []
+            for column in columns:
+                part = column[start : start + CSV_BLOCK_ROWS]
+                if isinstance(part, np.ndarray):
+                    part = part.tolist()
+                cells.append(part if isinstance(part[0], str) else map(repr, part))
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+    return blocks()
 
 
 # ------------------------------- subcommands --------------------------------
@@ -315,41 +331,24 @@ def cmd_estimate(args) -> int:
             print(f"median-heuristic gamma for block {m}: {_median_suggestion(median)}", file=status)
 
     pk = ProductKernel(block, tuple(KernelSpec(family, g) for g in gammas))
-    stats = None  # one tiled pass serves both the V and the U record
-    records = []
+    stats = None  # one tiled pass serves both the V and the U result
+    results = []  # (estimator, scale, value), one per --est
     for kind in kinds:
-        record = {
-            "estimator": kind,
-            "n": data.n,
-            "d": data.d,
-            "blocks": list(block.dims),
-            "gamma": gammas,
-            "seed": seed,
-        }
         if kind == "nystrom":
-            record["value_hsic"] = hsic_nystrom(pk, data, args.landmarks, rng.derive(seed, "nystrom"))
-            record["landmarks"] = args.landmarks
+            results.append((kind, "hsic", hsic_nystrom(pk, data, args.landmarks, rng.derive(seed, "nystrom"))))
         else:
             stats = stats or block_stats(pk, data)
-            record["value_hsic2"] = float(stats.v_statistic() if kind == "v" else stats.u_statistic())
-        records.append(record)
+            results.append((kind, "hsic2", float(stats.v_statistic() if kind == "v" else stats.u_statistic())))
 
     if args.format == "json":
+        shared = {"n": data.n, "d": data.d, "blocks": list(block.dims), "gamma": gammas, "seed": seed}
+        records = [{"estimator": kind, f"value_{scale}": value, **shared} for kind, scale, value in results]
+        for record in records:
+            if record["estimator"] == "nystrom":
+                record["landmarks"] = args.landmarks
         _write_text(args.output, [_json_text(records)])
     else:
-        rows = [
-            (
-                rec["estimator"],
-                "hsic2" if "value_hsic2" in rec else "hsic",
-                rec.get("value_hsic2", rec.get("value_hsic")),
-                rec["n"],
-                rec["d"],
-                _joined(rec["blocks"]),
-                _joined(rec["gamma"]),
-                rec["seed"],
-            )
-            for rec in records
-        ]
+        rows = [(*result, data.n, data.d, _joined(block.dims), _joined(gammas), seed) for result in results]
         _write_text(args.output, _csv_blocks(ESTIMATE_CSV_COLUMNS, zip(*rows)))
     return EXIT_OK
 
@@ -463,11 +462,6 @@ def cmd_certify(args) -> int:
 
     estimate, se = verify_gap_partii(gamma, block, CERTIFY_SPECTRAL_FREQS, rng.derive(seed, "partii"))
     columns, inequalities = certificate_table(gamma, block, kept, (estimate, se))
-    print(
-        f"part-(ii) gap constant estimate: {estimate!r} ± {se!r} (1 SE), "
-        f"N={CERTIFY_SPECTRAL_FREQS}",
-        file=status,
-    )
 
     numbers = [columns[name] for name in CERTIFY_CSV_COLUMNS[1:]]
     if args.format == "json":
@@ -488,7 +482,9 @@ def cmd_certify(args) -> int:
     else:
         _write_text(args.output, _csv_blocks(CERTIFY_CSV_COLUMNS, [kept, *numbers]))
 
-    # the verdict stays last, after the only ": " of the line
+    # status lines follow the document, so an unwritable one leaves only its
+    # error line; the verdict stays last, after the only ": " of the line
+    print(f"part-(ii) gap constant estimate: {estimate!r} ± {se!r} (1 SE), N={CERTIFY_SPECTRAL_FREQS}", file=status)
     for ineq in inequalities:
         verdict = "PASS" if ineq.ok else "FAIL"
         print(f"{ineq.statement} (min margin {ineq.min_margin:.3g} at n={ineq.argmin_n}): {verdict}", file=status)
@@ -569,7 +565,16 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # stdout's reader left early, e.g. `| head`: stdout now goes to the
+        # null device, so the interpreter's last flush has no pipe to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        code = EXIT_DATA
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +34,8 @@ class BlockStructure:
 
     def slices(self) -> tuple[slice, ...]:
         """Column slice for each block, in order."""
-        out = []
-        start = 0
-        for d in self.dims:
-            out.append(slice(start, start + d))
-            start += d
-        return tuple(out)
+        stops = itertools.accumulate(self.dims)
+        return tuple(slice(stop - d, stop) for d, stop in zip(self.dims, stops))
 
     def require_multiblock(self) -> None:
         """Independence measures are defined only for M >= 2 blocks."""
@@ -73,7 +70,3 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.values.shape[1]
-
-    def block_values(self, m: int) -> np.ndarray:
-        """Columns of block m, shape (n, d_m)."""
-        return self.values[:, self.block.slices()[m]]

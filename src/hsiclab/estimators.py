@@ -291,8 +291,8 @@ def median_lags(family: KernelFamily, data: Dataset, seed: int):
     ``rng.stream(seed, "median")``.  When more than one CPU is usable, the
     blocks are dealt in turn to the calling thread and one helper thread that
     lives only for the call; each median is the same float either way.  Each
-    block holds one buffer of its m(m - 1)/2 lags (16.8 MB at the cap), so
-    two are alive at once with the helper.
+    block holds one buffer of its m(m - 1)/2 lags and the zeroed heads of its
+    row tiles (17.3 MB at the cap), so two are alive at once with the helper.
     """
     values = data.values
     if data.n > MEDIAN_HEURISTIC_CAP:
@@ -317,32 +317,32 @@ def _median_lag(family: KernelFamily, x: np.ndarray) -> float | None:
         # lag_sum then reads each coordinate of a tile's columns on unit stride
         x = coordinate_major(x)
         m = x.shape[0]
-        positive = np.empty(m * (m - 1) // 2)
-        count = 0
-        # strict upper triangle, one row tile at a time into one pair of
-        # buffers: the diagonal and lower triangle of a tile's t x t head are
-        # zeroed, so "lags > 0" keeps the triangle's positive lags, row-major
-        out, scratch = np.empty(TILE_ROWS * m), np.empty(TILE_ROWS * m)
+        # each row tile of the strict upper triangle is written straight into
+        # one buffer that holds the tiles end to end, with the diagonal and
+        # lower triangle of its t x t head zeroed: the zeros then rank first
+        heads = range(0, m, TILE_ROWS)
+        lags = np.empty(sum(min(TILE_ROWS, m - i0) * (m - i0) for i0 in heads))
+        scratch = np.empty(TILE_ROWS * m)
         lower = np.tri(TILE_ROWS, dtype=bool)
-        for i0 in range(0, m, TILE_ROWS):
+        start = 0
+        for i0 in heads:
             t, width = min(TILE_ROWS, m - i0), m - i0
-            tile_out, tile_scratch = (buf[: t * width].reshape(t, width) for buf in (out, scratch))
-            lags = lag_sum(family, x[i0 : i0 + t], x[i0:], tile_out, tile_scratch)
-            np.copyto(lags[:, :t], 0.0, where=lower[:t, :t])
-            picked = lags[lags > 0]
-            positive[count : count + picked.size] = picked
-            count += picked.size
+            tile = lags[start : start + t * width].reshape(t, width)
+            lag_sum(family, x[i0 : i0 + t], x[i0:], tile, scratch[: t * width].reshape(t, width))
+            np.copyto(tile[:, :t], 0.0, where=lower[:t, :t])
+            start += t * width
+    count = int(np.count_nonzero(lags))
     if count == 0:
         return None
     # np.median's value, the mean of the two middle order statistics when
-    # count is even, from a single-kth partition; in Python floats, whose sum
-    # overflows to inf without a warning, and where it does each is halved first
-    k = count // 2
-    p = positive[:count]
-    p.partition(k)
+    # count is even, from a single-kth partition past the zeros; in Python
+    # floats, whose sum overflows to inf without a warning, and where it does
+    # each is halved first
+    k = lags.size - count + count // 2
+    lags.partition(k)
     if count % 2:
-        return float(p[k])
-    a, b = float(p[:k].max()), float(p[k])
+        return float(lags[k])
+    a, b = float(lags[:k].max()), float(lags[k])
     return (a + b) / 2 if math.isfinite(a + b) else a / 2 + b / 2
 
 

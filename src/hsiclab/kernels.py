@@ -181,8 +181,11 @@ def gram(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def spectral_blocks(spec: KernelSpec, dim: int, n: int, seed: int):
-    """The rows of ``spectral_sample(spec, dim, n, seed)`` in order, as
-    arrays of at most SPECTRAL_BLOCK_ROWS rows each.
+    """n i.i.d. frequency vectors of ``dim`` coordinates from the kernel's
+    spectral probability measure, in order, as arrays of at most
+    SPECTRAL_BLOCK_ROWS rows each.  Cosine averages exp(-i <x - y, w>) over
+    them converge to the kernel value k(x, y) at the usual n^{-1/2} Monte
+    Carlo rate.
 
     One generator draws every block where the previous one stopped, so the
     blocks hold the same bits as one draw of all n rows.  The arguments are
@@ -209,20 +212,6 @@ def spectral_blocks(spec: KernelSpec, dim: int, n: int, seed: int):
             yield block
 
     return blocks()
-
-
-def spectral_sample(spec: KernelSpec, dim: int, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. frequency vectors from the kernel's spectral probability
-    measure, shape (n, dim): the ``spectral_blocks`` joined together.
-
-    Cosine averages exp(-i <x - y, w>) over these draws converge to the
-    kernel value k(x, y) at the usual n^{-1/2} Monte Carlo rate.
-    """
-    blocks = spectral_blocks(spec, dim, n, seed)
-    out = np.empty((int(n), int(dim)))
-    for start, block in zip(range(0, int(n), SPECTRAL_BLOCK_ROWS), blocks):
-        out[start : start + block.shape[0]] = block
-    return out
 
 
 def spectral_exp_sq_mean(spec: KernelSpec) -> float:

@@ -15,18 +15,23 @@ import numpy as np
 
 from .data import BlockStructure
 from .gaussian import GaussianMeasure, char_fn
-from .kernels import KernelFamily, KernelSpec, spectral_blocks, spectral_exp_sq_mean, spectral_sample
+from .kernels import SPECTRAL_BLOCK_ROWS, KernelFamily, KernelSpec, spectral_blocks, spectral_exp_sq_mean
 
 
-def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
-    """The mean of ``values`` and its standard error, ``values.std(ddof=1)``
-    over sqrt(N), from the same ufuncs in the same order as ``std`` but in
-    place: ``values`` is overwritten with its squared deviations."""
-    n = values.shape[0]
+def _spectral_mean(spec: KernelSpec, dim: int, n_freq: int, seed: int, integrand) -> tuple[float, float]:
+    """The mean of ``integrand`` over ``spectral_blocks(spec, dim, n_freq,
+    seed)`` and its standard error.  Each block's integrand fills its rows of
+    one array, reduced whole, so the blocks change no bit; the error is
+    ``std(ddof=1)`` over sqrt(N), from the same ufuncs as ``std`` in place."""
+    if n_freq < 2:
+        raise ValueError(f"need at least 2 frequencies, got {n_freq}")
+    values = np.empty(int(n_freq))
+    for start, omegas in zip(range(0, int(n_freq), SPECTRAL_BLOCK_ROWS), spectral_blocks(spec, dim, n_freq, seed)):
+        values[start : start + omegas.shape[0]] = integrand(omegas)
     mean = values.mean(keepdims=True)
     values -= mean
     np.multiply(values, values, out=values)
-    return float(mean[0]), math.sqrt(float(values.sum()) / (n - 1)) / math.sqrt(n)
+    return float(mean[0]), math.sqrt(float(values.sum()) / (n_freq - 1)) / math.sqrt(n_freq)
 
 
 def mmd2_spectral(
@@ -40,17 +45,17 @@ def mmd2_spectral(
     """
     if g1.d != g2.d:
         raise ValueError(f"dimension mismatch: {g1.d} vs {g2.d}")
-    if n_freq < 2:
-        raise ValueError(f"need at least 2 frequencies, got {n_freq}")
-    omegas = spectral_sample(spec, g1.d, n_freq, seed)
-    # past gamma of about 1e306 a Laplace draw may be +-inf, where both
-    # characteristic functions (of positive definite covariances) vanish:
-    # such a frequency takes the integrand's limit 0
-    finite = np.isfinite(omegas).all(axis=1)
-    kept = omegas[finite]
-    values = np.zeros(omegas.shape[0])
-    values[finite] = np.abs(char_fn(g1, kept) - char_fn(g2, kept)) ** 2
-    return _mean_and_se(values)
+
+    def integrand(omegas):
+        # past gamma of about 1e306 a Laplace draw may be +-inf, where both
+        # characteristic functions (of positive definite covariances) vanish:
+        # such a frequency takes the integrand's limit 0
+        kept = np.isfinite(omegas).all(axis=1)
+        values = np.zeros(omegas.shape[0])
+        values[kept] = np.abs(char_fn(g1, omegas[kept]) - char_fn(g2, omegas[kept])) ** 2
+        return values
+
+    return _spectral_mean(spec, g1.d, n_freq, seed, integrand)
 
 
 def gap_constant_partii(
@@ -71,14 +76,8 @@ def gap_constant_partii(
     expectation, at no larger variance.
     """
     block.require_multiblock()
-    d = block.total
-    if n_freq < 2:
-        raise ValueError(f"need at least 2 frequencies, got {n_freq}")
-    # the integrand of each block of draws goes into its rows of one array,
-    # which is reduced whole, so the blocks change no bit of the result
-    values = np.empty(n_freq)
-    start = 0
-    for omegas in spectral_blocks(spec, 2, n_freq, seed):
+
+    def integrand(omegas):
         # at huge bandwidths w_i w_j and |w|^2 overflow to inf; exp(-|w|^2) > 0
         # bounds |w_i w_j| by |w|^2 / 2 < 373, so the pair is dropped where the
         # weight is 0 and no inf * 0 is formed
@@ -86,11 +85,10 @@ def gap_constant_partii(
             pair = omegas[:, 0] * omegas[:, 1]
             weight = np.exp(-np.einsum("nd,nd->n", omegas, omegas))
         kept = np.where((pair < 0.0) & (weight > 0.0), pair, 0.0)
-        stop = start + omegas.shape[0]
-        np.multiply(kept * kept, weight, out=values[start:stop])
-        start = stop
-    est, se = _mean_and_se(values)
-    rest = spectral_exp_sq_mean(spec) ** (d - 2)
+        return kept * kept * weight
+
+    est, se = _spectral_mean(spec, 2, n_freq, seed, integrand)
+    rest = spectral_exp_sq_mean(spec) ** (block.total - 2)
     return est * rest, se * rest
 
 

@@ -18,14 +18,16 @@ form of the gap certificate, built on these terms.  ``full_draw_gap_constant``
 is the part-(ii) Monte Carlo over all d coordinates of each frequency; the
 library draws only the two that decide the opposite-sign set.
 ``whole_draw`` draws the spectral frequencies in one call straight from the
-seed's stream, and ``one_shot_gap_constant`` is the library's part-(ii)
-estimate from that one draw and one whole-length integrand, where the
-library works in row blocks.  ``decimal_hsic2`` is the general HSIC^2 as its
+seed's stream, and ``one_shot_gap_constant`` and ``whole_draw_mmd2`` are the
+library's part-(ii) and spectral MMD^2 estimates from that one draw and one
+whole-length integrand, where the library works in row blocks.  ``decimal_hsic2`` is the general HSIC^2 as its
 three determinant terms and their difference in 200-digit decimals, the
 zero-shift case of ``decimal_mmd2``, the general Gaussian MMD^2 with each
 determinant and its quadratic form by elimination; the library never forms
 that difference.  ``line_read_matrix`` parses a CSV file one line at a time
 into a list of rows, where the command line converts blocks of lines.
+``block_values`` is one block's columns of a dataset, and
+``embedding_inner`` the cross term <mu1, mu2> of the library's MMD^2 form.
 """
 
 from __future__ import annotations
@@ -38,10 +40,11 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from hsiclab import rng
-from hsiclab.analytic import _check_gamma
+from hsiclab.analytic import _check_gamma, _mmd2_terms
 from hsiclab.cli import EXIT_DATA, CliError
 from hsiclab.estimators import _inv_sqrt_psd
-from hsiclab.kernels import KernelFamily, gram, spectral_exp_sq_mean, spectral_sample, stacked_gram
+from hsiclab.gaussian import char_fn
+from hsiclab.kernels import KernelFamily, gram, spectral_exp_sq_mean, stacked_gram
 
 
 def eval_kernel(spec, x, y) -> float:
@@ -54,6 +57,17 @@ def eval_kernel(spec, x, y) -> float:
     if spec.family is KernelFamily.GAUSSIAN:
         return float(np.exp(-0.5 * spec.gamma * float(delta @ delta)))
     return float(np.exp(-spec.gamma * float(np.sum(np.abs(delta)))))
+
+
+def block_values(data, m: int) -> np.ndarray:
+    """Columns of block m of a dataset, shape (n, d_m)."""
+    return data.values[:, data.block.slices()[m]]
+
+
+def embedding_inner(g1, g2, gamma: float) -> float:
+    """Inner product of the Gaussian-kernel mean embeddings of two Gaussians,
+    the library's ``term_iii`` of their MMD^2."""
+    return _mmd2_terms(g1.mean, g1.cov, g2.mean, g2.cov, gamma).term_iii
 
 
 def _clamp_kl(value: float) -> float:
@@ -99,7 +113,7 @@ def nystrom_cross_cov(pk, data, landmark_points) -> np.ndarray:
             raise ValueError(f"landmarks for block {m} have {lm.shape[1]} columns, expected {pk.block.dims[m]}")
         vals, vecs = np.linalg.eigh(gram(spec, lm, lm))
         vals = np.maximum(vals, 1e-10 * vals[-1])
-        phi = gram(spec, data.block_values(m), lm) @ ((vecs / np.sqrt(vals)) @ vecs.T)
+        phi = gram(spec, block_values(data, m), lm) @ ((vecs / np.sqrt(vals)) @ vecs.T)
         phis.append(phi - phi.mean(axis=0))
     return phis[0].T @ phis[1] / data.n
 
@@ -131,7 +145,7 @@ def product_gram(pk, data):
             f"dataset blocks {data.block.dims} do not match kernel blocks {pk.block.dims}"
         )
     grams = tuple(
-        gram(spec, data.block_values(m), data.block_values(m))
+        gram(spec, block_values(data, m), block_values(data, m))
         for m, spec in enumerate(pk.specs)
     )
     prod = grams[0].copy()
@@ -349,7 +363,7 @@ def full_draw_gap_constant(spec, block, n_freq: int, seed: int) -> tuple[float, 
     """The squared gap constant int_A (w_i w_j exp(-|w|^2 / 2))^2 dL(w) as
     (estimate, standard error) from n_freq full d-coordinate frequencies,
     (i, j) the coordinates adjacent to the first block boundary."""
-    omegas = spectral_sample(spec, block.total, n_freq, seed)
+    omegas = whole_draw(spec, block.total, n_freq, seed)
     i = block.dims[0] - 1
     with np.errstate(over="ignore", invalid="ignore"):
         pair = omegas[:, i] * omegas[:, i + 1]
@@ -365,6 +379,17 @@ def whole_draw(spec, dim: int, n: int, seed: int) -> np.ndarray:
         return np.sqrt(spec.gamma) * gen.standard_normal((n, dim))
     with np.errstate(over="ignore"):
         return spec.gamma * gen.standard_cauchy((n, dim))
+
+
+def whole_draw_mmd2(g1, g2, spec, n_freq: int, seed: int) -> tuple[float, float]:
+    """The spectral MMD^2 estimate and its standard error from one
+    ``whole_draw`` and one whole-length integrand; a frequency that is not
+    finite contributes 0."""
+    omegas = whole_draw(spec, g1.d, n_freq, seed)
+    finite = np.isfinite(omegas).all(axis=1)
+    values = np.zeros(n_freq)
+    values[finite] = np.abs(char_fn(g1, omegas[finite]) - char_fn(g2, omegas[finite])) ** 2
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_freq))
 
 
 def one_shot_gap_constant(spec, block, n_freq: int, seed: int) -> tuple[float, float]:

@@ -9,7 +9,6 @@ from hsiclab import (
     BlockStructure,
     GaussianMeasure,
     adversarial_hsic2,
-    embedding_inner,
     hsic2_gaussian,
     lecam_bound,
     make_adversarial_cov,
@@ -17,7 +16,7 @@ from hsiclab import (
     mmd2_gaussian,
 )
 from hsiclab.analytic import _mmd2_terms, adversarial_hsic2_columns
-from helpers import correlated_cov, critical_slope, decimal_hsic2, decimal_mmd2, f_c, random_spd
+from helpers import correlated_cov, critical_slope, decimal_hsic2, decimal_mmd2, embedding_inner, f_c, random_spd
 
 B11 = BlockStructure((1, 1))
 # the block structures of the certify_sweep benchmark workload

@@ -14,7 +14,6 @@ from hsiclab import (
     block_stats,
     gram,
     lag_sum,
-    spectral_sample,
 )
 from hsiclab import kernels
 from hsiclab.estimators import THREAD_MIN_N
@@ -23,6 +22,11 @@ from helpers import eval_kernel, product_gram, whole_draw
 
 GAUSS1 = KernelSpec(KernelFamily.GAUSSIAN, 1.0)
 LAP2 = KernelSpec(KernelFamily.LAPLACE, 2.0)
+
+
+def joined_blocks(spec, dim, n, seed):
+    """The frequency blocks of one ``spectral_blocks`` call as one (n, dim) array."""
+    return np.concatenate(list(spectral_blocks(spec, dim, n, seed)))
 
 
 class TestKernelSpec:
@@ -284,18 +288,18 @@ class TestProductGram:
 
 class TestSpectralSample:
     def test_shape_and_determinism(self):
-        w1 = spectral_sample(GAUSS1, 3, 100, 5)
-        w2 = spectral_sample(GAUSS1, 3, 100, 5)
+        w1 = joined_blocks(GAUSS1, 3, 100, 5)
+        w2 = joined_blocks(GAUSS1, 3, 100, 5)
         assert w1.shape == (100, 3)
         assert np.array_equal(w1, w2)
 
     def test_zero_lag_average_is_exactly_one(self):
-        omegas = spectral_sample(LAP2, 2, 1000, 1)
+        omegas = joined_blocks(LAP2, 2, 1000, 1)
         assert np.cos(omegas @ np.zeros(2)).mean() == 1.0
 
     def test_gaussian_cosine_average_recovers_kernel(self):
         n = 1_000_000
-        omegas = spectral_sample(GAUSS1, 2, n, 123)
+        omegas = joined_blocks(GAUSS1, 2, n, 123)
         lag = np.array([1.0, 0.0])
         vals = np.cos(omegas @ lag)
         se = vals.std(ddof=1) / math.sqrt(n)
@@ -303,7 +307,7 @@ class TestSpectralSample:
 
     def test_laplace_cosine_average_recovers_kernel(self):
         n = 1_000_000
-        omegas = spectral_sample(KernelSpec("laplace", 1.0), 1, n, 321)
+        omegas = joined_blocks(KernelSpec("laplace", 1.0), 1, n, 321)
         vals = np.cos(omegas[:, 0])
         se = vals.std(ddof=1) / math.sqrt(n)
         assert abs(vals.mean() - math.exp(-1.0)) <= 4 * se
@@ -312,18 +316,18 @@ class TestSpectralSample:
     def test_bochner_consistency_on_random_lags(self, spec):
         n = 100_000
         rng = np.random.default_rng(77)
-        omegas = spectral_sample(spec, 3, n, 999)
+        omegas = joined_blocks(spec, 3, n, 999)
         for _ in range(10):
             x, y = rng.normal(size=(2, 3))
             avg = np.cos(omegas @ (x - y)).mean()
             assert abs(avg - eval_kernel(spec, x, y)) <= 4.0 / math.sqrt(n)
 
     def test_argument_validation(self):
+        # the arguments are checked at the call, before any block is drawn
         with pytest.raises(ValueError):
-            spectral_sample(GAUSS1, 0, 10, 0)
+            spectral_blocks(GAUSS1, 0, 10, 0)
         with pytest.raises(ValueError):
-            spectral_sample(GAUSS1, 1, 0, 0)
-        # the blocks' arguments are checked at the call, before any is drawn
+            spectral_blocks(GAUSS1, 1, 0, 0)
         with pytest.raises(ValueError):
             spectral_blocks(GAUSS1, 2, -1, 0)
 
@@ -337,7 +341,6 @@ class TestSpectralSample:
         assert 1 <= len(blocks[-1]) <= SPECTRAL_BLOCK_ROWS
         whole = whole_draw(spec, 3, n, 17)
         assert np.array_equal(np.concatenate(blocks), whole)
-        assert np.array_equal(spectral_sample(spec, 3, n, 17), whole)
 
 
 class TestSpectralExpSqMean:
@@ -356,7 +359,7 @@ class TestSpectralExpSqMean:
     @pytest.mark.parametrize("spec", [GAUSS1, LAP2, KernelSpec("laplace", 0.25)])
     def test_monte_carlo_expectation(self, spec):
         n = 200_000
-        vals = np.exp(-spectral_sample(spec, 1, n, 55)[:, 0] ** 2)
+        vals = np.exp(-joined_blocks(spec, 1, n, 55)[:, 0] ** 2)
         se = vals.std(ddof=1) / math.sqrt(n)
         assert abs(vals.mean() - spectral_exp_sq_mean(spec)) <= 4 * se
 

@@ -24,12 +24,11 @@ from hsiclab import (
     KernelSpec,
     ProductKernel,
     block_stats,
-    embedding_inner,
     hsic2_gaussian,
     mmd2_gaussian,
 )
 from hsiclab.estimators import TILE_ROWS
-from helpers import correlated_cov, product_gram, random_spd
+from helpers import correlated_cov, embedding_inner, product_gram, random_spd
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 STRUCTURES = [(1, 1), (2, 1), (1, 2), (2, 2), (1, 2, 1)]

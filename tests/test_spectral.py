@@ -17,14 +17,13 @@ from hsiclab import (
     make_adversarial_cov,
     mmd2_gaussian,
     mmd2_spectral,
-    spectral_sample,
     verify_gap_partii,
 )
 from hsiclab import rng
 from hsiclab.cli import CERTIFY_SPECTRAL_FREQS
 from hsiclab.lecam import certificate_table
 from hsiclab.kernels import SPECTRAL_BLOCK_ROWS
-from helpers import critical_slope, full_draw_gap_constant, one_shot_gap_constant, random_spd
+from helpers import critical_slope, full_draw_gap_constant, one_shot_gap_constant, random_spd, whole_draw, whole_draw_mmd2
 
 B11 = BlockStructure((1, 1))
 GAUSS1 = KernelSpec(KernelFamily.GAUSSIAN, 1.0)
@@ -111,11 +110,23 @@ class TestMmd2Spectral:
         g1 = GaussianMeasure.standard(2)
         g2 = GaussianMeasure(np.array([0.3, -0.2]), np.diag([1.5, 0.7]))
         spec = KernelSpec(family, gamma)
-        omegas = spectral_sample(spec, 2, 5000, 11)
+        omegas = whole_draw(spec, 2, 5000, 11)
         assert np.isfinite(omegas).all()
         values = np.abs(char_fn(g1, omegas) - char_fn(g2, omegas)) ** 2
         expected = (float(values.mean()), float(values.std(ddof=1) / math.sqrt(5000)))
         assert mmd2_spectral(g1, g2, spec, 5000, 11) == expected
+
+    @pytest.mark.parametrize("gamma", [0.5, 1e307])
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_row_blocks_keep_every_bit_of_one_draw(self, family, gamma):
+        # three blocks of draws, the last of 3 rows, fill one integrand array
+        # that is reduced whole; at 1e307 some Laplace draws are +-inf
+        g1 = GaussianMeasure.standard(2)
+        g2 = GaussianMeasure(np.array([0.3, -0.2]), np.diag([1.5, 0.7]))
+        spec, n_freq = KernelSpec(family, gamma), 2 * SPECTRAL_BLOCK_ROWS + 3
+        assert mmd2_spectral(g1, g2, spec, n_freq, 23) == whole_draw_mmd2(g1, g2, spec, n_freq, 23)
+        if family is KernelFamily.LAPLACE and gamma == 1e307:
+            assert not np.isfinite(whole_draw(spec, 2, n_freq, 23)).all()
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -155,7 +166,7 @@ class TestGapConstant:
         assert se > 0
 
     def test_swapping_monitored_coordinates_is_symmetric(self):
-        omegas = spectral_sample(GAUSS1, 2, 50_000, 11)
+        omegas = whole_draw(GAUSS1, 2, 50_000, 11)
         pair = omegas[:, 0] * omegas[:, 1]
         sq = np.einsum("nd,nd->n", omegas, omegas)
         vals = np.where(pair < 0, pair**2 * np.exp(-sq), 0.0)
