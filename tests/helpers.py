@@ -20,14 +20,15 @@ library draws only the two that decide the opposite-sign set.
 ``whole_draw`` draws the spectral frequencies in one call straight from the
 seed's stream, and ``one_shot_gap_constant`` and ``whole_draw_mmd2`` are the
 library's part-(ii) and spectral MMD^2 estimates from that one draw and one
-whole-length integrand, where the library works in row blocks.  ``decimal_hsic2`` is the general HSIC^2 as its
-three determinant terms and their difference in 200-digit decimals, the
-zero-shift case of ``decimal_mmd2``, the general Gaussian MMD^2 with each
-determinant and its quadratic form by elimination; the library never forms
-that difference.  ``line_read_matrix`` parses a CSV file one line at a time
-into a list of rows, where the command line converts blocks of lines.
-``block_values`` is one block's columns of a dataset, and
-``embedding_inner`` the cross term <mu1, mu2> of the library's MMD^2 form.
+whole-length integrand, where the library works in row blocks.
+``decimal_hsic2`` is the general HSIC^2 as its three determinant terms and
+their difference in 200-digit decimals, the zero-shift case of
+``decimal_mmd2``, the general Gaussian MMD^2 with each determinant and its
+quadratic form by elimination; the library never forms that difference.
+``line_read_matrix`` parses a CSV file one line at a time into a list of
+rows, where the command line converts blocks of lines.  ``block_values`` is
+one block's columns of a dataset, and ``embedding_inner`` the cross term
+<mu1, mu2> of the library's MMD^2 form.
 """
 
 from __future__ import annotations
