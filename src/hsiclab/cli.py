@@ -10,6 +10,7 @@ A ``ValueError`` from the library is a rule the arguments broke, and a
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -378,11 +379,6 @@ def cmd_analytic(args) -> int:
         raise CliError(EXIT_DATA, str(exc)) from exc
 
     dec = hsic2_gaussian(measure, block, gamma)
-    print(f"hsic2 = {dec.value!r}")
-    print(f"hsic = {dec.hsic!r}")
-    print(f"term_i = {dec.term_i!r}")
-    print(f"term_ii = {dec.term_ii!r}")
-    print(f"term_iii = {dec.term_iii!r}")
     if args.output is not None:
         payload = {
             "blocks": list(block.dims),
@@ -400,6 +396,13 @@ def cmd_analytic(args) -> int:
             _write_text(args.output, _csv_blocks(tuple(cells), ([value] for value in cells.values())))
         else:
             _write_text(args.output, [_json_text(payload)])
+    # the lines follow the document, so an unwritable one leaves only its
+    # error line
+    print(f"hsic2 = {dec.value!r}")
+    print(f"hsic = {dec.hsic!r}")
+    print(f"term_i = {dec.term_i!r}")
+    print(f"term_ii = {dec.term_ii!r}")
+    print(f"term_iii = {dec.term_iii!r}")
     return EXIT_OK
 
 
@@ -431,7 +434,13 @@ def cmd_minimax(args) -> int:
         for name, risk in report.risks.items()
     ]
     table = ([row[key] for row in rows] for key in MINIMAX_CSV_COLUMNS)
-    _write_text(base + ".csv", _csv_blocks(MINIMAX_CSV_COLUMNS, table))
+    try:
+        _write_text(base + ".csv", _csv_blocks(MINIMAX_CSV_COLUMNS, table))
+    except CliError:
+        # the report is both documents or neither
+        with contextlib.suppress(OSError):
+            os.remove(base + ".json")
+        raise
 
     for name, fit in report.rate_fits.items():
         print(f"rate fit [{name}]: slope={fit.slope:.4f} r2={fit.r_squared:.4f}")

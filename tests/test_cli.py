@@ -411,6 +411,59 @@ def _rows(count, start=0):
     return [f"{i * 0.5!r},{-i / 3!r},{i}" for i in range(start, start + count)]
 
 
+# runs minimax with argv[2:] in the directory argv[1]; "pin" as argv[1]
+# restricts the process to one CPU first
+MINIMAX_CHILD = """
+import os, sys
+if sys.argv[1] == "pin":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from hsiclab.cli import main
+sys.exit(main(["minimax", *sys.argv[2:]]))
+"""
+
+
+class TestStackWorkers:
+    """``minimax`` deals the tile pass's stacks to the calling thread and one
+    helper thread when more than one CPU is usable."""
+
+    ARGV = ["--blocks", "2,2", "--n-grid", "32,64,128,256", "--reps", "40", "--est", "v", "--est", "u"]
+    ARGV += ["--est", "nystrom", "--landmarks", "4"]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity call")
+    def test_report_bytes_do_not_depend_on_the_cpu_count(self, tmp_path):
+        reports = {}
+        for cpus in ("pin", "all"):
+            child = run_fresh(["-c", MINIMAX_CHILD, cpus, *self.ARGV, "--output", cpus], tmp_path)
+            assert child.returncode == 0, child.stderr
+            reports[cpus] = [(tmp_path / f"{cpus}{suffix}").read_bytes() for suffix in (".json", ".csv")]
+        assert reports["pin"] == reports["all"]
+
+    def test_memory_error_in_a_helper_stack_exits_three(self, tmp_path, capsys, monkeypatch):
+        # n = 64 splits each chunk of 40 replicates into three stacks, the
+        # second of which runs on the helper thread
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
+        tile_pass, callers = estimators._tile_pass, []
+
+        def failing(pk, values, buffers):
+            on_helper = threading.current_thread() is not threading.main_thread()
+            callers.append(on_helper)
+            if on_helper:
+                raise MemoryError("injected")
+            return tile_pass(pk, values, buffers)
+
+        monkeypatch.setattr(estimators, "_tile_pass", failing)
+        before = threading.enumerate()
+        argv = ["minimax", *self.ARGV, "--output", str(tmp_path / "m")]
+        argv[argv.index("--n-grid") + 1] = "64,128,256"
+        assert main(argv) == 3
+        stdout, stderr = capsys.readouterr()
+        assert (stdout, stderr) == ("", "error: out of memory: injected\n")
+        # the calling thread ran stack 0 and then waited for stack 1
+        assert sorted(callers) == [False, True]
+        assert list(tmp_path.iterdir()) == []
+        assert threading.enumerate() == before
+
+
 class TestReadMatrix:
     """The line-block parser gives the per-line reader's arrays and messages."""
 
@@ -1081,9 +1134,17 @@ class TestUnwritableOutput:
         stdout, stderr = capsys.readouterr()
         assert len(stderr.splitlines()) == 1
         assert stderr.startswith("error: cannot write ")
-        # analytic prints its terms before it writes the file
-        assert stdout == "" or subcommand == "analytic"
+        assert stdout == ""
         assert not (tmp_path / "missing").exists()
+
+    def test_minimax_leaves_neither_document_when_the_csv_cannot_be_written(self, tmp_path, capsys):
+        (tmp_path / "out.csv").mkdir()
+        assert main(self.RUNS["minimax"] + ["--output", str(tmp_path / "out")]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.startswith(f"error: cannot write {tmp_path / 'out.csv'}: ")
+        assert len(stderr.splitlines()) == 1
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["out.csv"]
 
     def test_closed_stdout_pipe_exits_two_with_one_error_line(self, tmp_path):
         # the reader keeps 100 bytes of a 3.1 MB document and closes the pipe;
@@ -1141,7 +1202,10 @@ class TestReadme:
 
 
 class TestLibraryShape:
-    HEAVY = ("scipy", "numpy.ma", "decimal", "fractions", "statistics", "multiprocessing", "subprocess", "importlib.metadata")
+    HEAVY = (
+        "scipy", "numpy.ma", "decimal", "fractions", "statistics", "multiprocessing", "subprocess", "importlib.metadata",
+        "concurrent.futures", "logging",
+    )
 
     def heavy_modules(self, added):
         return [name for name in added if any(name == h or name.startswith(h + ".") for h in self.HEAVY)]

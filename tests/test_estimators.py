@@ -6,6 +6,7 @@ import queue
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -118,8 +119,8 @@ def put_total(results, pk, ds):
 @contextlib.contextmanager
 def lane_pool(workers):
     """Make ``block_stats`` see ``workers`` usable CPUs: with one its lanes
-    run in the calling thread, as on a single CPU, with more lane 1 runs on
-    a helper thread."""
+    and stacks run in the calling thread, as on a single CPU, with more lane
+    1 and every second stack up to n = TILE_ROWS run on a helper thread."""
     saved = estimators._usable_cpus
     estimators._usable_cpus = lambda: workers
     try:
@@ -457,6 +458,149 @@ class TestBlockStatsBatch:
             hsic_nystrom_batch(PK11, values, picks - 1)
         with pytest.raises(ValueError, match="cannot select 41 landmarks"):
             hsic_nystrom_batch(PK11, values, np.zeros((5, 2, 41), dtype=int))
+
+
+class TestStackWorkers:
+    """Up to n = TILE_ROWS ``block_stats_batch`` deals its stacks to the
+    calling thread and one helper thread when more than one CPU is usable;
+    every call of ``_dealt`` runs in order, its odd calls on the helper."""
+
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (1, 2, 1)])
+    @pytest.mark.parametrize("n", [32, 64, 256])
+    def test_bits_do_not_depend_on_the_workers(self, monkeypatch, n, dims):
+        # two full stacks of the real stack_size and a short third one
+        block = BlockStructure(dims)
+        pk = ProductKernel.homogeneous(block, KernelFamily.GAUSSIAN, 1.0)
+        reps = 2 * estimators.stack_size(n) + 3
+        values = np.array([random_dataset(rnglib.derive(n, r), n, block, rho=0.6).values for r in range(reps)])
+        tile_pass, helpers = estimators._tile_pass, []
+
+        def recording(pk, values, buffers):
+            helpers.append(threading.current_thread() is not threading.main_thread())
+            return tile_pass(pk, values, buffers)
+
+        monkeypatch.setattr(estimators, "_tile_pass", recording)
+        runs = {}
+        for workers in (1, 2):
+            with lane_pool(workers):
+                del helpers[:]
+                runs[workers] = block_stats_batch(pk, values)
+                # stack 1 of three, where a stack's triangle is one tile
+                assert helpers.count(True) == (workers == 2 and n <= TILE_ROWS)
+        assert hexes(runs[2].total) == hexes(runs[1].total)
+        assert hexes(runs[2].rows.ravel()) == hexes(runs[1].rows.ravel())
+
+    @pytest.mark.parametrize("reps", [1, 2, 16])
+    @pytest.mark.parametrize("t, width", [(64, 128), (1, 8192), (64, 64), (3, 2731), (1, 8193), (64, 129)])
+    def test_stacked_tile_sums_keep_each_datasets_bits(self, reps, t, width):
+        # t * width = 8192 is summed for the whole stack, 8193 or more one
+        # dataset at a time unless the stack holds one; the columns past t
+        # count twice, less the t x t diagonal block
+        gen = np.random.default_rng(t * width + reps)
+        head, last = gen.random((reps, t, width)), gen.random((reps, t, width))
+        alone = []
+        for h, g in zip(head, last):
+            tile_sum = float(np.einsum("ij,ij->", h, g))
+            if t < width:
+                tile_sum = 2.0 * tile_sum - float(np.einsum("ij,ij->", h[:, :t], g[:, :t]))
+            alone.append(tile_sum.hex())
+        assert [v.hex() for v in estimators._tile_sums(head, last)] == alone
+
+    def test_concurrent_dealt_calls_under_frequent_switches(self):
+        # four callers, each dealing three stacks to a helper of its own
+        pk = ProductKernel.homogeneous(BlockStructure((2, 2)), KernelFamily.GAUSSIAN, 1.0)
+        reps = 2 * estimators.stack_size(32) + 3
+        values = np.array([random_dataset(rnglib.derive(32, r), 32, pk.block, rho=0.6).values for r in range(reps)])
+        with lane_pool(1):
+            inline = block_stats_batch(pk, values)
+        results = queue.Queue()
+
+        def call():
+            for _ in range(3):
+                results.put(block_stats_batch(pk, values))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with lane_pool(2):
+                callers = [threading.Thread(target=call) for _ in range(4)]
+                for caller in callers:
+                    caller.start()
+                for caller in callers:
+                    caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results.qsize() == 12
+        while not results.empty():
+            stats = results.get()
+            assert hexes(stats.total) == hexes(inline.total)
+            assert np.array_equal(stats.rows, inline.rows)
+
+    def test_calls_run_in_order_with_the_odd_ones_on_the_helper(self):
+        threads = {}
+
+        def run(k):
+            threads[k] = threading.current_thread() is threading.main_thread()
+            return k * k
+
+        before = threading.enumerate()
+        assert list(estimators._dealt(run, 5, 2)) == [0, 1, 4, 9, 16]
+        assert threads == {0: True, 1: False, 2: True, 3: False, 4: True}
+        assert list(estimators._dealt(run, 5, 1)) == [0, 1, 4, 9, 16]
+        assert all(threads.values())
+        assert threading.enumerate() == before
+
+    def test_workers_follow_the_cpu_count_at_each_call(self):
+        with lane_pool(1):
+            assert [estimators._workers(calls) for calls in (1, 2, 9)] == [1, 1, 1]
+        with lane_pool(8):
+            assert [estimators._workers(calls) for calls in (1, 2, 9)] == [1, 2, 2]
+
+    def test_a_helper_failure_ends_the_calls_after_the_results_before_it(self):
+        ran = []
+
+        def run(k):
+            ran.append(k)
+            if k == 1:
+                raise MemoryError("injected")
+            return k
+
+        before = threading.enumerate()
+        calls = estimators._dealt(run, 7, 2)
+        assert next(calls) == 0
+        with pytest.raises(MemoryError, match="injected"):
+            next(calls)
+        # the calling thread waits for call 1 before it starts call 2
+        assert sorted(ran) == [0, 1]
+        assert threading.enumerate() == before
+
+    def test_a_caller_failure_stops_the_helper_at_its_next_call(self):
+        ran, failing = [], threading.Event()
+
+        def run(k):
+            ran.append(k)
+            if k == 0:
+                failing.set()
+                raise MemoryError("injected")
+            # call 1 ends after call 0 has raised, and the helper must not
+            # start call 3
+            assert failing.wait(timeout=60)
+            time.sleep(0.05)
+            return k
+
+        before = threading.enumerate()
+        with pytest.raises(MemoryError, match="injected"):
+            list(estimators._dealt(run, 7, 2))
+        assert sorted(ran) == [0, 1]
+        assert threading.enumerate() == before
+
+    def test_closing_the_generator_joins_the_helper(self):
+        before = threading.enumerate()
+        calls = estimators._dealt(lambda k: k, 9, 2)
+        assert next(calls) == 0
+        calls.close()
+        assert threading.enumerate() == before
 
 
 class TestHsicV:
