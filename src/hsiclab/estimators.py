@@ -38,9 +38,9 @@ from .kernels import KernelFamily, ProductKernel, coordinate_major, lag_sum, sta
 # hold TILE_ROWS * n floats per block and dataset at any n:
 #
 # * below THREAD_MIN_N, TILE_ROWS-row tiles, with the lanes run one after the
-#   other in the thread that runs the stack.  Up to n = TILE_ROWS the whole
-#   triangle is one tile.  Per-tile Python overhead dominates there: on one
-#   thread 32-row tiles took 1.2-1.6x the time of 64-row ones at n = 64-256.
+#   other in the calling thread.  Up to n = TILE_ROWS the whole triangle is
+#   one tile.  Per-tile Python overhead dominates there: on one thread
+#   32-row tiles took 1.2-1.6x the time of 64-row ones at n = 64-256.
 # * from THREAD_MIN_N on, LANE_TILE_ROWS-row tiles, with lane 1 on a thread
 #   of its own for the call when more than one CPU is usable (numpy releases
 #   the GIL in the tile arithmetic); on one CPU that thread cost 10-30%.  Two
@@ -57,33 +57,21 @@ from .kernels import KernelFamily, ProductKernel, coordinate_major, lag_sum, sta
 # ``block_stats_batch`` stacks ``stack_size(n)`` datasets along a leading axis
 # and runs the same loop on (R, t, n) tiles; below n = 1024 that is more than
 # one dataset, so the lanes never see a stack.  The V and U forms then run
-# once per stack as well.  A stack's tile sums are taken in one ``einsum``
-# where each dataset's tile holds at most STACKED_SUM_MAX floats.  Each stack
-# reads a coordinate-major copy of each block's points, so the lag
-# subtractions run on unit stride: on a 2-vCPU Xeon one coordinate of a
-# 32 x 4096 tile took 24 us instead of 57.  The Nystrom step holds smaller
-# arrays and stacks ``stack_size(n, landmarks)`` datasets of its own.
+# once per stack as well.  Each stack reads a coordinate-major copy of each
+# block's points, so the lag subtractions run on unit stride: on a 2-vCPU
+# Xeon one coordinate of a 32 x 4096 tile took 24 us instead of 57.  The
+# Nystrom step holds smaller arrays and stacks ``stack_size(n, landmarks)``
+# datasets of its own.
 #
-# Up to n = TILE_ROWS, where a stack's triangle is one tile, the stacks of
-# one call are dealt in turn to the calling thread and, when more than one
-# CPU is usable, one helper thread, each with its own tile buffers: one more
-# tile set (about 1.5 MB) is alive than on one CPU.  Past it a stack runs
-# several tiles, the later ones narrow, and the GIL hand-offs between their
-# shorter numpy calls cost more than the second core gives back: in fresh
-# processes on 2 vCPUs, dealing 4 to 8 stacks of blocks (2,2) took 0.87 /
-# 0.75 / 0.88-1.07 / 1.10-1.17 / 1.09 / 1.07x the time of one worker at n =
-# 32 / 64 / 128 / 256 / 512 / 1024 (medians of 10 alternating runs), and a
-# minimax run that dealt at every n below THREAD_MIN_N switched context
-# about 2000 times instead of 2.
+# Stacks run one after the other in the calling thread.  Dealing them to a
+# second worker paid only up to n = TILE_ROWS, where a stack is one tile
+# (0.75-0.87x in isolation), and not end to end: a minimax chunk holds one
+# tile-loop stack unless the Nystrom step's stacks are larger, so there was
+# rarely a second stack to deal (ROADMAP item 15).
 TILE_ROWS = 64
 LANE_TILE_ROWS = 32
 LANES = TILE_ROWS // LANE_TILE_ROWS
 THREAD_MIN_N = 2048
-# the most floats of one dataset's tile whose sum a stacked ``einsum`` takes
-# with the bits of the dataset alone: numpy sums longer operands through its
-# 8192-element buffer, in another order when the stack holds more than one
-# dataset (a stack of one keeps the bits at any size)
-STACKED_SUM_MAX = 8192
 # n x l arrays the Nystrom step holds per block and dataset at its peak: the
 # other block's features, and this block's lags, their scratch and features
 NYSTROM_ARRAYS = 4
@@ -184,29 +172,12 @@ def block_stats(pk: ProductKernel, data: Dataset) -> BlockStats:
 def block_stats_batch(pk: ProductKernel, values) -> BlockStats:
     """Sufficient statistics of the stack ``values`` of shape (R, n, d),
     whose columns are the kernel's blocks, from one pass of the tile loop
-    per ``stack_size(n)`` datasets.  When more than one CPU is usable, the
-    passes are dealt to two workers up to n = TILE_ROWS, and from
-    THREAD_MIN_N on the lanes of each pass are (see TILE_ROWS).  Each
-    dataset's entries are the same bits as the dataset alone would give, for
-    any memory layout of ``values`` and any CPU count."""
+    per ``stack_size(n)`` datasets.  Each dataset's entries are the same
+    bits as the dataset alone would give, for any memory layout of
+    ``values`` and any CPU count."""
     values = _require_stack(pk, values)
-    reps, n, _ = values.shape
-    size = min(reps, stack_size(n))
-    stacks = -(-reps // size)
-    stack_workers = _workers(stacks) if n <= TILE_ROWS else 1
-    lane_workers = _workers(LANES) if n >= THREAD_MIN_N else 1
-    # every worker's tile buffers, allocated before any helper thread starts
-    # and reused across its passes: a thread that allocated its own would
-    # hold them in a malloc arena of its own
-    extra = int(min(pk.block.dims) > 1)
-    buffers = np.empty((stack_workers * lane_workers, pk.block.m + extra, size * min(n, _tile_height(n)) * n))
-
-    def tile_pass(k: int) -> BlockStats:
-        # the buffer sets of stack k's worker, one for each of its lanes' workers
-        own = buffers[k % stack_workers :: stack_workers]
-        return _tile_pass(pk, values[k * size : (k + 1) * size], own)
-
-    parts = list(_dealt(tile_pass, stacks, stack_workers))
+    size = stack_size(values.shape[1])
+    parts = [_tile_pass(pk, values[r : r + size]) for r in range(0, len(values), size)]
     return BlockStats(np.concatenate([p.total for p in parts]), np.concatenate([p.rows for p in parts]))
 
 
@@ -233,46 +204,46 @@ def _require_stack(pk: ProductKernel, values) -> np.ndarray:
     return values
 
 
-def _tile_height(n: int) -> int:
-    """Rows of a tile at n rows (see TILE_ROWS)."""
-    return LANE_TILE_ROWS if n >= THREAD_MIN_N else TILE_ROWS
-
-
-def _tile_pass(pk: ProductKernel, values: np.ndarray, buffers: np.ndarray) -> BlockStats:
+def _tile_pass(pk: ProductKernel, values: np.ndarray) -> BlockStats:
     """Fused pass over upper-triangle row tiles of the symmetric block Grams
     of R stacked datasets, ``values`` of shape (R, n, d).
 
     Tile i holds rows [i0, i1) against columns [i0, n) of every block Gram
     of every dataset; its off-diagonal columns also stand in for the
     mirrored lower-triangle entries.  Memory is O(R * n * TILE_ROWS) instead
-    of O(R * n^2).  The tiles run in LANES fixed lanes (see TILE_ROWS),
-    dealt to as many workers as ``buffers`` holds tile buffer sets, of shape
-    (workers, M + 1, R * t * n) with t the tile height, or (workers, M, ...)
-    where some block has d = 1; lane j uses set j % workers.  No thread
+    of O(R * n^2).  The tiles run in LANES fixed lanes (see TILE_ROWS), from
+    THREAD_MIN_N rows on dealt to two workers if the process may use more
+    than one CPU, with the same result for any CPU count.  No thread
     outlives the call.
 
-    The per-lane accumulators and the coordinate-major copy of each block's
-    points are allocated here.  Tile sums are taken with ``einsum`` rather
-    than BLAS ``dot``, whose own threads would make them depend on the CPU
-    count; unlike a multiply and a sum, it reads each tile once
-    (``_tile_sums``).
+    The tile buffers (a row per worker), the per-lane accumulators and the
+    coordinate-major copy of each block's points are allocated here, so the
+    helper thread allocates nothing of tile size.  Tile
+    sums are taken with ``einsum`` rather than BLAS ``dot``, whose own
+    threads would make them depend on the CPU count; unlike a multiply and
+    a sum, it reads each tile once.  They are taken one dataset at a time:
+    a single stacked ``einsum`` sums in another order, so a dataset's bits
+    would depend on its neighbours in the stack.
     """
     m = pk.block.m
     reps, n, _ = values.shape
     blocks = [coordinate_major(values[:, :, cols]) for cols in pk.block.slices()]
-    height = _tile_height(n)
+    height = LANE_TILE_ROWS if n >= THREAD_MIN_N else TILE_ROWS
     # a lane with no tile would add only zeros, so it is not run
     lanes = min(LANES, -(-n // height))
+    workers = _workers(lanes) if n >= THREAD_MIN_N else 1
     # blocks with d > 1 go first and take the tile of the next block as lag
     # scratch; only when every block has d > 1 does the last need a spare
     order = sorted(range(m), key=lambda k: blocks[k].shape[2] == 1)
-    spares = order[1:] + [m if len(buffers[0]) > m else None]
+    extra = int(blocks[order[-1]].shape[2] > 1)
+    spares = order[1:] + [m if extra else None]
+    buffers = np.empty((workers, m + extra, reps * height * n))
     # rows are kept (R, M, n) so that each dataset's rows are contiguous; a
     # list: reduce below would iterate an array, which costs ~1.5 us
     lane_rows = [np.zeros((reps, m, n)) for _ in range(lanes)]
 
     def lane(j: int) -> list[list[float]]:
-        buf = buffers[j % len(buffers)]
+        buf = buffers[j % workers]
         rows = lane_rows[j].transpose(1, 0, 2)
         partials = []
         for i0 in range(j * height, n, LANES * height):
@@ -291,30 +262,17 @@ def _tile_pass(pk: ProductKernel, values: np.ndarray, buffers: np.ndarray) -> Bl
             head, last = grams[0], grams[-1]
             for k in range(1, m - 1):
                 np.multiply(head, grams[k], out=head)
-            partials.append(_tile_sums(head, last))
+            sums = []
+            for h, g in zip(head, last):
+                tile_sum = float(np.einsum("ij,ij->", h, g))
+                if i1 < n:
+                    tile_sum = 2.0 * tile_sum - float(np.einsum("ij,ij->", h[:, :t], g[:, :t]))
+                sums.append(tile_sum)
+            partials.append(sums)
         return partials
 
-    partials = [p for part in _dealt(lane, lanes, len(buffers)) for p in part]
+    partials = [p for part in _dealt(lane, lanes, workers) for p in part]
     return BlockStats(np.array([math.fsum(sums) for sums in zip(*partials)]), reduce(np.add, lane_rows))
-
-
-def _tile_sums(head: np.ndarray, last: np.ndarray) -> list[float]:
-    """Per dataset r of a stack of (R, t, width) tiles, t <= width, the sum
-    of head[r] * last[r] with the columns past t counted twice, for the
-    mirrored lower triangle: each the same float as the dataset alone gives.
-    One ``einsum`` takes the whole stack (and one more its t x t diagonal
-    blocks) where each dataset's tile holds at most STACKED_SUM_MAX floats;
-    past that, one takes each dataset."""
-    reps, t, width = head.shape
-    step = reps if t * width <= STACKED_SUM_MAX else 1
-    sums = []
-    for r in range(0, reps, step):
-        h, g = head[r : r + step], last[r : r + step]
-        part = np.einsum("rij,rij->r", h, g)
-        if t < width:
-            part = 2.0 * part - np.einsum("rij,rij->r", h[..., :t], g[..., :t])
-        sums += part.tolist()
-    return sums
 
 
 def _usable_cpus() -> int:

@@ -422,9 +422,8 @@ sys.exit(main(["minimax", *sys.argv[2:]]))
 """
 
 
-class TestStackWorkers:
-    """``minimax`` deals the tile pass's stacks to the calling thread and one
-    helper thread when more than one CPU is usable."""
+class TestMinimaxCpuCount:
+    """``minimax`` writes the same report on one CPU as on all of them."""
 
     ARGV = ["--blocks", "2,2", "--n-grid", "32,64,128,256", "--reps", "40", "--est", "v", "--est", "u"]
     ARGV += ["--est", "nystrom", "--landmarks", "4"]
@@ -437,31 +436,6 @@ class TestStackWorkers:
             assert child.returncode == 0, child.stderr
             reports[cpus] = [(tmp_path / f"{cpus}{suffix}").read_bytes() for suffix in (".json", ".csv")]
         assert reports["pin"] == reports["all"]
-
-    def test_memory_error_in_a_helper_stack_exits_three(self, tmp_path, capsys, monkeypatch):
-        # n = 64 splits each chunk of 40 replicates into three stacks, the
-        # second of which runs on the helper thread
-        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
-        tile_pass, callers = estimators._tile_pass, []
-
-        def failing(pk, values, buffers):
-            on_helper = threading.current_thread() is not threading.main_thread()
-            callers.append(on_helper)
-            if on_helper:
-                raise MemoryError("injected")
-            return tile_pass(pk, values, buffers)
-
-        monkeypatch.setattr(estimators, "_tile_pass", failing)
-        before = threading.enumerate()
-        argv = ["minimax", *self.ARGV, "--output", str(tmp_path / "m")]
-        argv[argv.index("--n-grid") + 1] = "64,128,256"
-        assert main(argv) == 3
-        stdout, stderr = capsys.readouterr()
-        assert (stdout, stderr) == ("", "error: out of memory: injected\n")
-        # the calling thread ran stack 0 and then waited for stack 1
-        assert sorted(callers) == [False, True]
-        assert list(tmp_path.iterdir()) == []
-        assert threading.enumerate() == before
 
 
 class TestReadMatrix:

@@ -119,8 +119,8 @@ def put_total(results, pk, ds):
 @contextlib.contextmanager
 def lane_pool(workers):
     """Make ``block_stats`` see ``workers`` usable CPUs: with one its lanes
-    and stacks run in the calling thread, as on a single CPU, with more lane
-    1 and every second stack up to n = TILE_ROWS run on a helper thread."""
+    run in the calling thread, as on a single CPU, with more lane 1 runs on
+    a helper thread."""
     saved = estimators._usable_cpus
     estimators._usable_cpus = lambda: workers
     try:
@@ -460,82 +460,38 @@ class TestBlockStatsBatch:
             hsic_nystrom_batch(PK11, values, np.zeros((5, 2, 41), dtype=int))
 
 
-class TestStackWorkers:
-    """Up to n = TILE_ROWS ``block_stats_batch`` deals its stacks to the
-    calling thread and one helper thread when more than one CPU is usable;
-    every call of ``_dealt`` runs in order, its odd calls on the helper."""
+class TestStacks:
+    """``block_stats_batch`` runs its stacks one after the other in the
+    calling thread, whatever the CPU count."""
 
     @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (1, 2, 1)])
     @pytest.mark.parametrize("n", [32, 64, 256])
-    def test_bits_do_not_depend_on_the_workers(self, monkeypatch, n, dims):
+    def test_bits_do_not_depend_on_the_cpu_count(self, monkeypatch, n, dims):
         # two full stacks of the real stack_size and a short third one
         block = BlockStructure(dims)
         pk = ProductKernel.homogeneous(block, KernelFamily.GAUSSIAN, 1.0)
         reps = 2 * estimators.stack_size(n) + 3
         values = np.array([random_dataset(rnglib.derive(n, r), n, block, rho=0.6).values for r in range(reps)])
-        tile_pass, helpers = estimators._tile_pass, []
+        tile_pass, callers = estimators._tile_pass, []
 
-        def recording(pk, values, buffers):
-            helpers.append(threading.current_thread() is not threading.main_thread())
-            return tile_pass(pk, values, buffers)
+        def recording(pk, values):
+            callers.append(threading.current_thread() is threading.main_thread())
+            return tile_pass(pk, values)
 
         monkeypatch.setattr(estimators, "_tile_pass", recording)
         runs = {}
         for workers in (1, 2):
             with lane_pool(workers):
-                del helpers[:]
+                del callers[:]
                 runs[workers] = block_stats_batch(pk, values)
-                # stack 1 of three, where a stack's triangle is one tile
-                assert helpers.count(True) == (workers == 2 and n <= TILE_ROWS)
+                assert callers == [True] * 3
         assert hexes(runs[2].total) == hexes(runs[1].total)
         assert hexes(runs[2].rows.ravel()) == hexes(runs[1].rows.ravel())
 
-    @pytest.mark.parametrize("reps", [1, 2, 16])
-    @pytest.mark.parametrize("t, width", [(64, 128), (1, 8192), (64, 64), (3, 2731), (1, 8193), (64, 129)])
-    def test_stacked_tile_sums_keep_each_datasets_bits(self, reps, t, width):
-        # t * width = 8192 is summed for the whole stack, 8193 or more one
-        # dataset at a time unless the stack holds one; the columns past t
-        # count twice, less the t x t diagonal block
-        gen = np.random.default_rng(t * width + reps)
-        head, last = gen.random((reps, t, width)), gen.random((reps, t, width))
-        alone = []
-        for h, g in zip(head, last):
-            tile_sum = float(np.einsum("ij,ij->", h, g))
-            if t < width:
-                tile_sum = 2.0 * tile_sum - float(np.einsum("ij,ij->", h[:, :t], g[:, :t]))
-            alone.append(tile_sum.hex())
-        assert [v.hex() for v in estimators._tile_sums(head, last)] == alone
 
-    def test_concurrent_dealt_calls_under_frequent_switches(self):
-        # four callers, each dealing three stacks to a helper of its own
-        pk = ProductKernel.homogeneous(BlockStructure((2, 2)), KernelFamily.GAUSSIAN, 1.0)
-        reps = 2 * estimators.stack_size(32) + 3
-        values = np.array([random_dataset(rnglib.derive(32, r), 32, pk.block, rho=0.6).values for r in range(reps)])
-        with lane_pool(1):
-            inline = block_stats_batch(pk, values)
-        results = queue.Queue()
-
-        def call():
-            for _ in range(3):
-                results.put(block_stats_batch(pk, values))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with lane_pool(2):
-                callers = [threading.Thread(target=call) for _ in range(4)]
-                for caller in callers:
-                    caller.start()
-                for caller in callers:
-                    caller.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(caller.is_alive() for caller in callers)
-        assert results.qsize() == 12
-        while not results.empty():
-            stats = results.get()
-            assert hexes(stats.total) == hexes(inline.total)
-            assert np.array_equal(stats.rows, inline.rows)
+class TestDealt:
+    """``_dealt`` runs its calls in order, the odd ones on a helper thread
+    that lives only for the generator."""
 
     def test_calls_run_in_order_with_the_odd_ones_on_the_helper(self):
         threads = {}
@@ -601,6 +557,32 @@ class TestStackWorkers:
         assert next(calls) == 0
         calls.close()
         assert threading.enumerate() == before
+
+    def test_concurrent_generators_under_frequent_switches(self):
+        # four callers, each dealing nine calls to a helper of its own
+        results = queue.Queue()
+
+        def run(k):
+            return float(np.einsum("i,i->", np.arange(64.0) + k, np.arange(64.0)))
+
+        def call():
+            for _ in range(3):
+                results.put(list(estimators._dealt(run, 9, 2)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call) for _ in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results.qsize() == 12
+        while not results.empty():
+            assert results.get() == [run(k) for k in range(9)]
 
 
 class TestHsicV:
