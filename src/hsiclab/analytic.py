@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BlockStructure
+from .data import BlockStructure, whole
 from .gaussian import GaussianMeasure, cholesky_spd
 
 
@@ -148,9 +148,9 @@ def adversarial_hsic2(gamma: float, d: int, n: int) -> float:
     the value stays finite for gamma below about 1e15, even though the
     underlying Gaussian degenerates there."""
     gamma = _check_gamma(gamma)
-    if int(d) != d or d < 2:
+    if whole(d, "d") < 2:
         raise ValueError(f"d must be an integer >= 2, got {d}")
-    if int(n) != n or n < 1:
+    if whole(n, "n") < 1:
         raise ValueError(f"n must be an integer >= 1, got {n}")
     return float(adversarial_hsic2_columns(gamma, d, 1.0 / n)[0])
 
@@ -160,7 +160,7 @@ def minimax_constant(gamma: float, d: int) -> float:
     n^{-1/2} lower bound for Gaussian product kernels; the adversarial HSIC
     gap is at least 2c/sqrt(n) for every n >= 1."""
     gamma = _check_gamma(gamma)
-    if int(d) != d or d < 2:
+    if whole(d, "d") < 2:
         raise ValueError(f"d must be an integer >= 2, got {d}")
     return gamma * math.exp(-(d / 4.0 + 1.0) * math.log(2.0 * gamma + 1.0)) / 2.0
 

@@ -326,11 +326,7 @@ def cmd_estimate(args) -> int:
     _require_nystrom_for_landmarks(kinds, args.landmarks)
     data = read_dataset(args.input, block, header=args.header)
 
-    if args.median_gamma:
-        status = _status_stream(args.output)
-        for m, median in enumerate(median_lags(family, data, seed)):
-            print(f"median-heuristic gamma for block {m}: {_median_suggestion(median)}", file=status)
-
+    medians = median_lags(family, data, seed) if args.median_gamma else []
     pk = ProductKernel(block, tuple(KernelSpec(family, g) for g in gammas))
     stats = None  # one tiled pass serves both the V and the U result
     results = []  # (estimator, scale, value), one per --est
@@ -351,6 +347,9 @@ def cmd_estimate(args) -> int:
     else:
         rows = [(*result, data.n, data.d, _joined(block.dims), _joined(gammas), seed) for result in results]
         _write_text(args.output, _csv_blocks(ESTIMATE_CSV_COLUMNS, zip(*rows)))
+    # the lines follow the document, so a failed run leaves only its error line
+    for m, median in enumerate(medians):
+        print(f"median-heuristic gamma for block {m}: {_median_suggestion(median)}", file=_status_stream(args.output))
     return EXIT_OK
 
 

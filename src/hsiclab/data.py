@@ -8,6 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def whole(value, what: str) -> int:
+    """``value`` as a plain int: an integer, a numpy integer or a float such
+    as 8.0.  Anything else, 8.5 among it, is refused rather than truncated."""
+    if not (isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class BlockStructure:
     """Ordered partition of the coordinates of R^d into M blocks of sizes ``dims``."""
@@ -15,7 +23,7 @@ class BlockStructure:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(whole(d, "a block dim") for d in self.dims)
         if not dims:
             raise ValueError("block structure needs at least one block")
         if any(d < 1 for d in dims):

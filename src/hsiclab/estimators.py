@@ -27,7 +27,7 @@ from itertools import tee
 import numpy as np
 
 from . import rng
-from .data import Dataset
+from .data import Dataset, whole
 from .kernels import KernelFamily, ProductKernel, coordinate_major, lag_sum, stacked_gram
 
 # ``block_stats`` cuts the upper triangle of the block Grams into row tiles
@@ -212,11 +212,11 @@ def _tile_pass(pk: ProductKernel, values: np.ndarray) -> BlockStats:
     of every dataset; its off-diagonal columns also stand in for the
     mirrored lower-triangle entries.  Memory is O(R * n * TILE_ROWS) instead
     of O(R * n^2).  The tiles run in LANES fixed lanes (see TILE_ROWS), from
-    THREAD_MIN_N rows on dealt to two workers if the process may use more
+    THREAD_MIN_N rows on as one ``_paired`` pair if the process may use more
     than one CPU, with the same result for any CPU count.  No thread
     outlives the call.
 
-    The tile buffers (a row per worker), the per-lane accumulators and the
+    The tile buffers (a row per thread), the per-lane accumulators and the
     coordinate-major copy of each block's points are allocated here, so the
     helper thread allocates nothing of tile size.  Tile
     sums are taken with ``einsum`` rather than BLAS ``dot``, whose own
@@ -231,19 +231,19 @@ def _tile_pass(pk: ProductKernel, values: np.ndarray) -> BlockStats:
     height = LANE_TILE_ROWS if n >= THREAD_MIN_N else TILE_ROWS
     # a lane with no tile would add only zeros, so it is not run
     lanes = min(LANES, -(-n // height))
-    workers = _workers(lanes) if n >= THREAD_MIN_N else 1
+    threaded = n >= THREAD_MIN_N and lanes > 1 and _usable_cpus() > 1
     # blocks with d > 1 go first and take the tile of the next block as lag
     # scratch; only when every block has d > 1 does the last need a spare
     order = sorted(range(m), key=lambda k: blocks[k].shape[2] == 1)
     extra = int(blocks[order[-1]].shape[2] > 1)
     spares = order[1:] + [m if extra else None]
-    buffers = np.empty((workers, m + extra, reps * height * n))
+    buffers = np.empty((1 + threaded, m + extra, reps * height * n))
     # rows are kept (R, M, n) so that each dataset's rows are contiguous; a
     # list: reduce below would iterate an array, which costs ~1.5 us
     lane_rows = [np.zeros((reps, m, n)) for _ in range(lanes)]
 
     def lane(j: int) -> list[list[float]]:
-        buf = buffers[j % workers]
+        buf = buffers[j % len(buffers)]
         rows = lane_rows[j].transpose(1, 0, 2)
         partials = []
         for i0 in range(j * height, n, LANES * height):
@@ -271,7 +271,7 @@ def _tile_pass(pk: ProductKernel, values: np.ndarray) -> BlockStats:
             partials.append(sums)
         return partials
 
-    partials = [p for part in _dealt(lane, lanes, workers) for p in part]
+    partials = [p for part in _paired(lane, lanes, threaded) for p in part]
     return BlockStats(np.array([math.fsum(sums) for sums in zip(*partials)]), reduce(np.add, lane_rows))
 
 
@@ -282,60 +282,40 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _workers(calls: int) -> int:
-    """The workers ``_dealt`` deals ``calls`` calls to: 2 when there are two
-    calls and more than one CPU is usable, else 1.  The CPU count is read at
-    each call."""
-    return 2 if calls > 1 and _usable_cpus() > 1 else 1
+def _paired(run, calls: int, threaded: bool) -> list:
+    """[run(k) for k in range(calls)].  When ``threaded``, the calls run in
+    pairs: call k in the calling thread and call k + 1 on a helper thread,
+    which is joined before the next pair starts, so no thread outlives the
+    call.  A pair's failure is raised in the calling thread once both of its
+    calls have ended; where both failed, the earlier call's."""
+
+    def helper(k, outcome):
+        try:
+            outcome.append((run(k), None))
+        except BaseException as exc:
+            outcome.append((None, exc))
+
+    results = []
+    for k in range(0, calls, 2 if threaded else 1):
+        if not threaded or k + 1 == calls:
+            results.append(run(k))
+            continue
+        outcome = []
+        thread = threading.Thread(target=helper, args=(k + 1, outcome), name="hsiclab-helper")
+        thread.start()
+        try:
+            results.append(run(k))
+        finally:
+            thread.join()
+        result, exc = outcome[0]
+        if exc is not None:
+            raise exc
+        results.append(result)
+    return results
 
 
-def _dealt(run, calls: int, workers: int):
-    """Lazily, in order, run(k) for k in range(calls), on ``workers`` 1 or 2.
-
-    With 2, call k runs in the calling thread for even k and on one helper
-    thread for odd k; the helper runs its calls back to back and lives only
-    for the generator, which joins it however it ends.  A call that raises
-    ends the generator with its exception, raised in the calling thread after
-    the results of the calls before it; the other worker starts no further
-    call, apart from the calling thread's one call before the helper's that
-    raised, whose result comes first."""
-    if workers == 1:
-        yield from map(run, range(calls))
-        return
-    done = []  # (raised, result or exception) of the helper's calls, in order
-    ready = threading.Semaphore(0)
-    stop = threading.Event()
-
-    def helper():
-        for k in range(1, calls, 2):
-            if stop.is_set():
-                return
-            try:
-                done.append((False, run(k)))
-            except BaseException as exc:
-                done.append((True, exc))
-                stop.set()
-            ready.release()
-
-    thread = threading.Thread(target=helper, name="hsiclab-helper")
-    thread.start()
-    try:
-        for k in range(calls):
-            if k % 2 == 0:
-                yield run(k)
-                continue
-            ready.acquire()
-            raised, result = done[k // 2]
-            if raised:
-                raise result
-            yield result
-    finally:
-        stop.set()
-        thread.join()
-
-
-def median_lags(family: KernelFamily, data: Dataset, seed: int):
-    """Lazily, for each block of ``data`` in order, the exact median of its
+def median_lags(family: KernelFamily, data: Dataset, seed: int) -> list[float | None]:
+    """For each block of ``data`` in order, the exact median of its
     positive pairwise lags (squared l2 for the Gaussian family, l1 for the
     Laplace family), or None where no lag is positive.  A lag past the float
     range counts as inf, without a warning.
@@ -343,8 +323,9 @@ def median_lags(family: KernelFamily, data: Dataset, seed: int):
     Past MEDIAN_HEURISTIC_CAP rows, every block reads the same uniform
     subsample of the rows without replacement, drawn once from
     ``rng.stream(seed, "median")``.  When more than one CPU is usable, the
-    blocks are dealt in turn to the calling thread and one helper thread that
-    lives only for the call; each median is the same float either way.  Each
+    blocks run in pairs (``_paired``): the first of each in the calling
+    thread, the second on a helper thread joined before the next pair; each
+    median is the same float either way.  Each
     block holds one buffer of its m(m - 1)/2 lags and the zeroed heads of its
     row tiles (17.3 MB at the cap), so two are alive at once with the helper.
     """
@@ -352,7 +333,7 @@ def median_lags(family: KernelFamily, data: Dataset, seed: int):
     if data.n > MEDIAN_HEURISTIC_CAP:
         values = values[rng.stream(seed, "median").choice(data.n, size=MEDIAN_HEURISTIC_CAP, replace=False)]
     blocks = [values[:, cols] for cols in data.block.slices()]
-    yield from _dealt(lambda m: _median_lag(family, blocks[m]), len(blocks), _workers(len(blocks)))
+    return _paired(lambda m: _median_lag(family, blocks[m]), len(blocks), _usable_cpus() > 1)
 
 
 def _median_lag(family: KernelFamily, x: np.ndarray) -> float | None:
@@ -456,7 +437,7 @@ def hsic_nystrom(
     sqrt(max(0, hsic_v)).
     """
     values = _stack_of_one(pk, data)
-    landmarks = int(landmarks)
+    landmarks = whole(landmarks, "landmarks")
     require_nystrom(pk.block.m, data.n, landmarks)
     picks = np.array(list(landmark_picks(data.n, landmarks, [seed])))
     return float(hsic_nystrom_batch(pk, values, picks)[0])

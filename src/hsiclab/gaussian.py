@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .data import BlockStructure, Dataset
+from .data import BlockStructure, Dataset, whole
 
 _SYM_TOL = 1e-12
 _PIVOT_TOL = 1e-12
@@ -109,7 +109,7 @@ def sample_stack(g: GaussianMeasure, n: int, gens, count: int) -> np.ndarray:
     stay valid until the next is drawn (as ``rng.streams`` yields them)."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    z = np.empty((count, int(n), g.d))
+    z = np.empty((count, whole(n, "n"), g.d))
     drawn = 0
     for slot, gen in zip(z, gens):
         gen.standard_normal(out=slot)
@@ -147,7 +147,7 @@ def char_fn(g: GaussianMeasure, omega: np.ndarray):
 
 
 def _check_adversarial_args(n: int, rho: float) -> None:
-    if int(n) != n or n < 2:
+    if whole(n, "n") < 2:
         raise ValueError(f"n must be an integer >= 2, got {n}")
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")

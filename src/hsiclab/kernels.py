@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from . import rng
-from .data import BlockStructure
+from .data import BlockStructure, whole
 
 # frequency vectors per block of ``spectral_blocks``: a Monte Carlo integrand
 # over them holds a few such blocks at once, not a few whole draws
@@ -30,10 +30,12 @@ SPECTRAL_BLOCK_ROWS = 8192
 # numpy 2.4 runs a broadcast subtraction with rows under about 3000 floats
 # through its 8192-element ufunc buffer: 0.57-0.77 ns per element for rows of
 # 128-2048 floats on a 2-vCPU Xeon, 0.15-0.33 ns under a buffer no larger than
-# a row.  So ``lag_sum`` subtracts rows of UNBUFFERED_MIN_WIDTH or more floats
-# under a ROW_BUFSIZE buffer (a size numpy 1.x accepts too), then restores the
-# caller's size; unbuffered, widths 8-32 took 1.1-2.7x the time.  The squares
-# stay outside, as do all sums: the tile's row sums took up to 1.9x the time.
+# a row.  So ``lag_sum`` runs its coordinate loop for rows of
+# UNBUFFERED_MIN_WIDTH or more floats under one ROW_BUFSIZE buffer (a size
+# numpy 1.x accepts too), then restores the caller's size; unbuffered, widths
+# 8-32 took 1.1-2.7x the time.  The squares and the running sum in the loop
+# act on contiguous arrays, which numpy never buffers.  All other sums stay
+# outside: the tile's row sums took up to 1.9x the time under the buffer.
 # The subtraction's three operands share the default buffer, so numpy never
 # buffers a row of NEVER_BUFFERED_WIDTH = ceil(8192 / 3) floats or more: from
 # there the scope only costs, 1.06-1.2x the time at widths 2731-8192 on 32- and
@@ -107,29 +109,23 @@ def lag_sum(
     if xm.shape[-1] != ym.shape[-1]:
         raise ValueError(f"column counts differ: {xm.shape[-1]} vs {ym.shape[-1]}")
     shape = (*xm.shape[:-1], ym.shape[-2])
-    gaussian = KernelFamily(family) is KernelFamily.GAUSSIAN
+    # each coordinate's term of the lag, from its difference
+    term = np.square if KernelFamily(family) is KernelFamily.GAUSSIAN else np.abs
     unbuffered = UNBUFFERED_MIN_WIDTH <= shape[-1] < NEVER_BUFFERED_WIDTH
 
-    def lag_into(buf, q):
-        caller_size = np.setbufsize(ROW_BUFSIZE) if unbuffered else None
-        try:
-            np.subtract(xm[..., :, q, None], ym[..., None, :, q], out=buf)
-        finally:
-            if caller_size is not None:
-                np.setbufsize(caller_size)
-        if gaussian:
-            np.multiply(buf, buf, out=buf)
-        else:
-            np.abs(buf, out=buf)
-
     acc = np.empty(shape) if out is None else out
-    lag_into(acc, 0)
-    if xm.shape[-1] > 1:
-        if scratch is None:
-            scratch = np.empty(shape)
-        for q in range(1, xm.shape[-1]):
-            lag_into(scratch, q)
-            acc += scratch
+    scratch = np.empty(shape) if scratch is None and xm.shape[-1] > 1 else scratch
+    caller_size = np.setbufsize(ROW_BUFSIZE) if unbuffered else None
+    try:
+        for q in range(xm.shape[-1]):
+            buf = scratch if q else acc
+            np.subtract(xm[..., :, q, None], ym[..., None, :, q], out=buf)
+            term(buf, out=buf)
+            if q:
+                acc += scratch
+    finally:
+        if caller_size is not None:
+            np.setbufsize(caller_size)
     return acc
 
 
@@ -195,7 +191,7 @@ def spectral_blocks(spec: KernelSpec, dim: int, n: int, seed: int):
         raise ValueError(f"n must be at least 1, got {n}")
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
-    n, dim, gen = int(n), int(dim), rng.stream(seed)
+    n, dim, gen = whole(n, "n"), whole(dim, "dim"), rng.stream(seed)
     if spec.family is KernelFamily.GAUSSIAN:
         scale, draw = np.sqrt(spec.gamma), gen.standard_normal
     else:

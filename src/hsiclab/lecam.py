@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng
 from .analytic import adversarial_hsic2_columns, hsic2_gaussian, lecam_bound, minimax_constant
-from .data import BlockStructure
+from .data import BlockStructure, whole
 from .estimators import block_stats_batch, hsic_nystrom_batch, landmark_picks, require_nystrom, require_u, require_v, stack_size
 from .gaussian import GaussianMeasure, adversarial_kl, make_adversarial_cov, sample_stack
 from .kernels import KernelFamily, ProductKernel
@@ -56,6 +56,7 @@ class Estimator:
         if self.kind == "nystrom":
             if self.landmarks is None:
                 raise ValueError("the nystrom kind needs a landmark count")
+            object.__setattr__(self, "landmarks", whole(self.landmarks, "landmarks"))
         elif self.landmarks is not None:
             raise ValueError(f"landmarks only apply to the nystrom kind, not {self.kind!r}")
 
@@ -64,9 +65,8 @@ def build_pair(n: int, block: BlockStructure) -> tuple[GaussianMeasure, Gaussian
     """The two-point construction at budget n, as (null, alt): N(0, I_d)
     versus the correlated alternative with rho_n = n^{-1/2} across the first
     block boundary and mean (1/(sqrt(d) n)) 1_d."""
-    if int(n) != n or n < 2:
+    if whole(n, "n") < 2:
         raise ValueError(f"pair construction needs an integer n >= 2, got {n}")
-    n = int(n)
     block.require_multiblock()
     d = block.total
     alt = GaussianMeasure(np.full(d, 1.0 / (math.sqrt(d) * n)), make_adversarial_cov(block, 1.0 / math.sqrt(n)))
@@ -275,7 +275,8 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        object.__setattr__(self, "n_grid", tuple(whole(n, "a grid budget") for n in self.n_grid))
+        object.__setattr__(self, "reps", whole(self.reps, "reps"))
         object.__setattr__(self, "estimators", tuple(self.estimators))
 
 

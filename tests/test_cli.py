@@ -291,8 +291,9 @@ class TestEstimate:
 
 
 class TestMedianWorkers:
-    """``--median-gamma`` deals the blocks to the calling thread and one
-    helper thread when more than one CPU is usable."""
+    """``--median-gamma`` runs the blocks in pairs, the second of each on a
+    helper thread, when more than one CPU is usable, and prints its lines
+    after the document."""
 
     @staticmethod
     def rows_over_cap():
@@ -337,7 +338,7 @@ class TestMedianWorkers:
         assert threading.enumerate() == before
 
     @pytest.mark.parametrize("cpus", [1, 64])
-    def test_memory_error_in_one_block_exits_three_after_the_earlier_lines(self, tmp_path, capsys, monkeypatch, cpus):
+    def test_memory_error_in_one_block_exits_three_with_only_its_error_line(self, tmp_path, capsys, monkeypatch, cpus):
         # block 1 of blocks 1,2,3 is the one of width 2; on two workers it
         # runs on the helper thread
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
@@ -354,11 +355,25 @@ class TestMedianWorkers:
         before = threading.enumerate()
         argv = ["estimate", "--input", str(tmp_path / "rows.csv"), "--blocks", "1,2,3", "--median-gamma"]
         assert main(argv + ["--output", str(tmp_path / "o.json")]) == 3
-        stdout, stderr = capsys.readouterr()
-        assert [line.split(":")[0] for line in stdout.splitlines()] == ["median-heuristic gamma for block 0"]
-        assert stderr == "error: out of memory: injected\n"
+        # the suggestion lines follow the document, so block 0's never shows
+        assert capsys.readouterr() == ("", "error: out of memory: injected\n")
         assert not (tmp_path / "o.json").exists()
         assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("cpus", [1, 64])
+    def test_unwritable_output_exits_two_with_nothing_on_stdout(self, tmp_path, two_col_csv, capsys, monkeypatch, cpus):
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
+        argv = ["estimate", "--input", str(two_col_csv), "--blocks", "1,1", "--median-gamma"]
+        assert main(argv + ["--output", str(tmp_path / "missing" / "x.json")]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.startswith("error: cannot write ") and len(stderr.splitlines()) == 1
+
+    def test_one_row_exits_three_with_one_error_line(self, tmp_path, capsys):
+        # the V-statistic refuses one row; no suggestion line comes before it
+        write_csv(tmp_path / "one.csv", [[0.5, -1.0]])
+        assert main(["estimate", "--input", str(tmp_path / "one.csv"), "--blocks", "1,1", "--median-gamma"]) == 3
+        assert capsys.readouterr() == ("", "error: V-statistic requires n ≥ 2, got 1\n")
 
     @pytest.mark.parametrize("cpus", [1, 64])
     def test_lags_past_the_float_range_raise_no_warning(self, monkeypatch, cpus):

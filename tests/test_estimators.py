@@ -489,77 +489,73 @@ class TestStacks:
         assert hexes(runs[2].rows.ravel()) == hexes(runs[1].rows.ravel())
 
 
-class TestDealt:
-    """``_dealt`` runs its calls in order, the odd ones on a helper thread
-    that lives only for the generator."""
+class TestPaired:
+    """``_paired`` runs its calls in order and, when threaded, in pairs: call
+    k in the calling thread and call k + 1 on a helper thread, joined before
+    the next pair starts."""
 
-    def test_calls_run_in_order_with_the_odd_ones_on_the_helper(self):
-        threads = {}
+    @staticmethod
+    def recording(events, failing=(), delays=None):
+        """A call that logs ("start", k, in the main thread) and ("end", k),
+        sleeps ``delays[k]`` seconds, raises for k in ``failing`` and
+        returns k * k otherwise."""
 
         def run(k):
-            threads[k] = threading.current_thread() is threading.main_thread()
+            events.append(("start", k, threading.current_thread() is threading.main_thread()))
+            time.sleep((delays or {}).get(k, 0.0))
+            events.append(("end", k))
+            if k in failing:
+                raise MemoryError(f"injected {k}")
             return k * k
 
-        before = threading.enumerate()
-        assert list(estimators._dealt(run, 5, 2)) == [0, 1, 4, 9, 16]
-        assert threads == {0: True, 1: False, 2: True, 3: False, 4: True}
-        assert list(estimators._dealt(run, 5, 1)) == [0, 1, 4, 9, 16]
-        assert all(threads.values())
+        return run
+
+    @pytest.mark.parametrize("calls", [0, 1, 2, 5, 6])
+    def test_calls_run_in_order_with_the_second_of_each_pair_on_the_helper(self, calls):
+        events, before = [], threading.enumerate()
+        assert estimators._paired(self.recording(events), calls, True) == [k * k for k in range(calls)]
+        starts = [event for event in events if event[0] == "start"]
+        assert sorted(starts) == [("start", k, k % 2 == 0) for k in range(calls)]
+        # a pair starts only once the one before it has ended
+        for k in range(2, calls, 2):
+            assert events.index(("end", k - 1)) < events.index(("start", k, True))
+        assert threading.enumerate() == before
+        del events[:]
+        assert estimators._paired(self.recording(events), calls, False) == [k * k for k in range(calls)]
+        assert events == [e for k in range(calls) for e in (("start", k, True), ("end", k))]
+
+    def test_a_helper_failure_is_raised_after_the_callers_call(self):
+        # call 1 fails at once; call 0 takes longer and still ends first
+        events, before = [], threading.enumerate()
+        run = self.recording(events, failing={1}, delays={0: 0.05})
+        with pytest.raises(MemoryError, match="injected 1"):
+            estimators._paired(run, 7, True)
+        assert events[-1] == ("end", 0)
+        assert sorted(e[1] for e in events if e[0] == "start") == [0, 1]
         assert threading.enumerate() == before
 
-    def test_workers_follow_the_cpu_count_at_each_call(self):
-        with lane_pool(1):
-            assert [estimators._workers(calls) for calls in (1, 2, 9)] == [1, 1, 1]
-        with lane_pool(8):
-            assert [estimators._workers(calls) for calls in (1, 2, 9)] == [1, 2, 2]
-
-    def test_a_helper_failure_ends_the_calls_after_the_results_before_it(self):
-        ran = []
-
-        def run(k):
-            ran.append(k)
-            if k == 1:
-                raise MemoryError("injected")
-            return k
-
-        before = threading.enumerate()
-        calls = estimators._dealt(run, 7, 2)
-        assert next(calls) == 0
-        with pytest.raises(MemoryError, match="injected"):
-            next(calls)
-        # the calling thread waits for call 1 before it starts call 2
-        assert sorted(ran) == [0, 1]
+    def test_a_caller_failure_joins_the_helper_and_raises_its_own(self):
+        # call 0 fails at once; the helper's call 1 ends later, and no pair follows
+        events, before = [], threading.enumerate()
+        run = self.recording(events, failing={0}, delays={1: 0.05})
+        with pytest.raises(MemoryError, match="injected 0"):
+            estimators._paired(run, 7, True)
+        assert events[-1] == ("end", 1)
+        assert sorted(e[1] for e in events if e[0] == "start") == [0, 1]
         assert threading.enumerate() == before
 
-    def test_a_caller_failure_stops_the_helper_at_its_next_call(self):
-        ran, failing = [], threading.Event()
-
-        def run(k):
-            ran.append(k)
-            if k == 0:
-                failing.set()
-                raise MemoryError("injected")
-            # call 1 ends after call 0 has raised, and the helper must not
-            # start call 3
-            assert failing.wait(timeout=60)
-            time.sleep(0.05)
-            return k
-
-        before = threading.enumerate()
-        with pytest.raises(MemoryError, match="injected"):
-            list(estimators._dealt(run, 7, 2))
-        assert sorted(ran) == [0, 1]
+    @pytest.mark.parametrize("delays", [{0: 0.05}, {1: 0.05}], ids=["helper-first", "caller-first"])
+    @pytest.mark.parametrize("pair", [0, 2])
+    def test_failures_on_both_threads_raise_the_earlier_calls(self, delays, pair):
+        events, before = [], threading.enumerate()
+        run = self.recording(events, failing={pair, pair + 1}, delays={pair + k: t for k, t in delays.items()})
+        with pytest.raises(MemoryError, match=f"injected {pair}$"):
+            estimators._paired(run, 7, True)
+        assert sorted(e[1] for e in events if e[0] == "start") == list(range(pair + 2))
         assert threading.enumerate() == before
 
-    def test_closing_the_generator_joins_the_helper(self):
-        before = threading.enumerate()
-        calls = estimators._dealt(lambda k: k, 9, 2)
-        assert next(calls) == 0
-        calls.close()
-        assert threading.enumerate() == before
-
-    def test_concurrent_generators_under_frequent_switches(self):
-        # four callers, each dealing nine calls to a helper of its own
+    def test_concurrent_callers_under_frequent_switches(self):
+        # four callers, each running nine calls in pairs with helpers of its own
         results = queue.Queue()
 
         def run(k):
@@ -567,8 +563,9 @@ class TestDealt:
 
         def call():
             for _ in range(3):
-                results.put(list(estimators._dealt(run, 9, 2)))
+                results.put(estimators._paired(run, 9, True))
 
+        before = threading.enumerate()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -580,6 +577,7 @@ class TestDealt:
         finally:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
+        assert threading.enumerate() == before
         assert results.qsize() == 12
         while not results.empty():
             assert results.get() == [run(k) for k in range(9)]
@@ -695,6 +693,13 @@ class TestHsicNystrom:
         vals[:, 0] = -1.5
         value = hsic_nystrom(PK11, Dataset(vals, B11), 10, 0)
         assert abs(value) <= 1e-10
+
+    def test_a_landmark_count_that_is_not_an_integer_is_refused(self):
+        # 2.9 ran with 2 landmarks; 10.0 and a numpy 10 are ten
+        ds = random_dataset(7, n=40)
+        with pytest.raises(ValueError, match="landmarks must be an integer, got 2.9"):
+            hsic_nystrom(PK11, ds, 2.9, 0)
+        assert hsic_nystrom(PK11, ds, 10.0, 0) == hsic_nystrom(PK11, ds, np.int64(10), 0) == hsic_nystrom(PK11, ds, 10, 0)
 
     def test_moderate_landmarks_approximate_analytic_value(self):
         target = hsic2_gaussian(alt_measure(0.6), B11, 1.0).hsic

@@ -82,6 +82,10 @@ class TestGaussianMeasure:
 
 
 class TestSample:
+    def test_a_row_count_that_is_not_an_integer_is_refused(self):
+        with pytest.raises(ValueError, match="n must be an integer, got 3.5"):
+            sample(GaussianMeasure.standard(2), 3.5, 7)
+
     def test_deterministic_in_seed(self):
         g = GaussianMeasure.standard(2)
         a = sample(g, 3, 7)

@@ -161,9 +161,9 @@ class TestLagSum:
                     assert np.array_equal(lag_sum(family, *pair), lags)
                     assert np.array_equal(stacked_gram(spec, *pair), grams)
 
-    def test_subtractions_alone_run_under_a_row_buffer(self, monkeypatch):
+    def test_the_coordinate_loop_runs_under_one_row_buffer(self, monkeypatch):
         # rows of UNBUFFERED_MIN_WIDTH or more floats enter the scope once
-        # per coordinate, narrower rows never
+        # per call, whatever the coordinate count; narrower rows never
         sizes = []
         setbufsize = np.setbufsize
 
@@ -177,11 +177,11 @@ class TestLagSum:
         lag_sum(KernelFamily.GAUSSIAN, x, np.zeros((kernels.UNBUFFERED_MIN_WIDTH - 1, 3)))
         assert sizes == []
         lag_sum(KernelFamily.GAUSSIAN, x, np.zeros((kernels.UNBUFFERED_MIN_WIDTH, 3)))
-        assert sizes == [kernels.ROW_BUFSIZE, caller] * 3
+        assert sizes == [kernels.ROW_BUFSIZE, caller]
         # rows numpy never buffers skip the scope
         del sizes[:]
         lag_sum(KernelFamily.GAUSSIAN, x, np.zeros((kernels.NEVER_BUFFERED_WIDTH - 1, 3)))
-        assert sizes == [kernels.ROW_BUFSIZE, caller] * 3
+        assert sizes == [kernels.ROW_BUFSIZE, caller]
         del sizes[:]
         lag_sum(KernelFamily.GAUSSIAN, x, np.zeros((kernels.NEVER_BUFFERED_WIDTH, 3)))
         assert sizes == []

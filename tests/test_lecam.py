@@ -266,6 +266,30 @@ class TestRunExperiment:
         config = ExperimentConfig(gamma=1.0, block=B11, n_grid=(8, 16), estimators=(Estimator("v", "v"),), reps=2)
         assert run_experiment(config).rate_fits == {}
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ExperimentConfig(gamma=1.0, block=B11, n_grid=(8.5, 16, 32)),
+            lambda: ExperimentConfig(gamma=1.0, block=B11, n_grid=(8, 16, 32), reps=2.5),
+            lambda: Estimator("ny", "nystrom", landmarks=2.5),
+            lambda: build_pair(8.5, B11),
+            lambda: BlockStructure((1.5, 1)),
+        ],
+        ids=["n_grid", "reps", "landmarks", "pair", "block-dims"],
+    )
+    def test_counts_that_are_not_integers_are_refused(self, build):
+        # 8.5 of a count is refused, never truncated to 8 or left to fail later
+        with pytest.raises(ValueError, match="must be an integer"):
+            build()
+
+    def test_numpy_and_whole_float_counts_are_written_as_plain_ints(self):
+        est = Estimator("ny", "nystrom", landmarks=np.int64(4))
+        config = ExperimentConfig(gamma=1.0, block=B11, n_grid=(np.int32(8), 16.0, 32), estimators=(est,), reps=np.int64(2))
+        written = run_experiment(config).to_dict()["config"]
+        assert (written["n_grid"], written["reps"], written["estimators"][0]["landmarks"]) == ([8, 16, 32], 2, 4)
+        assert all(type(v) is int for v in (*written["n_grid"], written["reps"], written["estimators"][0]["landmarks"]))
+        json.dumps(written)
+
 
 # the gamma x blocks combinations of the benchmark's certify sweep, and
 # bandwidths far on either side of them
