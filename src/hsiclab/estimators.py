@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import reduce
 from itertools import tee
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import rng
 from .data import Dataset, whole
-from .kernels import KernelFamily, ProductKernel, coordinate_major, lag_sum, stacked_gram
+from .kernels import KernelFamily, LagTiles, ProductKernel, coordinate_major, row_scope, stacked_gram
 
 # ``block_stats`` cuts the upper triangle of the block Grams into row tiles
 # and deals tile i to lane i % LANES.  Each lane sums its tiles in order into
@@ -47,21 +48,27 @@ from .kernels import KernelFamily, ProductKernel, coordinate_major, lag_sum, sta
 #   half-height tiles make one TILE_ROWS tile set, whatever the CPU count;
 #   16-row tiles were 1.3-1.6x slower, and 2 lanes 2-6% faster than 8.
 #
-# Below THREAD_MIN_N the GIL hand-offs between short numpy calls eat what a
-# second core gives back: on 2 cores the two-thread 32-row lanes took 1.44 /
-# 1.04 / 1.01 / 0.83 / 0.80x the time of the inline 64-row lanes at n = 1024
-# / 1536 / 1792 / 2048 / 2560 for blocks (1,1), and 1.32 / 0.99 / 0.92 /
-# 0.91 / 0.80x for (2,1) (medians of 12 alternating runs).
+# The two lanes share the GIL between their numpy calls, so each lane
+# enters ``kernels.row_scope`` once and a tile then makes only slicing and
+# ufunc calls, its Grams through one ``kernels.LagTiles`` per block prepared
+# once per pass.  From THREAD_MIN_N to 2 * THREAD_MIN_N a stack holds two
+# datasets (``stack_size``), so each ufunc call of a lane at n = 2048 covers
+# the 2^17 floats it covers at n = 4096.  On a 2-vCPU Xeon the two lanes
+# took 0.67-0.71x the time of one thread per dataset at n = 2048 and
+# 0.62-0.64x at n = 4096.  With a ``stacked_gram`` call per tile and block
+# and one dataset a stack they had taken 0.94-1.28x and 0.57-0.75x (medians
+# of 15 passes in 4-8 alternating rounds).  The tiles below THREAD_MIN_N
+# stay TILE_ROWS high: moving the threshold would change the tile heights,
+# and so the bits, at every n it passes.
 #
 # At small n a tile is tiny and the pass is all per-call overhead, so
 # ``block_stats_batch`` stacks ``stack_size(n)`` datasets along a leading axis
 # and runs the same loop on (R, t, n) tiles; below n = 1024 that is more than
-# one dataset, so the lanes never see a stack.  The V and U forms then run
-# once per stack as well.  Each stack reads a coordinate-major copy of each
-# block's points, so the lag subtractions run on unit stride: on a 2-vCPU
-# Xeon one coordinate of a 32 x 4096 tile took 24 us instead of 57.  The
-# Nystrom step holds smaller arrays and stacks ``stack_size(n, landmarks)``
-# datasets of its own.
+# one dataset.  The V and U forms then run once per stack as well.  Each
+# stack reads a coordinate-major copy of each block's points, so the lag
+# subtractions run on unit stride: on a 2-vCPU Xeon one coordinate of a
+# 32 x 4096 tile took 24 us instead of 57.  The Nystrom step holds smaller
+# arrays and stacks ``stack_size(n, landmarks)`` datasets of its own.
 #
 # Stacks run one after the other in the calling thread.  Dealing them to a
 # second worker paid only up to n = TILE_ROWS, where a stack is one tile
@@ -80,14 +87,19 @@ MEDIAN_HEURISTIC_CAP = 2048
 
 
 def stack_size(n: int, landmarks: int | None = None) -> int:
-    """How many datasets of n rows share one stacked step: as many as keep
-    the step's arrays for one block within 2^16 floats (512 KB), and at least
-    one.  A pass of the tile loop (``landmarks`` None) holds a
-    min(n, TILE_ROWS) x n tile per dataset: 1024 datasets at n = 8, 4 at
-    n = 256, 2 at n = 512 and 1 from n = 1024 on, so the lanes at
-    n >= THREAD_MIN_N see one dataset.  A Nystrom step with l landmarks holds
-    about NYSTROM_ARRAYS n x l arrays per dataset, so one of them stays within
+    """How many datasets of n rows share one stacked step, and at least one.
+    Below THREAD_MIN_N, as many as keep the step's arrays for one block
+    within 2^16 floats (512 KB).  A pass of the tile loop (``landmarks``
+    None) holds a min(n, TILE_ROWS) x n tile per dataset there: 1024
+    datasets at n = 8, 4 at n = 256, 2 at n = 512 and 1 at n = 1024.  From
+    THREAD_MIN_N on, as many tile sets as hold no more floats than that of
+    one dataset at 2 * THREAD_MIN_N (2^18): 2 for 2048 <= n < 4096 and 1
+    from n = 4096 on, so a lane's tile at n = 2048 holds the 2^17 floats of
+    one at n = 4096.  A Nystrom step with l landmarks holds about
+    NYSTROM_ARRAYS n x l arrays per dataset, so one of them stays within
     2^14 floats: 16 datasets at n = 256 and l = 4."""
+    if landmarks is None and n >= THREAD_MIN_N:
+        return max(1, 2 * THREAD_MIN_N // n)
     width = min(n, TILE_ROWS) if landmarks is None else NYSTROM_ARRAYS * landmarks
     return max(1, 2**16 // (width * n))
 
@@ -218,7 +230,8 @@ def _tile_pass(pk: ProductKernel, values: np.ndarray) -> BlockStats:
 
     The tile buffers (a row per thread), the per-lane accumulators and the
     coordinate-major copy of each block's points are allocated here, so the
-    helper thread allocates nothing of tile size.  Tile
+    helper thread allocates nothing of tile size, and each block's
+    ``LagTiles`` is prepared here once for all of its tiles.  Tile
     sums are taken with ``einsum`` rather than BLAS ``dot``, whose own
     threads would make them depend on the CPU count; unlike a multiply and
     a sum, it reads each tile once.  They are taken one dataset at a time:
@@ -237,42 +250,59 @@ def _tile_pass(pk: ProductKernel, values: np.ndarray) -> BlockStats:
     order = sorted(range(m), key=lambda k: blocks[k].shape[2] == 1)
     extra = int(blocks[order[-1]].shape[2] > 1)
     spares = order[1:] + [m if extra else None]
+    # each block's tiles, in that order, with the tile each takes as scratch
+    makers = [
+        (LagTiles(pk.specs[k].family, blocks[k], blocks[k], pk.specs[k].gamma), k, spare)
+        for k, spare in zip(order, spares)
+    ]
+    guard = any(maker.guard for maker, _, _ in makers)
     buffers = np.empty((1 + threaded, m + extra, reps * height * n))
     # rows are kept (R, M, n) so that each dataset's rows are contiguous; a
     # list: reduce below would iterate an array, which costs ~1.5 us
     lane_rows = [np.zeros((reps, m, n)) for _ in range(lanes)]
 
+    # below THREAD_MIN_N only a tile's lag loops run under its row_scope,
+    # since the sums of its rows of 64 to 1024 floats took up to 1.9x the
+    # time under the buffer.  From THREAD_MIN_N on a lane runs all of its
+    # tiles under one, which spares the lanes a buffer switch per tile.
+    lane_scope, tile_scope = (row_scope, _no_scope) if n >= THREAD_MIN_N else (_no_scope, row_scope)
+
     def lane(j: int) -> list[list[float]]:
         buf = buffers[j % len(buffers)]
         rows = lane_rows[j].transpose(1, 0, 2)
+        starts = range(j * height, n, LANES * height)
         partials = []
-        for i0 in range(j * height, n, LANES * height):
-            i1 = min(i0 + height, n)
-            t, width = i1 - i0, n - i0
-            tiles = buf[:, : reps * t * width].reshape(-1, reps, t, width)
-            for k, spare in zip(order, spares):
-                x = blocks[k]
-                scratch = None if spare is None else tiles[spare]
-                stacked_gram(pk.specs[k], x[:, i0:i1], x[:, i0:], out=tiles[k], scratch=scratch)
-            grams = tiles[:m]
-            rows[:, :, i0:i1] += grams.sum(axis=3)
-            if i1 < n:
-                rows[:, :, i1:] += grams[:, :, :, t:].sum(axis=2)
-            # the product of all tiles but the last, in place in the first
-            head, last = grams[0], grams[-1]
-            for k in range(1, m - 1):
-                np.multiply(head, grams[k], out=head)
-            sums = []
-            for h, g in zip(head, last):
-                tile_sum = float(np.einsum("ij,ij->", h, g))
+        with lane_scope(n - starts[-1], n, guard):
+            for i0 in starts:
+                i1 = min(i0 + height, n)
+                t, width = i1 - i0, n - i0
+                tiles = buf[:, : reps * t * width].reshape(-1, reps, t, width)
+                with tile_scope(width, width, guard):
+                    for maker, k, spare in makers:
+                        maker(i0, i1, i0, tiles[k], None if spare is None else tiles[spare])
+                grams = tiles[:m]
+                rows[:, :, i0:i1] += grams.sum(axis=3)
                 if i1 < n:
-                    tile_sum = 2.0 * tile_sum - float(np.einsum("ij,ij->", h[:, :t], g[:, :t]))
-                sums.append(tile_sum)
-            partials.append(sums)
+                    rows[:, :, i1:] += grams[:, :, :, t:].sum(axis=2)
+                # the product of all tiles but the last, in place in the first
+                head, last = grams[0], grams[-1]
+                for k in range(1, m - 1):
+                    np.multiply(head, grams[k], out=head)
+                sums = []
+                for h, g in zip(head, last):
+                    tile_sum = float(np.einsum("ij,ij->", h, g))
+                    if i1 < n:
+                        tile_sum = 2.0 * tile_sum - float(np.einsum("ij,ij->", h[:, :t], g[:, :t]))
+                    sums.append(tile_sum)
+                partials.append(sums)
         return partials
 
     partials = [p for part in _paired(lane, lanes, threaded) for p in part]
     return BlockStats(np.array([math.fsum(sums) for sums in zip(*partials)]), reduce(np.add, lane_rows))
+
+
+def _no_scope(*_) -> nullcontext:
+    return nullcontext()
 
 
 def _usable_cpus() -> int:
@@ -342,9 +372,10 @@ def _median_lag(family: KernelFamily, x: np.ndarray) -> float | None:
     that overflow are inf under the ``errstate`` set here, which holds for
     the thread that runs the block only."""
     with np.errstate(over="ignore"):
-        # lag_sum then reads each coordinate of a tile's columns on unit stride
+        # the tiles then read each coordinate of their columns on unit stride
         x = coordinate_major(x)
         m = x.shape[0]
+        tile_lags = LagTiles(family, x, x)
         # each row tile of the strict upper triangle is written straight into
         # one buffer that holds the tiles end to end, with the diagonal and
         # lower triangle of its t x t head zeroed: the zeros then rank first
@@ -356,7 +387,8 @@ def _median_lag(family: KernelFamily, x: np.ndarray) -> float | None:
         for i0 in heads:
             t, width = min(TILE_ROWS, m - i0), m - i0
             tile = lags[start : start + t * width].reshape(t, width)
-            lag_sum(family, x[i0 : i0 + t], x[i0:], tile, scratch[: t * width].reshape(t, width))
+            with row_scope(width, width):
+                tile_lags(i0, i0 + t, i0, tile, scratch[: t * width].reshape(t, width))
             np.copyto(tile[:, :t], 0.0, where=lower[:t, :t])
             start += t * width
     count = int(np.count_nonzero(lags))

@@ -1,5 +1,6 @@
-"""Translation-invariant kernels: lag sums, Gram matrices, tensor products
-over block structures, and spectral (Fourier) sampling.
+"""Translation-invariant kernels: lag sums and Gram matrices, whole or tile
+by tile (``LagTiles``), tensor products over block structures, and spectral
+(Fourier) sampling.
 
 Two families are supported, both normalized to 1 at zero lag:
 
@@ -15,6 +16,7 @@ probability measures and their products are valid independence kernels.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,12 +32,13 @@ SPECTRAL_BLOCK_ROWS = 8192
 # numpy 2.4 runs a broadcast subtraction with rows under about 3000 floats
 # through its 8192-element ufunc buffer: 0.57-0.77 ns per element for rows of
 # 128-2048 floats on a 2-vCPU Xeon, 0.15-0.33 ns under a buffer no larger than
-# a row.  So ``lag_sum`` runs its coordinate loop for rows of
+# a row.  So ``row_scope`` runs the lag loop of ``LagTiles`` for rows of
 # UNBUFFERED_MIN_WIDTH or more floats under one ROW_BUFSIZE buffer (a size
 # numpy 1.x accepts too), then restores the caller's size; unbuffered, widths
 # 8-32 took 1.1-2.7x the time.  The squares and the running sum in the loop
-# act on contiguous arrays, which numpy never buffers.  All other sums stay
-# outside: the tile's row sums took up to 1.9x the time under the buffer.
+# act on contiguous arrays, which numpy never buffers.  Sums of rows of 64
+# to 1024 floats took up to 1.9x the time under the buffer, so callers keep
+# those outside the scope.
 # The subtraction's three operands share the default buffer, so numpy never
 # buffers a row of NEVER_BUFFERED_WIDTH = ceil(8192 / 3) floats or more: from
 # there the scope only costs, 1.06-1.2x the time at widths 2731-8192 on 32- and
@@ -84,6 +87,74 @@ class ProductKernel:
         return cls(block, tuple(KernelSpec(family, gamma) for _ in block.dims))
 
 
+class LagTiles:
+    """The lags of the point sets x and y (as ``lag_sum``), or with
+    ``gamma`` their Gram matrix under the family's kernel (as
+    ``stacked_gram``), tile by tile.  The inputs are checked and each
+    coordinate's views cut once, here, with the family's term, the kernel's
+    scale and whether it needs ``row_scope``'s overflow guard; a tile then
+    takes only slicing and ufunc calls, and holds the same floats as that
+    block of the whole matrix."""
+
+    def __init__(self, family: KernelFamily, x, y, gamma: float | None = None) -> None:
+        xm = np.atleast_2d(np.asarray(x, dtype=float))
+        ym = np.atleast_2d(np.asarray(y, dtype=float))
+        if xm.shape[-1] != ym.shape[-1]:
+            raise ValueError(f"column counts differ: {xm.shape[-1]} vs {ym.shape[-1]}")
+        gaussian = KernelFamily(family) is KernelFamily.GAUSSIAN
+        self.shape = (*xm.shape[:-1], ym.shape[-2])
+        # each coordinate's term of the lag, from its difference
+        self.term = np.square if gaussian else np.abs
+        self.columns = [xm[..., q, None] for q in range(xm.shape[-1])]
+        self.rows = [ym[..., None, :, q] for q in range(ym.shape[-1])]
+        self.scale = None if gamma is None else (-0.5 if gaussian else -1.0) * gamma
+        # only a scale above 1 in size can take a finite lag to -inf, whose
+        # exp is the exact limit 0; the guard costs a few percent of a
+        # minimax run, so it is not entered otherwise
+        self.guard = self.scale is not None and self.scale < -1.0
+
+    def __call__(self, i0: int, i1: int, j0: int, out: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+        """Rows [i0, i1) of x against rows [j0, m) of y into ``out``, of
+        shape (..., i1 - i0, m - j0); ``scratch``, of the same shape, holds
+        the second and later coordinates.  Run under ``row_scope``."""
+        for q, (column, row) in enumerate(zip(self.columns, self.rows)):
+            buf = scratch if q else out
+            np.subtract(column[..., i0:i1, :], row[..., j0:], out=buf)
+            self.term(buf, out=buf)
+            if q:
+                np.add(out, buf, out=out)
+        if self.scale is not None:
+            np.multiply(out, self.scale, out=out)
+            np.exp(out, out=out)
+        return out
+
+    def whole(self, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+        """The whole matrix as one tile, into ``out`` and ``scratch`` where
+        given (float64 of the result's shape) and into new arrays where not."""
+        out = np.empty(self.shape) if out is None else out
+        if scratch is None and len(self.columns) > 1:
+            scratch = np.empty(self.shape)
+        with row_scope(self.shape[-1], self.shape[-1], self.guard):
+            return self(0, self.shape[-2], 0, out, scratch)
+
+
+@contextmanager
+def row_scope(narrowest: int, widest: int, guard: bool = False):
+    """The numpy settings to compute ``LagTiles`` tiles whose rows hold
+    ``narrowest`` to ``widest`` floats under: one ROW_BUFSIZE buffer where
+    some of those widths lie in [UNBUFFERED_MIN_WIDTH, NEVER_BUFFERED_WIDTH),
+    and with ``guard`` overflow ignored; the caller's buffer size is
+    restored on leaving.  Neither setting changes a bit of a tile."""
+    unbuffered = widest >= UNBUFFERED_MIN_WIDTH and narrowest < NEVER_BUFFERED_WIDTH
+    caller_size = np.setbufsize(ROW_BUFSIZE) if unbuffered else None
+    try:
+        with np.errstate(over="ignore") if guard else nullcontext():
+            yield
+    finally:
+        if caller_size is not None:
+            np.setbufsize(caller_size)
+
+
 def lag_sum(
     family: KernelFamily,
     x: np.ndarray,
@@ -103,36 +174,15 @@ def lag_sum(
     result's shape); each one missing is allocated.  The result is the same
     floats for any memory layout of x and y; given y as a
     ``coordinate_major`` view, each subtraction reads y along unit stride.
+    The ``LagTiles`` of x and y as one tile.
     """
-    xm = np.atleast_2d(np.asarray(x, dtype=float))
-    ym = np.atleast_2d(np.asarray(y, dtype=float))
-    if xm.shape[-1] != ym.shape[-1]:
-        raise ValueError(f"column counts differ: {xm.shape[-1]} vs {ym.shape[-1]}")
-    shape = (*xm.shape[:-1], ym.shape[-2])
-    # each coordinate's term of the lag, from its difference
-    term = np.square if KernelFamily(family) is KernelFamily.GAUSSIAN else np.abs
-    unbuffered = UNBUFFERED_MIN_WIDTH <= shape[-1] < NEVER_BUFFERED_WIDTH
-
-    acc = np.empty(shape) if out is None else out
-    scratch = np.empty(shape) if scratch is None and xm.shape[-1] > 1 else scratch
-    caller_size = np.setbufsize(ROW_BUFSIZE) if unbuffered else None
-    try:
-        for q in range(xm.shape[-1]):
-            buf = scratch if q else acc
-            np.subtract(xm[..., :, q, None], ym[..., None, :, q], out=buf)
-            term(buf, out=buf)
-            if q:
-                acc += scratch
-    finally:
-        if caller_size is not None:
-            np.setbufsize(caller_size)
-    return acc
+    return LagTiles(family, x, y).whole(out, scratch)
 
 
 def coordinate_major(points: np.ndarray) -> np.ndarray:
     """A copy of ``points`` of shape (..., n, d), returned as a view of the
     same shape whose n axis has unit stride: each coordinate's n values are
-    contiguous, as ``lag_sum`` reads them.  The floats are those of
+    contiguous, as ``LagTiles`` reads them.  The floats are those of
     ``points``; the copy costs O(n d)."""
     return np.ascontiguousarray(np.swapaxes(points, -1, -2)).swapaxes(-1, -2)
 
@@ -148,22 +198,12 @@ def stacked_gram(
     shape (R, m, d) give shape (R, n, m) with entry (r, i, j) = k(x[r, i],
     y[r, j]).
 
-    Built from ``lag_sum`` (which takes the same ``out`` and ``scratch``), so
-    k(x_i, x_i) is exactly 1 for finite x_i.  Each entry is the same float as
-    in ``gram`` of its pair alone.
+    The exp of the scaled ``lag_sum`` (which takes the same ``out`` and
+    ``scratch``), so k(x_i, x_i) is exactly 1 for finite x_i.  Each entry is
+    the same float as in ``gram`` of its pair alone.  The ``LagTiles`` of x
+    and y under ``spec`` as one tile.
     """
-    acc = lag_sum(spec.family, x, y, out, scratch)
-    scale = -0.5 * spec.gamma if spec.family is KernelFamily.GAUSSIAN else -spec.gamma
-    if scale < -1.0:
-        # only a scale above 1 in size can take a finite lag to -inf, whose
-        # exp is the exact limit 0; the guard costs a few percent of a
-        # minimax run, so it is not entered otherwise
-        with np.errstate(over="ignore"):
-            acc *= scale
-    else:
-        acc *= scale
-    np.exp(acc, out=acc)
-    return acc
+    return LagTiles(spec.family, x, y, spec.gamma).whole(out, scratch)
 
 
 def gram(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from hsiclab import (
 from hsiclab import estimators
 from hsiclab import rng as rnglib
 from hsiclab.estimators import LANE_TILE_ROWS, LANES, THREAD_MIN_N, TILE_ROWS
-from hsiclab.kernels import coordinate_major
+from hsiclab.kernels import LagTiles, coordinate_major
 from helpers import (
     block_values,
     dense_hsic_u,
@@ -278,13 +278,14 @@ class TestBlockStats:
         pk, ds = self._case(THREAD_MIN_N, (1, 1), KernelFamily.GAUSSIAN)
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
         callers = set()
-        real_gram = estimators.stacked_gram
+        real_tile = LagTiles.__call__
 
-        def traced_gram(*args, **kwargs):
+        def traced_tile(*args, **kwargs):
             callers.add(threading.get_ident())
-            return real_gram(*args, **kwargs)
+            return real_tile(*args, **kwargs)
 
-        monkeypatch.setattr(estimators, "stacked_gram", traced_gram)
+        # the lanes compute every tile through the blocks' LagTiles
+        monkeypatch.setattr(LagTiles, "__call__", traced_tile)
         before = threading.enumerate()
         block_stats(pk, ds)
         assert threading.enumerate() == before
@@ -364,18 +365,24 @@ class TestBlockStatsBatch:
             assert hexes(hsic_nystrom_batch(pk, values, picks)) == alone
 
     def test_stack_size_holds_a_tile_set_of_one_block(self):
-        assert [estimators.stack_size(n) for n in (8, 64, 256, 512, THREAD_MIN_N)] == [1024, 16, 4, 2, 1]
+        sizes = [estimators.stack_size(n) for n in (8, 64, 256, 512, THREAD_MIN_N, 2 * THREAD_MIN_N - 1, 2 * THREAD_MIN_N)]
+        assert sizes == [1024, 16, 4, 2, 2, 1, 1]
 
     def test_nystrom_stack_size_holds_four_feature_sets_of_one_block(self):
         sizes = [estimators.stack_size(n, landmarks) for n, landmarks in ((8, 4), (64, 4), (256, 4), (256, 16), (4096, 64))]
         assert sizes == [512, 64, 16, 4, 1]
 
+    @pytest.mark.parametrize(
+        "family, gamma", [(KernelFamily.GAUSSIAN, 1.0), (KernelFamily.GAUSSIAN, 5.0), (KernelFamily.LAPLACE, 1.0)]
+    )
     @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (1, 2, 1)])
-    @pytest.mark.parametrize("n", [8, 64, 256])
-    def test_layout_changes_no_bit(self, n, dims):
-        # the tile pass reads a coordinate-major copy of whatever it is given
+    @pytest.mark.parametrize("n", [8, 64, 256, THREAD_MIN_N])
+    def test_layout_changes_no_bit(self, n, dims, family, gamma):
+        # the tile pass reads a coordinate-major copy of whatever it is
+        # given; at THREAD_MIN_N in lane stacks of two, and at gamma = 5
+        # under the overflow guard
         block = BlockStructure(dims)
-        pk = ProductKernel.homogeneous(block, KernelFamily.GAUSSIAN, 1.0)
+        pk = ProductKernel.homogeneous(block, family, gamma)
         values = np.array([random_dataset(rnglib.derive(n, r), n, block, rho=0.6).values for r in range(6)])
         expected = block_stats_batch(pk, values)
         seeds = [rnglib.derive(n, r, "nystrom") for r in range(len(values))]

@@ -17,7 +17,7 @@ from hsiclab import (
 )
 from hsiclab import kernels
 from hsiclab.estimators import THREAD_MIN_N
-from hsiclab.kernels import SPECTRAL_BLOCK_ROWS, coordinate_major, spectral_blocks, spectral_exp_sq_mean, stacked_gram
+from hsiclab.kernels import SPECTRAL_BLOCK_ROWS, LagTiles, coordinate_major, spectral_blocks, spectral_exp_sq_mean, stacked_gram
 from helpers import eval_kernel, product_gram, whole_draw
 
 GAUSS1 = KernelSpec(KernelFamily.GAUSSIAN, 1.0)
@@ -104,16 +104,53 @@ class TestGram:
 
 class TestLagSum:
     @pytest.mark.parametrize("family", list(KernelFamily))
-    def test_matches_pairwise_distances(self, family):
+    @pytest.mark.parametrize("points", ["arrays", "lists", "one point"])
+    def test_matches_pairwise_distances(self, family, points):
+        # lists are read as float arrays, and a 1-D x as one point
         rng = np.random.default_rng(5)
         x, y = rng.normal(size=(7, 3)), rng.normal(size=(4, 3))
         diff = x[:, None, :] - y[None, :, :]
         expected = (diff**2 if family is KernelFamily.GAUSSIAN else np.abs(diff)).sum(axis=2)
-        np.testing.assert_allclose(lag_sum(family, x, y), expected, rtol=1e-14, atol=0)
+        args = {"arrays": (x, y), "lists": (x.tolist(), y.tolist()), "one point": (x[0], y)}[points]
+        if points == "one point":
+            x, expected = x[:1], expected[:1]
+        np.testing.assert_allclose(lag_sum(family, *args), expected, rtol=1e-14, atol=0)
+        spec = KernelSpec(family, 2.0)
+        assert np.array_equal(stacked_gram(spec, *args), stacked_gram(spec, x, y))
 
-    def test_column_mismatch(self):
-        with pytest.raises(ValueError):
-            lag_sum(KernelFamily.LAPLACE, np.zeros((2, 2)), np.zeros((2, 3)))
+    @pytest.mark.parametrize(
+        "whole", [lambda x, y: lag_sum(KernelFamily.LAPLACE, x, y), lambda x, y: stacked_gram(LAP2, x, y)],
+        ids=["lag_sum", "stacked_gram"],
+    )
+    def test_column_mismatch(self, whole):
+        with pytest.raises(ValueError, match="column counts differ"):
+            whole(np.zeros((2, 2)), np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="column counts differ"):
+            whole(np.zeros((2, 4, 2)), [0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    @pytest.mark.parametrize("gamma", [None, 1.0, 5.0], ids=["lags", "gamma=1", "gamma=5"])
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_tiles_are_blocks_of_the_whole(self, family, gamma, dims):
+        # a pass's tiles, each under its row_scope, against lag_sum and
+        # stacked_gram of the same rows and columns; at gamma = 5 both
+        # families' scales are below -1, where the scope guards the overflow
+        rng = np.random.default_rng(12)
+        x = coordinate_major(rng.normal(size=(2, 150, dims)) * 3.0)
+        y = coordinate_major(rng.normal(size=(2, 140, dims)) * 3.0)
+        tiles = LagTiles(family, x, y, gamma)
+        assert tiles.guard == (gamma == 5.0)
+        cuts = [(0, 64, 0), (64, 128, 64), (128, 150, 128), (5, 6, 139), (0, 150, 0)]
+        got = []
+        for i0, i1, j0 in cuts:
+            out, scratch = np.full((2, i1 - i0, 140 - j0), np.nan), np.empty((2, i1 - i0, 140 - j0))
+            with kernels.row_scope(140 - j0, 140 - j0, tiles.guard):
+                assert tiles(i0, i1, j0, out, scratch) is out
+            got.append(out)
+        for (i0, i1, j0), out in zip(cuts, got):
+            a, b = x[:, i0:i1], y[:, j0:]
+            whole = lag_sum(family, a, b) if gamma is None else stacked_gram(KernelSpec(family, gamma), a, b)
+            assert np.array_equal(out, whole), (i0, i1, j0)
 
     @pytest.mark.parametrize("spec", [GAUSS1, LAP2])
     @pytest.mark.parametrize("dims", [1, 3])

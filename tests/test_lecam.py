@@ -28,7 +28,7 @@ from hsiclab import (
     sample,
     verify_gap_partii,
 )
-from hsiclab import lecam
+from hsiclab import estimators, lecam
 from hsiclab import rng as rnglib
 from hsiclab.estimators import stack_size
 from hsiclab.lecam import certificate_table
@@ -132,6 +132,48 @@ class TestHarnessEqualsLibrary:
         chunks = self.check_replicates(monkeypatch, 256, reps=40)
         assert [len(values) for values in chunks] == [16, 16, 8] * 2
         assert stack_size(256) == 4
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 1)])
+    @pytest.mark.parametrize("n", [2048, 3000])
+    def test_lane_stacks_replicate_by_replicate(self, monkeypatch, n, dims, workers):
+        # from THREAD_MIN_N on the tile pass runs in lanes: 3 replicates at
+        # n = 2048 go in a lane stack of two and a short one, at n = 3000
+        # one at a time, on one or on two lane workers
+        block = BlockStructure(dims)
+        pk = ProductKernel.homogeneous(block, KernelFamily.GAUSSIAN, 1.0)
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: workers)
+        tile_pass, stacks, chunks = estimators._tile_pass, [], []
+        real_stats = lecam.block_stats_batch
+
+        def recording_pass(pk, values):
+            stacks.append(len(values))
+            return tile_pass(pk, values)
+
+        def stats_batch(pk, values):
+            out = real_stats(pk, values)
+            chunks.append((values, out))
+            return out
+
+        monkeypatch.setattr(estimators, "_tile_pass", recording_pass)
+        monkeypatch.setattr(lecam, "block_stats_batch", stats_batch)
+        reps, seed = 3, 5
+        vu = (Estimator("v", "v"), Estimator("u", "u"))
+        config = ExperimentConfig(gamma=1.0, block=block, n_grid=(n,), estimators=vu, reps=reps, seed=seed)
+        run_experiment(config)
+        assert stacks == {2048: [2, 1], 3000: [1, 1, 1]}[n] * 2
+        risk_seed = rnglib.derive(seed, "risk", n)
+        null, alt = build_pair(n, block)
+        datasets = [ds for values, _ in chunks for ds in values]
+        v_stats = [v for _, stats in chunks for v in stats.v_statistic()]
+        u_stats = [u for _, stats in chunks for u in stats.u_statistic()]
+        labelled = [(label, measure, r) for label, measure in (("null", null), ("alt", alt)) for r in range(reps)]
+        assert len(datasets) == len(labelled)
+        for (label, measure, r), ds, v, u in zip(labelled, datasets, v_stats, u_stats):
+            alone = sample(measure, n, rnglib.derive(risk_seed, label, r), block)
+            assert np.array_equal(ds, alone.values)
+            assert v.hex() == hsic_v(pk, alone).hex()
+            assert u.hex() == hsic_u(pk, alone).hex()
 
     def check_replicates(self, monkeypatch, n, reps=9):
         block = BlockStructure((2, 2))
