@@ -39,7 +39,6 @@ from .kernels import (
     KernelSpec,
     ProductKernel,
     gram,
-    lag_sum,
 )
 from .lecam import (
     DEFAULT_N_GRID,
@@ -85,7 +84,6 @@ __all__ = [
     "hsic_v",
     "kl_adversarial_bound",
     "kl_adversarial_exact",
-    "lag_sum",
     "landmark_picks",
     "lecam_bound",
     "make_adversarial_cov",

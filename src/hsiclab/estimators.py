@@ -13,13 +13,19 @@
   estimator puts on its input, checked where the estimators run.
 * ``median_lags``: per block, the median pairwise lag behind the median
   heuristic's bandwidth suggestion 1/median.
+* ``in_two_processes``: calls below THREAD_MIN_N rows split between the
+  calling process and one forked worker.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
+import sys
 import threading
+import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import reduce
@@ -70,11 +76,11 @@ from .kernels import KernelFamily, LagTiles, ProductKernel, coordinate_major, ro
 # 32 x 4096 tile took 24 us instead of 57.  The Nystrom step holds smaller
 # arrays and stacks ``stack_size(n, landmarks)`` datasets of its own.
 #
-# Stacks run one after the other in the calling thread.  Dealing them to a
-# second worker paid only up to n = TILE_ROWS, where a stack is one tile
-# (0.75-0.87x in isolation), and not end to end: a minimax chunk holds one
-# tile-loop stack unless the Nystrom step's stacks are larger, so there was
-# rarely a second stack to deal (ROADMAP item 15).
+# Stacks run one after the other in the calling thread: dealt to a helper
+# thread they paid only up to n = TILE_ROWS, not end to end (ROADMAP item
+# 15).  Below THREAD_MIN_N the per-call Python holds the GIL, so the second
+# CPU takes whole calls in a forked worker instead (``in_two_processes``):
+# minimax splits its budgets there, and no process outlives the call.
 TILE_ROWS = 64
 LANE_TILE_ROWS = 32
 LANES = TILE_ROWS // LANE_TILE_ROWS
@@ -342,6 +348,73 @@ def _paired(run, calls: int, threaded: bool) -> list:
             raise exc
         results.append(result)
     return results
+
+
+def in_two_processes(run, sizes) -> dict:
+    """{n: run(n)} for the distinct row counts n of ``sizes`` below
+    THREAD_MIN_N, split between the calling process and one forked worker;
+    {} where no worker may start, and the caller runs every call itself.  A
+    worker starts for two or more such n, on Linux, when more than one CPU
+    is usable and no other Python thread runs.  The split is fixed by the
+    sizes: largest first, each n goes to the side with the smaller sum of
+    n^2 so far, ties (so the largest) to the calling process.  Each side runs
+    its calls in the order of ``sizes``.  The worker pickles its results, or
+    its first exception, into one pipe and ends in ``os._exit``; that
+    exception is raised here once this process's calls have ended, and a
+    worker that ends without a result has its calls run here.  A failure or
+    an interrupt here kills the worker.  It is reaped before this returns or
+    raises, so no process outlives the call."""
+    small = [n for n in sizes if n < THREAD_MIN_N]
+    if len(small) < 2 or sys.platform != "linux" or _usable_cpus() < 2 or threading.active_count() > 1:
+        return {}
+    shares, loads = ([], []), [0, 0]
+    for n in sorted(small, reverse=True):
+        side = int(loads[1] < loads[0])
+        shares[side].append(n)
+        loads[side] += n * n
+    mine, theirs = ([n for n in small if n in share] for share in shares)
+    read, write = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 on warns at a fork beside other OS threads.  The one
+            # that runs here is an OpenBLAS pool, which OpenBLAS stops around a
+            # fork itself (pthread_atfork), and no Python thread holds a lock.
+            warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
+            pid = os.fork()
+    except OSError:  # no process to spare: the caller runs every call
+        os.close(read)
+        os.close(write)
+        return {}
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            try:
+                outcome = [run(n) for n in theirs]
+            except Exception as exc:
+                outcome = exc
+            with open(write, "wb") as pipe:
+                pickle.dump(outcome, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    with open(read, "rb") as pipe:
+        try:
+            results = {n: run(n) for n in mine}
+            payload = pipe.read()
+        except BaseException:
+            # a worker blocked on a full pipe would never end by itself
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    # status 0 is an exit with code 0, which follows a whole write
+    outcome = pickle.loads(payload) if status == 0 else [run(n) for n in theirs]
+    if isinstance(outcome, Exception):
+        raise outcome
+    results.update(zip(theirs, outcome))
+    return {n: results[n] for n in small}
 
 
 def median_lags(family: KernelFamily, data: Dataset, seed: int) -> list[float | None]:

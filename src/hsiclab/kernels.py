@@ -88,13 +88,17 @@ class ProductKernel:
 
 
 class LagTiles:
-    """The lags of the point sets x and y (as ``lag_sum``), or with
-    ``gamma`` their Gram matrix under the family's kernel (as
-    ``stacked_gram``), tile by tile.  The inputs are checked and each
-    coordinate's views cut once, here, with the family's term, the kernel's
-    scale and whether it needs ``row_scope``'s overflow guard; a tile then
-    takes only slicing and ufunc calls, and holds the same floats as that
-    block of the whole matrix."""
+    """The lags of the point sets x and y, or with ``gamma`` their Gram
+    matrix under the family's kernel (as ``stacked_gram``), tile by tile.
+    Lag (i, j) is |x_i - y_j|_2^2 for the Gaussian family and |x_i - y_j|_1
+    for the Laplace family, accumulated coordinate by coordinate from
+    explicit differences, so translated inputs give (numerically) identical
+    lags and no (n, m, d) difference tensor is formed; a leading axis stacks
+    point sets.  The inputs are checked and each coordinate's views cut
+    once, here, with the family's term, the kernel's scale and whether it
+    needs ``row_scope``'s overflow guard; a tile then takes only slicing and
+    ufunc calls, and holds the same floats as that block of the whole
+    matrix, for any memory layout of x and y."""
 
     def __init__(self, family: KernelFamily, x, y, gamma: float | None = None) -> None:
         xm = np.atleast_2d(np.asarray(x, dtype=float))
@@ -155,30 +159,6 @@ def row_scope(narrowest: int, widest: int, guard: bool = False):
             np.setbufsize(caller_size)
 
 
-def lag_sum(
-    family: KernelFamily,
-    x: np.ndarray,
-    y: np.ndarray,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-) -> np.ndarray:
-    """Lag matrix of shape (n, m): entry (i, j) is |x_i - y_j|_2^2 for the
-    Gaussian family and |x_i - y_j|_1 for the Laplace family.  A leading
-    axis stacks point sets: x of shape (R, n, d) and y of shape (R, m, d)
-    give the R lag matrices (R, n, m) of the pairs (x[r], y[r]).
-
-    Lags are accumulated coordinate by coordinate from explicit differences,
-    so translated inputs produce (numerically) identical output and no
-    (n, m, d) difference tensor is formed.  ``out`` receives the result and
-    ``scratch`` holds the second and later coordinates (both float64 of the
-    result's shape); each one missing is allocated.  The result is the same
-    floats for any memory layout of x and y; given y as a
-    ``coordinate_major`` view, each subtraction reads y along unit stride.
-    The ``LagTiles`` of x and y as one tile.
-    """
-    return LagTiles(family, x, y).whole(out, scratch)
-
-
 def coordinate_major(points: np.ndarray) -> np.ndarray:
     """A copy of ``points`` of shape (..., n, d), returned as a view of the
     same shape whose n axis has unit stride: each coordinate's n values are
@@ -198,10 +178,10 @@ def stacked_gram(
     shape (R, m, d) give shape (R, n, m) with entry (r, i, j) = k(x[r, i],
     y[r, j]).
 
-    The exp of the scaled ``lag_sum`` (which takes the same ``out`` and
-    ``scratch``), so k(x_i, x_i) is exactly 1 for finite x_i.  Each entry is
-    the same float as in ``gram`` of its pair alone.  The ``LagTiles`` of x
-    and y under ``spec`` as one tile.
+    The exp of the scaled lags, so k(x_i, x_i) is exactly 1 for finite x_i.
+    Each entry is the same float as in ``gram`` of its pair alone.  The
+    ``LagTiles`` of x and y under ``spec`` as one tile, into ``out`` and
+    ``scratch`` where given.
     """
     return LagTiles(spec.family, x, y, spec.gamma).whole(out, scratch)
 

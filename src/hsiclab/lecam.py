@@ -16,7 +16,8 @@ import numpy as np
 from . import rng
 from .analytic import adversarial_hsic2_columns, hsic2_gaussian, lecam_bound, minimax_constant
 from .data import BlockStructure, whole
-from .estimators import block_stats_batch, hsic_nystrom_batch, landmark_picks, require_nystrom, require_u, require_v, stack_size
+from .estimators import block_stats_batch, hsic_nystrom_batch, in_two_processes, landmark_picks, stack_size
+from .estimators import require_nystrom, require_u, require_v
 from .gaussian import GaussianMeasure, adversarial_kl, make_adversarial_cov, sample_stack
 from .kernels import KernelFamily, ProductKernel
 
@@ -360,9 +361,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     columns["minimax_c"] = [c] * len(config.n_grid)
     columns["threshold"] = [c / math.sqrt(n) for n in config.n_grid]
     risks = {est.name: {key: [] for key in RISK_COLUMNS} for est in config.estimators}
-    for n, threshold in zip(config.n_grid, columns["threshold"]):
+
+    def budget(n: int) -> dict[str, list[tuple[float, float]]]:
         null, alt = build_pair(n, config.block)
-        simulated = _simulate(config, n, null, alt, threshold) if config.estimators else {}
+        return _simulate(config, n, null, alt, c / math.sqrt(n)) if config.estimators else {}
+
+    # budgets below THREAD_MIN_N, beside a forked worker where one may start
+    early = in_two_processes(budget, config.n_grid) if config.estimators else {}
+    for n in config.n_grid:
+        simulated = early[n] if n in early else budget(n)
         for name, ((rmse_null, exceed_null), (rmse_alt, exceed_alt)) in simulated.items():
             risk = risks[name]
             risk["sup_risk"].append(max(rmse_null, rmse_alt))

@@ -159,7 +159,7 @@ class TestEstimate:
         if len(x) > estimators.MEDIAN_HEURISTIC_CAP:
             x = x[rng.stream(seed, "median").choice(len(x), size=estimators.MEDIAN_HEURISTIC_CAP, replace=False)]
         for m, cols in enumerate((x[:, :2], x[:, 2:])):
-            # one coordinate at a time, in lag_sum's order, without an
+            # one coordinate at a time, in LagTiles' order, without an
             # (m, m, d) difference tensor
             diffs = (c[:, None] - c[None, :] for c in cols.T)
             dists = sum(diff**2 if kernel == "gaussian" else abs(diff) for diff in diffs)

@@ -13,7 +13,6 @@ from hsiclab import (
     ProductKernel,
     block_stats,
     gram,
-    lag_sum,
 )
 from hsiclab import kernels
 from hsiclab.estimators import THREAD_MIN_N
@@ -114,13 +113,13 @@ class TestLagSum:
         args = {"arrays": (x, y), "lists": (x.tolist(), y.tolist()), "one point": (x[0], y)}[points]
         if points == "one point":
             x, expected = x[:1], expected[:1]
-        np.testing.assert_allclose(lag_sum(family, *args), expected, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(LagTiles(family, *args).whole(), expected, rtol=1e-14, atol=0)
         spec = KernelSpec(family, 2.0)
         assert np.array_equal(stacked_gram(spec, *args), stacked_gram(spec, x, y))
 
     @pytest.mark.parametrize(
-        "whole", [lambda x, y: lag_sum(KernelFamily.LAPLACE, x, y), lambda x, y: stacked_gram(LAP2, x, y)],
-        ids=["lag_sum", "stacked_gram"],
+        "whole", [lambda x, y: LagTiles(KernelFamily.LAPLACE, x, y).whole(), lambda x, y: stacked_gram(LAP2, x, y)],
+        ids=["lags", "stacked_gram"],
     )
     def test_column_mismatch(self, whole):
         with pytest.raises(ValueError, match="column counts differ"):
@@ -132,7 +131,7 @@ class TestLagSum:
     @pytest.mark.parametrize("gamma", [None, 1.0, 5.0], ids=["lags", "gamma=1", "gamma=5"])
     @pytest.mark.parametrize("dims", [1, 2, 3])
     def test_tiles_are_blocks_of_the_whole(self, family, gamma, dims):
-        # a pass's tiles, each under its row_scope, against lag_sum and
+        # a pass's tiles, each under its row_scope, against the whole lags and
         # stacked_gram of the same rows and columns; at gamma = 5 both
         # families' scales are below -1, where the scope guards the overflow
         rng = np.random.default_rng(12)
@@ -149,7 +148,7 @@ class TestLagSum:
             got.append(out)
         for (i0, i1, j0), out in zip(cuts, got):
             a, b = x[:, i0:i1], y[:, j0:]
-            whole = lag_sum(family, a, b) if gamma is None else stacked_gram(KernelSpec(family, gamma), a, b)
+            whole = LagTiles(family, a, b).whole() if gamma is None else stacked_gram(KernelSpec(family, gamma), a, b)
             assert np.array_equal(out, whole), (i0, i1, j0)
 
     @pytest.mark.parametrize("spec", [GAUSS1, LAP2])
@@ -193,9 +192,9 @@ class TestLagSum:
                 assert ac.strides[-2] == bc.strides[-2] == ac.itemsize
                 with monkeypatch.context() as patch:
                     patch.setattr(kernels, "UNBUFFERED_MIN_WIDTH", sys.maxsize)
-                    lags, grams = lag_sum(family, a, b), stacked_gram(spec, a, b)
+                    lags, grams = LagTiles(family, a, b).whole(), stacked_gram(spec, a, b)
                 for pair in ((a, b), (ac, bc), (a, bc), (ac, b)):
-                    assert np.array_equal(lag_sum(family, *pair), lags)
+                    assert np.array_equal(LagTiles(family, *pair).whole(), lags)
                     assert np.array_equal(stacked_gram(spec, *pair), grams)
 
     def test_the_coordinate_loop_runs_under_one_row_buffer(self, monkeypatch):
@@ -211,16 +210,16 @@ class TestLagSum:
         monkeypatch.setattr(np, "setbufsize", recording)
         x = np.zeros((4, 3))
         caller = np.getbufsize()
-        lag_sum(KernelFamily.GAUSSIAN, x, np.zeros((kernels.UNBUFFERED_MIN_WIDTH - 1, 3)))
+        LagTiles(KernelFamily.GAUSSIAN, x, np.zeros((kernels.UNBUFFERED_MIN_WIDTH - 1, 3))).whole()
         assert sizes == []
-        lag_sum(KernelFamily.GAUSSIAN, x, np.zeros((kernels.UNBUFFERED_MIN_WIDTH, 3)))
+        LagTiles(KernelFamily.GAUSSIAN, x, np.zeros((kernels.UNBUFFERED_MIN_WIDTH, 3))).whole()
         assert sizes == [kernels.ROW_BUFSIZE, caller]
         # rows numpy never buffers skip the scope
         del sizes[:]
-        lag_sum(KernelFamily.GAUSSIAN, x, np.zeros((kernels.NEVER_BUFFERED_WIDTH - 1, 3)))
+        LagTiles(KernelFamily.GAUSSIAN, x, np.zeros((kernels.NEVER_BUFFERED_WIDTH - 1, 3))).whole()
         assert sizes == [kernels.ROW_BUFSIZE, caller]
         del sizes[:]
-        lag_sum(KernelFamily.GAUSSIAN, x, np.zeros((kernels.NEVER_BUFFERED_WIDTH, 3)))
+        LagTiles(KernelFamily.GAUSSIAN, x, np.zeros((kernels.NEVER_BUFFERED_WIDTH, 3))).whole()
         assert sizes == []
 
     @pytest.mark.parametrize("family", list(KernelFamily))
@@ -235,11 +234,11 @@ class TestLagSum:
             y = coordinate_major(rng.normal(size=(2, width, 3)) * 1e3)
             if not stacked:
                 x, y = x[0], y[0]
-            lags = lag_sum(family, x, y).tobytes().hex()
+            lags = LagTiles(family, x, y).whole().tobytes().hex()
             for name in ("NEVER_BUFFERED_WIDTH", "UNBUFFERED_MIN_WIDTH"):
                 with monkeypatch.context() as patch:
                     patch.setattr(kernels, name, sys.maxsize)
-                    assert lag_sum(family, x, y).tobytes().hex() == lags, (width, name)
+                    assert LagTiles(family, x, y).whole().tobytes().hex() == lags, (width, name)
 
     @pytest.mark.parametrize("caller", [None, 2**16])
     def test_callers_buffer_size_survives(self, caller):
@@ -251,10 +250,10 @@ class TestLagSum:
         try:
             size = np.getbufsize()
             x, y = np.zeros((4, 2)), np.zeros((256, 2))
-            lag_sum(KernelFamily.LAPLACE, x, y)
+            LagTiles(KernelFamily.LAPLACE, x, y).whole()
             assert np.getbufsize() == size
             with pytest.raises(ValueError):
-                lag_sum(KernelFamily.LAPLACE, x, y, out=np.empty((4, 255)))
+                LagTiles(KernelFamily.LAPLACE, x, y).whole(np.empty((4, 255)))
             assert np.getbufsize() == size
             # from THREAD_MIN_N rows on, the lanes may run on a helper thread
             data = Dataset(np.random.default_rng(2).normal(size=(THREAD_MIN_N, 2)), BlockStructure((1, 1)))

@@ -1,5 +1,12 @@
+import contextlib
+import io
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -29,6 +36,7 @@ from hsiclab import (
     verify_gap_partii,
 )
 from hsiclab import estimators, lecam
+from hsiclab.cli import main as cli_main
 from hsiclab import rng as rnglib
 from hsiclab.estimators import stack_size
 from hsiclab.lecam import certificate_table
@@ -498,3 +506,217 @@ class TestCertificateTable:
         c = minimax_constant(1.0, 2)
         assert report.columns["minimax_c"] == [c] * 3
         assert report.columns["threshold"] == [c / math.sqrt(n) for n in (4, 8, 16)]
+
+
+V_U_NYSTROM = (Estimator("v", "v"), Estimator("u", "u"), Estimator("ny", "nystrom", landmarks=4))
+SMALL_GRID = (8, 16, 32, 64, 128, 256)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The processes forked while a test runs, counted at ``os.fork``."""
+    pids, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return pids
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def minimax_documents(tmp_path, argv):
+    """(exit code, stdout, stderr, JSON bytes, CSV bytes) of a ``minimax``
+    call, whose documents are then removed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(["minimax", *argv, "--output", str(tmp_path / "report")])
+    documents = []
+    for path in (tmp_path / "report.json", tmp_path / "report.csv"):
+        documents.append(path.read_bytes() if path.exists() else None)
+        path.unlink(missing_ok=True)
+    return (code, out.getvalue(), err.getvalue(), *documents)
+
+
+class TestTwoProcesses:
+    """Budgets below THREAD_MIN_N split between the calling process and one
+    forked worker give the report of one process, bit for bit."""
+
+    @pytest.mark.parametrize("grid", [SMALL_GRID, (64, 128, 256, 512, 1024, 2048)], ids=["8-256", "64-2048"])
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 2)])
+    def test_the_worker_changes_no_bit(self, monkeypatch, forks, dims, grid):
+        config = ExperimentConfig(gamma=1.0, block=BlockStructure(dims), n_grid=grid, estimators=V_U_NYSTROM, reps=3, seed=4)
+        reports = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
+            reports[cpus] = json.dumps(run_experiment(config).to_dict())
+            assert len(forks) == cpus - 1
+        assert reports[1] == reports[2]
+        no_child_left()
+
+    def test_cli_documents_do_not_depend_on_the_worker(self, monkeypatch, forks, tmp_path):
+        argv = ["--blocks", "2,2", "--n-grid", "8,16,32,64,128,256", "--reps", "3", "--est", "v", "--est", "u"]
+        argv += ["--est", "nystrom", "--landmarks", "4"]
+        documents = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
+            documents[cpus] = minimax_documents(tmp_path, argv)
+        assert documents[1][0] == 0 and documents[1] == documents[2]
+        assert len(forks) == 1
+        no_child_left()
+
+    def test_one_small_budget_starts_no_worker(self, monkeypatch, forks):
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
+        config = ExperimentConfig(gamma=1.0, block=B11, n_grid=(256, 2048), estimators=V_U_NYSTROM[:2], reps=3)
+        run_experiment(config)
+        assert forks == []
+
+    def test_the_split_is_fixed_by_the_sizes(self, monkeypatch, forks):
+        # largest first, each to the side with the smaller sum of n^2 so far;
+        # sizes from THREAD_MIN_N on are left to the caller
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
+        cases = {
+            SMALL_GRID: {256},
+            (100, 2048, 500, 1000, 4096, 600, 1024): {1024, 500, 100},
+            (64, 128, 256, 512, 1024, 2048, 4096): {1024},
+            (3, 2): {3},
+        }
+        for sizes, mine in cases.items():
+            for _ in range(2):
+                ran = estimators.in_two_processes(lambda n: (n, os.getpid()), sizes)
+                small = [n for n in sizes if n < estimators.THREAD_MIN_N]
+                assert list(ran) == small
+                assert all(ran[n][0] == n for n in small)
+                assert {n for n in small if ran[n][1] == os.getpid()} == mine
+                assert {pid for n, pid in ran.values() if n not in mine} == {forks[-1]}
+        assert len(forks) == 2 * len(cases)
+        no_child_left()
+
+    def test_no_worker_without_a_second_cpu_or_beside_a_thread(self, monkeypatch, forks):
+        calls = []
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 1)
+        assert estimators.in_two_processes(calls.append, SMALL_GRID) == {}
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
+        assert estimators.in_two_processes(calls.append, (8, 2048)) == {}
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert estimators.in_two_processes(calls.append, SMALL_GRID) == {}
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert calls == [] and forks == []
+
+
+# a worker budget that returns far more than a pipe holds, and a failure at
+# the calling process's budget once the worker is blocked writing it
+BLOCKED_WORKER_CHILD = """
+import os, sys, time
+from hsiclab import cli, estimators, lecam
+estimators._usable_cpus = lambda: 2
+def simulate(config, n, *args):
+    if n == 256:
+        time.sleep(0.5)
+        raise MemoryError("injected")
+    return {"v": [(float(i), 0.5) for i in range(20000)]}
+lecam._simulate = simulate
+code = cli.main(["minimax", "--blocks", "1,1", "--n-grid", "8,16,32,64,128,256", "--reps", "2", "--est", "v"])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(code)
+sys.exit(99)
+"""
+
+
+class TestWorkerLifecycle:
+    """A failure on either side of the process split, or the worker's death,
+    ends the call as one process would, and leaves no process behind."""
+
+    ARGV = ["--blocks", "2,2", "--n-grid", "8,16,32,64,128,256", "--reps", "3", "--est", "v", "--est", "nystrom"]
+    ARGV += ["--landmarks", "4"]
+
+    @pytest.fixture(autouse=True)
+    def reaped(self):
+        yield
+        no_child_left()
+
+    def failing_simulate(self, monkeypatch, n_failing, error):
+        real = lecam._simulate
+
+        def simulate(config, n, *args):
+            if n == n_failing:
+                raise error
+            return real(config, n, *args)
+
+        monkeypatch.setattr(lecam, "_simulate", simulate)
+
+    @pytest.mark.parametrize("n", [8, 128, 256], ids=["worker-first", "worker-last", "caller"])
+    def test_memory_error_exits_three_with_one_line(self, monkeypatch, forks, tmp_path, n):
+        # 256 is the calling process's budget, 8 to 128 the worker's
+        self.failing_simulate(monkeypatch, n, MemoryError("injected"))
+        results = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
+            results[cpus] = minimax_documents(tmp_path, self.ARGV)
+        assert results[1] == results[2] == (3, "", "error: out of memory: injected\n", None, None)
+        assert len(forks) == 1
+
+    def test_worker_exception_is_raised_in_the_caller(self, monkeypatch, forks):
+        # raised in the worker only, so the caller does not meet it itself
+        real, caller = lecam._simulate, os.getpid()
+
+        def simulate(config, n, *args):
+            if n == 64 and os.getpid() != caller:
+                raise ValueError("from the worker")
+            return real(config, n, *args)
+
+        monkeypatch.setattr(lecam, "_simulate", simulate)
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
+        config = ExperimentConfig(gamma=1.0, block=B11, n_grid=SMALL_GRID, estimators=V_U_NYSTROM[:1], reps=2)
+        with pytest.raises(ValueError, match="from the worker"):
+            run_experiment(config)
+        assert len(forks) == 1
+
+    def test_an_interrupt_in_the_caller_kills_the_worker(self, monkeypatch, forks):
+        self.failing_simulate(monkeypatch, 256, KeyboardInterrupt())
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
+        config = ExperimentConfig(gamma=1.0, block=B11, n_grid=SMALL_GRID, estimators=V_U_NYSTROM[:1], reps=2)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(config)
+        assert len(forks) == 1
+
+    def test_a_caller_failure_does_not_wait_on_a_blocked_worker(self, tmp_path):
+        # the worker's result exceeds the 64 KB pipe buffer, so a caller that
+        # only waited for it would hang
+        src = os.path.dirname(os.path.dirname(estimators.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        child = subprocess.run(
+            [sys.executable, "-c", BLOCKED_WORKER_CHILD], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (child.returncode, child.stdout, child.stderr) == (3, "", "error: out of memory: injected\n")
+
+    def test_a_killed_worker_leaves_the_report_unchanged(self, monkeypatch, forks, tmp_path):
+        real, caller = lecam._simulate, os.getpid()
+
+        def simulate(config, n, *args):
+            if n == 32 and os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(config, n, *args)
+
+        monkeypatch.setattr(lecam, "_simulate", simulate)
+        results = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
+            results[cpus] = minimax_documents(tmp_path, self.ARGV)
+        assert results[1][0] == 0 and results[1] == results[2]
+        assert len(forks) == 1
