@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -155,89 +156,65 @@ def _require_nystrom_for_landmarks(kinds: list[str], landmarks: int | None) -> N
 
 
 def read_matrix(path: str, header: bool = False) -> np.ndarray:
-    """Parse a comma-separated numeric file (UTF-8, no header by default).
-
-    Lines are read and converted CSV_BLOCK_ROWS at a time: each block's cells
-    go through one ``map(float, ...)`` and one ``np.isfinite``, and only a
-    block that fails is scanned line by line, to name its first bad line."""
-    parts = []
-    width = None
+    """Parse a comma-separated numeric file (UTF-8, no header by default)
+    with numpy's reader. Input that it refuses or cannot read twice, or that
+    holds no rows or a value that is not finite, is read by ``_data_rows``."""
     try:
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise CliError(EXIT_DATA, f"cannot read {path}: {exc}") from exc
-    with handle:
-        for start in itertools.count(1, CSV_BLOCK_ROWS):
-            # the lines decoded before a bad byte are checked before it is
-            # reported, as a line-by-line reader would
-            lines, undecodable = [], None
-            try:
-                lines.extend(itertools.islice(handle, CSV_BLOCK_ROWS))
-            except UnicodeDecodeError as exc:
-                undecodable = exc
-            if header and start == 1 and lines:
-                lines[0] = ""
-            rows = [line.split(",") for line in map(str.strip, lines) if line]
-            if rows:
-                width = width or len(rows[0])
-                values = _finite_rows(rows, width)
-                if values is None:
-                    _raise_first_bad_line(path, lines, start, width)
-                parts.append(values)
-            if undecodable is not None:
-                byte = undecodable.object[undecodable.start]
-                raise CliError(EXIT_DATA, f"{path}: not UTF-8 text: cannot decode byte 0x{byte:02x}") from undecodable
-            if len(lines) < CSV_BLOCK_ROWS:
-                break
-    if not parts:
-        raise CliError(EXIT_DATA, f"{path}: no data rows")
-    return np.concatenate(parts)
+    with handle, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)  # _data_rows says so
+        if handle.seekable():
+            with contextlib.suppress(ValueError):  # a UnicodeDecodeError too
+                values = np.loadtxt(handle, delimiter=",", ndmin=2, comments=None, skiprows=int(header))
+                if values.size and np.isfinite(values).all():
+                    return values
+            handle.seek(0)
+        rows = _data_rows(path, handle, header)
+        first = next(rows, None)
+        if first is None:
+            raise CliError(EXIT_DATA, f"{path}: no data rows")
+        return np.fromiter(itertools.chain(first, itertools.chain.from_iterable(rows)), float).reshape(-1, len(first))
 
 
-def _finite_rows(rows: list[list[str]], width: int) -> np.ndarray | None:
-    """The cells of ``rows`` as a float array of shape (len(rows), width), or
-    None where a row has another number of cells or a cell is not a finite
-    number."""
-    if any(len(row) != width for row in rows):
-        return None
+def _data_rows(path: str, lines, header: bool):
+    """The data lines in turn, each as Python's floats of its stripped cells
+    (numpy strips U+001C-U+001F from a cell too, where ``float`` does not).
+    Raises the data error of the first line that holds a cell that is not a
+    finite number or another number of cells than the first, or of a byte
+    that is not UTF-8."""
+    width = None
     try:
-        values = np.fromiter(map(float, itertools.chain.from_iterable(rows)), float, len(rows) * width)
+        for i, line in enumerate(lines, start=1):
+            cells = line.strip().split(",")
+            if cells == [""] or (header and i == 1):
+                continue
+            row = list(map(_finite, cells))
+            if None in row:
+                j = row.index(None)
+                message = f"{path}: line {i}, column {j + 1}: {cells[j].strip()!r} is not a finite number"
+                raise CliError(EXIT_DATA, message)
+            width = width or len(row)
+            if len(row) != width:
+                raise CliError(EXIT_DATA, f"{path}: line {i}: expected {width} columns, found {len(row)}")
+            yield row
+    except UnicodeDecodeError as exc:
+        raise CliError(EXIT_DATA, f"{path}: not UTF-8 text: cannot decode byte 0x{exc.object[exc.start]:02x}") from exc
+
+
+def _finite(cell: str) -> float | None:
+    try:
+        value = float(cell.strip())
     except ValueError:
         return None
-    return values.reshape(len(rows), width) if np.isfinite(values).all() else None
-
-
-def _raise_first_bad_line(path: str, lines: list[str], start: int, width: int) -> None:
-    """Raise the data error of the first of ``lines``, numbered from
-    ``start``, that is not blank and holds a cell that is not a finite number
-    or another number of cells than ``width``."""
-    for lineno, line in enumerate(lines, start=start):
-        if not line.strip():
-            continue
-        cells = line.strip().split(",")
-        column = next((j for j, cell in enumerate(cells) if not _is_finite_number(cell)), None)
-        if column is not None:
-            raise CliError(
-                EXIT_DATA,
-                f"{path}: line {lineno}, column {column + 1}: {cells[column].strip()!r} is not a finite number",
-            )
-        if len(cells) != width:
-            raise CliError(EXIT_DATA, f"{path}: line {lineno}: expected {width} columns, found {len(cells)}")
-
-
-def _is_finite_number(cell: str) -> bool:
-    try:
-        return math.isfinite(float(cell))
-    except ValueError:
-        return False
+    return value if math.isfinite(value) else None
 
 
 def read_dataset(path: str, block: BlockStructure, header: bool = False) -> Dataset:
     values = read_matrix(path, header=header)
     if values.shape[1] != block.total:
-        raise CliError(
-            EXIT_USAGE, f"block dims sum {block.total} ≠ {values.shape[1]} columns in {path}"
-        )
+        raise CliError(EXIT_USAGE, f"block dims sum {block.total} ≠ {values.shape[1]} columns in {path}")
     return Dataset(values, block)
 
 
@@ -367,12 +344,10 @@ def cmd_analytic(args) -> int:
             cov = make_adversarial_cov(block, args.rho)
         else:
             cov = read_matrix(args.input, header=args.header)
-            if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+            if cov.shape[0] != cov.shape[1]:
                 raise CliError(EXIT_DATA, f"covariance must be square, got shape {cov.shape}")
             if cov.shape[0] != block.total:
-                raise CliError(
-                    EXIT_USAGE, f"block dims sum {block.total} ≠ {cov.shape[0]} columns in {args.input}"
-                )
+                raise CliError(EXIT_USAGE, f"block dims sum {block.total} ≠ {cov.shape[0]} columns in {args.input}")
         measure = GaussianMeasure(np.zeros(block.total), cov)
     except ValueError as exc:
         raise CliError(EXIT_DATA, str(exc)) from exc

@@ -26,7 +26,8 @@ their difference in 200-digit decimals, the zero-shift case of
 ``decimal_mmd2``, the general Gaussian MMD^2 with each determinant and its
 quadratic form by elimination; the library never forms that difference.
 ``line_read_matrix`` parses a CSV file one line at a time into a list of
-rows, where the command line converts blocks of lines.  ``block_values`` is
+rows, where the command line reads with numpy's reader and, for the files it
+refuses, streams its lines into one array.  ``block_values`` is
 one block's columns of a dataset, and ``embedding_inner`` the cross term
 <mu1, mu2> of the library's MMD^2 form.
 """
