@@ -1,5 +1,6 @@
 import argparse
 import ast
+import contextlib
 import csv
 import inspect
 import io
@@ -521,16 +522,41 @@ class TestReadMatrix:
         "many_blocks": ("\n".join(_rows(3 * cli.CSV_BLOCK_ROWS + 7)).encode(), False),
     }
 
+    @staticmethod
+    def _refuse(real, consume):
+        """An ``np.loadtxt`` that refuses every file, after ``real`` has read
+        the handle to its end when ``consume`` is set, so that the line reader
+        reads it."""
+
+        def loadtxt(fname, **kwargs):
+            if consume:
+                with contextlib.suppress(ValueError):
+                    real(fname, **kwargs)
+            raise ValueError("refused")
+
+        return loadtxt
+
+    # file: numpy's reader first; line_reader: numpy refuses at once; rewound:
+    # numpy reads the handle to its end, then refuses; pipe: input that cannot
+    # be rewound goes to the line reader alone
+    @pytest.mark.parametrize("route", ["file", "line_reader", "rewound", "pipe"])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_same_arrays_and_messages_as_the_line_reader(self, tmp_path, case):
+    def test_same_arrays_and_messages_as_the_line_reader(self, tmp_path, monkeypatch, case, route):
         content, header = self.CASES[case]
         path = tmp_path / "m.csv"
         path.write_bytes(content)
         expected = _parse(path, header, line_read_matrix)
+        if route in ("line_reader", "rewound"):
+            monkeypatch.setattr(np, "loadtxt", self._refuse(np.loadtxt, consume=route == "rewound"))
         # numpy's "input contained no data" warning never shows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _parse(path, header, cli.read_matrix) == expected
+            if route == "pipe":
+                pipe, got = self._read_pipe(content, header)
+                expected = (*expected[:2], expected[2].replace(str(path), pipe)) if expected[0] == "error" else expected
+            else:
+                got = _parse(path, header, cli.read_matrix)
+        assert got == expected
 
     @given(text_and_header=csv_texts())
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -561,15 +587,24 @@ class TestReadMatrix:
         assert cli.read_matrix(str(path)).tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     @staticmethod
-    def _read_pipe(content):
+    def _read_pipe(content, header=False):
+        """The path ``read_matrix`` reads a pipe by, and what it makes of
+        ``content`` written to that pipe by a thread (a pipe holds 64 KB)."""
         read_end, write_end = os.pipe()
-        os.write(write_end, content)
-        os.close(write_end)
+
+        def write():
+            # the reader may stop at an error and close its end first
+            with contextlib.suppress(BrokenPipeError), open(write_end, "wb") as handle:
+                handle.write(content)
+
+        writer = threading.Thread(target=write)
+        writer.start()
         path = f"/dev/fd/{read_end}"
         try:
-            return path, _parse(path, False, cli.read_matrix)
+            return path, _parse(path, header, cli.read_matrix)
         finally:
             os.close(read_end)
+            writer.join()
 
     def test_a_pipe_is_read_once_by_the_line_reader(self):
         # numpy refuses the whitespace-only line, and a pipe cannot be read
