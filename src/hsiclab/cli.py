@@ -434,12 +434,13 @@ def cmd_certify(args) -> int:
     seed = _check_seed(args.seed)
     grid = _parse_n_grid(args.n_grid) if args.n_grid else tuple(range(2, 1001))
     status = _status_stream(args.output)
-    kept = []
-    for n in grid:
-        if n < 2:
-            print(f"note: n={n} excluded (the construction needs a sample budget of at least 2)", file=status)
-        else:
-            kept.append(n)
+    kept = [n for n in grid if n >= 2]
+    # one note, however many budgets are below 2
+    excluded = len(grid) - len(kept)
+    if excluded:
+        first = next(n for n in grid if n < 2)
+        what = f"n={first} excluded" if excluded == 1 else f"{excluded} budgets excluded, the first n={first}"
+        print(f"note: {what} (the construction needs a sample budget of at least 2)", file=status)
     if not kept:
         raise CliError(EXIT_USAGE, "no usable budgets in --n-grid (all below 2)")
 

@@ -13,8 +13,8 @@
   estimator puts on its input, checked where the estimators run.
 * ``median_lags``: per block, the median pairwise lag behind the median
   heuristic's bandwidth suggestion 1/median.
-* ``in_two_processes``: calls below THREAD_MIN_N rows split between the
-  calling process and one forked worker.
+* ``in_two_processes``: calls split between the calling process and one
+  forked worker, by a split fixed by their weights.
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ from .kernels import KernelFamily, LagTiles, ProductKernel, coordinate_major, ro
 #   one tile.  Per-tile Python overhead dominates there: on one thread
 #   32-row tiles took 1.2-1.6x the time of 64-row ones at n = 64-256.
 # * from THREAD_MIN_N on, LANE_TILE_ROWS-row tiles, with lane 1 on a thread
-#   of its own for the call when more than one CPU is usable (numpy releases
-#   the GIL in the tile arithmetic); on one CPU that thread cost 10-30%.  Two
+#   of its own for the call when more than one CPU is usable and the caller
+#   does not ask for the lanes in line (numpy releases the GIL in the tile
+#   arithmetic); on one CPU that thread cost 10-30%.  Two
 #   half-height tiles make one TILE_ROWS tile set, whatever the CPU count;
 #   16-row tiles were 1.3-1.6x slower, and 2 lanes 2-6% faster than 8.
 #
@@ -78,9 +79,14 @@ from .kernels import KernelFamily, LagTiles, ProductKernel, coordinate_major, ro
 #
 # Stacks run one after the other in the calling thread: dealt to a helper
 # thread they paid only up to n = TILE_ROWS, not end to end (ROADMAP item
-# 15).  Below THREAD_MIN_N the per-call Python holds the GIL, so the second
-# CPU takes whole calls in a forked worker instead (``in_two_processes``):
-# minimax splits its budgets there, and no process outlives the call.
+# 15).  The second CPU takes whole calls in a forked worker instead
+# (``in_two_processes``): minimax splits its budgets there, below
+# THREAD_MIN_N whole and from there on by distribution, and no process
+# outlives the call.  Both CPUs are then busy, so each side runs its lanes
+# in line (``block_stats_batch(..., in_line=True)``): at n = 4096 (8
+# datasets, blocks 1,1) two processes with their lanes in line took 0.48x
+# the time of one thread, the two lane threads of one process 0.63x
+# (medians of 7 rounds on a 2-vCPU Xeon), with the same bits.
 TILE_ROWS = 64
 LANE_TILE_ROWS = 32
 LANES = TILE_ROWS // LANE_TILE_ROWS
@@ -187,15 +193,17 @@ def block_stats(pk: ProductKernel, data: Dataset) -> BlockStats:
     return BlockStats(stats.total[0], stats.rows[0])
 
 
-def block_stats_batch(pk: ProductKernel, values) -> BlockStats:
+def block_stats_batch(pk: ProductKernel, values, in_line: bool = False) -> BlockStats:
     """Sufficient statistics of the stack ``values`` of shape (R, n, d),
     whose columns are the kernel's blocks, from one pass of the tile loop
-    per ``stack_size(n)`` datasets.  Each dataset's entries are the same
-    bits as the dataset alone would give, for any memory layout of
-    ``values`` and any CPU count."""
+    per ``stack_size(n)`` datasets.  ``in_line`` runs every lane in the
+    calling thread, for a caller that keeps the other CPUs busy itself.
+    Each dataset's entries are the same bits as the dataset alone would
+    give, for any memory layout of ``values``, any CPU count and either
+    ``in_line``."""
     values = _require_stack(pk, values)
     size = stack_size(values.shape[1])
-    parts = [_tile_pass(pk, values[r : r + size]) for r in range(0, len(values), size)]
+    parts = [_tile_pass(pk, values[r : r + size], in_line) for r in range(0, len(values), size)]
     return BlockStats(np.concatenate([p.total for p in parts]), np.concatenate([p.rows for p in parts]))
 
 
@@ -222,7 +230,7 @@ def _require_stack(pk: ProductKernel, values) -> np.ndarray:
     return values
 
 
-def _tile_pass(pk: ProductKernel, values: np.ndarray) -> BlockStats:
+def _tile_pass(pk: ProductKernel, values: np.ndarray, in_line: bool) -> BlockStats:
     """Fused pass over upper-triangle row tiles of the symmetric block Grams
     of R stacked datasets, ``values`` of shape (R, n, d).
 
@@ -231,8 +239,8 @@ def _tile_pass(pk: ProductKernel, values: np.ndarray) -> BlockStats:
     mirrored lower-triangle entries.  Memory is O(R * n * TILE_ROWS) instead
     of O(R * n^2).  The tiles run in LANES fixed lanes (see TILE_ROWS), from
     THREAD_MIN_N rows on as one ``_paired`` pair if the process may use more
-    than one CPU, with the same result for any CPU count.  No thread
-    outlives the call.
+    than one CPU and not ``in_line``, with the same result for any CPU
+    count.  No thread outlives the call.
 
     The tile buffers (a row per thread), the per-lane accumulators and the
     coordinate-major copy of each block's points are allocated here, so the
@@ -250,7 +258,7 @@ def _tile_pass(pk: ProductKernel, values: np.ndarray) -> BlockStats:
     height = LANE_TILE_ROWS if n >= THREAD_MIN_N else TILE_ROWS
     # a lane with no tile would add only zeros, so it is not run
     lanes = min(LANES, -(-n // height))
-    threaded = n >= THREAD_MIN_N and lanes > 1 and _usable_cpus() > 1
+    threaded = n >= THREAD_MIN_N and lanes > 1 and not in_line and _usable_cpus() > 1
     # blocks with d > 1 go first and take the tile of the next block as lag
     # scratch; only when every block has d > 1 does the last need a spare
     order = sorted(range(m), key=lambda k: blocks[k].shape[2] == 1)
@@ -350,29 +358,30 @@ def _paired(run, calls: int, threaded: bool) -> list:
     return results
 
 
-def in_two_processes(run, sizes) -> dict:
-    """{n: run(n)} for the distinct row counts n of ``sizes`` below
-    THREAD_MIN_N, split between the calling process and one forked worker;
-    {} where no worker may start, and the caller runs every call itself.  A
-    worker starts for two or more such n, on Linux, when more than one CPU
-    is usable and no other Python thread runs.  The split is fixed by the
-    sizes: largest first, each n goes to the side with the smaller sum of
-    n^2 so far, ties (so the largest) to the calling process.  Each side runs
-    its calls in the order of ``sizes``.  The worker pickles its results, or
-    its first exception, into one pipe and ends in ``os._exit``; that
-    exception is raised here once this process's calls have ended, and a
-    worker that ends without a result has its calls run here.  A failure or
-    an interrupt here kills the worker.  It is reaped before this returns or
-    raises, so no process outlives the call."""
-    small = [n for n in sizes if n < THREAD_MIN_N]
-    if len(small) < 2 or sys.platform != "linux" or _usable_cpus() < 2 or threading.active_count() > 1:
+def in_two_processes(run, units: dict) -> dict:
+    """{unit: run(unit)} for the keys of ``units``, which map each unit to
+    its weight, split between the calling process and one forked worker; {}
+    where no worker may start, and the caller runs every call itself.  A
+    worker starts for two or more units, on Linux, when more than one CPU is
+    usable and no other Python thread runs.  The split is fixed by the
+    units: heaviest first (equal weights in the order of ``units``), each
+    unit goes to the side with the smaller sum of weights so far, ties to
+    the calling process.  Each side runs its calls in the order of
+    ``units``, and both CPUs are busy, so ``run`` need start no thread.  The
+    worker pickles its results, or its first exception, into one pipe and
+    ends in ``os._exit``; that exception is raised here once this process's
+    calls have ended, and a worker that ends without a result has its calls
+    run here.  A failure or an interrupt here kills the worker.  It is
+    reaped before this returns or raises, so no process outlives the
+    call."""
+    if len(units) < 2 or sys.platform != "linux" or _usable_cpus() < 2 or threading.active_count() > 1:
         return {}
-    shares, loads = ([], []), [0, 0]
-    for n in sorted(small, reverse=True):
+    shares, loads = (set(), set()), [0, 0]
+    for unit in sorted(units, key=units.get, reverse=True):
         side = int(loads[1] < loads[0])
-        shares[side].append(n)
-        loads[side] += n * n
-    mine, theirs = ([n for n in small if n in share] for share in shares)
+        shares[side].add(unit)
+        loads[side] += units[unit]
+    mine, theirs = ([unit for unit in units if unit in share] for share in shares)
     read, write = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -390,7 +399,7 @@ def in_two_processes(run, sizes) -> dict:
         try:
             os.close(read)
             try:
-                outcome = [run(n) for n in theirs]
+                outcome = [run(unit) for unit in theirs]
             except Exception as exc:
                 outcome = exc
             with open(write, "wb") as pipe:
@@ -401,7 +410,7 @@ def in_two_processes(run, sizes) -> dict:
     os.close(write)
     with open(read, "rb") as pipe:
         try:
-            results = {n: run(n) for n in mine}
+            results = {unit: run(unit) for unit in mine}
             payload = pipe.read()
         except BaseException:
             # a worker blocked on a full pipe would never end by itself
@@ -410,11 +419,11 @@ def in_two_processes(run, sizes) -> dict:
         finally:
             status = os.waitpid(pid, 0)[1]
     # status 0 is an exit with code 0, which follows a whole write
-    outcome = pickle.loads(payload) if status == 0 else [run(n) for n in theirs]
+    outcome = pickle.loads(payload) if status == 0 else [run(unit) for unit in theirs]
     if isinstance(outcome, Exception):
         raise outcome
     results.update(zip(theirs, outcome))
-    return {n: results[n] for n in small}
+    return {unit: results[unit] for unit in units}
 
 
 def median_lags(family: KernelFamily, data: Dataset, seed: int) -> list[float | None]:

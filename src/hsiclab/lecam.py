@@ -16,14 +16,16 @@ import numpy as np
 from . import rng
 from .analytic import adversarial_hsic2_columns, hsic2_gaussian, lecam_bound, minimax_constant
 from .data import BlockStructure, whole
-from .estimators import block_stats_batch, hsic_nystrom_batch, in_two_processes, landmark_picks, stack_size
-from .estimators import require_nystrom, require_u, require_v
+from .estimators import THREAD_MIN_N, block_stats_batch, hsic_nystrom_batch, in_two_processes, landmark_picks
+from .estimators import require_nystrom, require_u, require_v, stack_size
 from .gaussian import GaussianMeasure, adversarial_kl, make_adversarial_cov, sample_stack
 from .kernels import KernelFamily, ProductKernel
 
 KL_BUDGET = 1.25
 DEFAULT_N_GRID = (64, 128, 256, 512, 1024, 2048, 4096)
 ESTIMATOR_KINDS = ("v", "u", "nystrom")
+# the two points of each budget's pair, in the order ``build_pair`` gives them
+DISTRIBUTIONS = ("null", "alt")
 # each estimator's risk columns in an ExperimentReport, one float per budget
 RISK_COLUMNS = ("sup_risk", "exceed_prob", "rmse_null", "rmse_alt")
 # the report columns each JSON record carries after its n
@@ -183,24 +185,28 @@ def _validate_estimators(estimators: tuple[Estimator, ...], block: BlockStructur
 
 
 def _simulate(
-    config: ExperimentConfig, n: int, null: GaussianMeasure, alt: GaussianMeasure, threshold: float
+    config: ExperimentConfig, n: int, measures: dict[str, GaussianMeasure], threshold: float, in_line: bool
 ) -> dict[str, list[tuple[float, float]]]:
-    """Risk of the configured estimators at budget n over the pair (null,
-    alt), from ``config.reps`` shared draws: every estimator sees the same
-    datasets, and dataset streams are keyed by (seed, distribution,
-    replicate) only, with seed = rng.derive(config.seed, "risk", n), so
-    single-estimator runs reproduce multi-estimator runs bit for bit.
+    """Risk of the configured estimators at budget n under each distribution
+    of ``measures``, {label: measure} for the labels of DISTRIBUTIONS that
+    are to run (null, alternative or both), from ``config.reps`` shared
+    draws: every estimator sees the same datasets, and dataset streams are
+    keyed by (seed, distribution, replicate) only, with seed =
+    rng.derive(config.seed, "risk", n), so single-estimator runs reproduce
+    multi-estimator runs bit for bit, and a distribution run alone gives
+    the bits it gives beside the other.
 
     Each replicate has its own streams, as the library would key them for
     its seeds; every family of them is keyed in vectorised passes over many
     replicates (``rng.streams``) and drawn straight into chunks of the largest
     ``stack_size`` of the estimators' steps, which go through the estimators
-    together; each step splits a chunk into stacks of its own.  Every dataset,
+    together; each step splits a chunk into stacks of its own, and
+    ``in_line`` keeps the tile pass's lanes in this thread.  Every dataset,
     landmark set and statistic is the one the library gives for the
     replicate alone.  Errors are on the HSIC scale.  Returns, per estimator,
-    (rmse, exceedance frequency of ``threshold``) under the null and under
-    the alternative; ``run_experiment`` has checked ``reps`` and the
-    estimators."""
+    (rmse, exceedance frequency of ``threshold``) under each distribution,
+    in the order of ``measures``; ``run_experiment`` has checked ``reps``
+    and the estimators."""
     estimators, reps, seed = config.estimators, config.reps, rng.derive(config.seed, "risk", n)
     pk = ProductKernel.homogeneous(config.block, KernelFamily.GAUSSIAN, config.gamma)
     needs_stats = any(est.kind in ("v", "u") for est in estimators)
@@ -208,7 +214,7 @@ def _simulate(
     size = max(stack_size(n, est.landmarks) for est in estimators)
 
     per_dist: dict[str, list[tuple[float, float]]] = {est.name: [] for est in estimators}
-    for label, measure in (("null", null), ("alt", alt)):
+    for label, measure in measures.items():
         true_hsic = hsic2_gaussian(measure, config.block, config.gamma).hsic
         # the error buffers are the only per-replicate state: a --reps too
         # large for memory fails here, and the seeds are derived lazily, as
@@ -223,7 +229,7 @@ def _simulate(
         for r0 in range(0, reps, size):
             count = min(size, reps - r0)
             values = sample_stack(measure, n, gens, count)
-            stats = block_stats_batch(pk, values) if needs_stats else None
+            stats = block_stats_batch(pk, values, in_line) if needs_stats else None
             for est in estimators:
                 if est.kind == "nystrom":
                     chunk_picks = np.array(list(islice(picks[est.name], count)))
@@ -236,6 +242,18 @@ def _simulate(
             err = errors[est.name]
             per_dist[est.name].append((float(np.sqrt(np.mean(err * err))), float(np.mean(err >= threshold))))
     return per_dist
+
+
+def _unit_labels(n: int) -> list[tuple[str, ...]]:
+    """The labels of each unit of budget n in the process split: below
+    THREAD_MIN_N the whole budget, from there on each distribution."""
+    return [DISTRIBUTIONS] if n < THREAD_MIN_N else [(label,) for label in DISTRIBUTIONS]
+
+
+def _split_units(n_grid) -> dict[tuple[int, tuple[str, ...]], int]:
+    """The units (n, labels) of the process split for the grid, in grid
+    order, each weighing n^2 per distribution it runs."""
+    return {(n, labels): len(labels) * n * n for n in n_grid for labels in _unit_labels(n)}
 
 
 @dataclass(frozen=True)
@@ -362,14 +380,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     columns["threshold"] = [c / math.sqrt(n) for n in config.n_grid]
     risks = {est.name: {key: [] for key in RISK_COLUMNS} for est in config.estimators}
 
-    def budget(n: int) -> dict[str, list[tuple[float, float]]]:
-        null, alt = build_pair(n, config.block)
-        return _simulate(config, n, null, alt, c / math.sqrt(n)) if config.estimators else {}
+    def simulate(n: int, labels: tuple[str, ...], in_line: bool) -> dict[str, list[tuple[float, float]]]:
+        pair = dict(zip(DISTRIBUTIONS, build_pair(n, config.block)))
+        measures = {label: pair[label] for label in labels}
+        return _simulate(config, n, measures, c / math.sqrt(n), in_line) if config.estimators else {}
 
-    # budgets below THREAD_MIN_N, beside a forked worker where one may start
-    early = in_two_processes(budget, config.n_grid) if config.estimators else {}
+    # every unit beside a forked worker where one may start, each side with
+    # its lanes in line; else every unit here, with its lanes on threads
+    units = _split_units(config.n_grid) if config.estimators else {}
+    split = in_two_processes(lambda unit: simulate(*unit, True), units)
     for n in config.n_grid:
-        simulated = early[n] if n in early else budget(n)
+        parts = [split[n, labels] if split else simulate(n, labels, False) for labels in _unit_labels(n)]
+        simulated = {name: [risk for part in parts for risk in part[name]] for name in parts[0]}
         for name, ((rmse_null, exceed_null), (rmse_alt, exceed_alt)) in simulated.items():
             risk = risks[name]
             risk["sup_risk"].append(max(rmse_null, rmse_alt))

@@ -904,6 +904,21 @@ class TestCertify:
             assert table.startswith(",".join(cli.CERTIFY_CSV_COLUMNS) + "\n")
             assert len(table.splitlines()) == 1 + 19
 
+    def test_excluded_budgets_take_one_note(self, capsys, tmp_path):
+        note = "(the construction needs a sample budget of at least 2)"
+        assert main(["certify", "--blocks", "1,1", "--n-grid=-200000..1"]) == 3
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.splitlines() == [
+            f"note: 200002 budgets excluded, the first n=-200000 {note}",
+            "error: no usable budgets in --n-grid (all below 2)",
+        ]
+        assert main(["certify", "--blocks", "1,1", "--n-grid", "5,1,-3,0,8", "--output", str(tmp_path / "c.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"note: 3 budgets excluded, the first n=1 {note}"
+        assert len(lines) == 6
+        assert [row["n"] for row in json.loads((tmp_path / "c.json").read_text())["rows"]] == [5, 8]
+
     @pytest.mark.parametrize(
         "extra",
         [["--gamma", "1e-3"], ["--n-grid", "12341703,20000000,100000000"], ["--n-grid", "9007199254740992"]],

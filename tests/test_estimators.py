@@ -291,6 +291,30 @@ class TestBlockStats:
         assert threading.enumerate() == before
         assert len(callers - {threading.get_ident()}) == helpers
 
+    @pytest.mark.parametrize("n", [THREAD_MIN_N, 3000])
+    def test_lanes_in_line_give_the_bits_of_lane_threads(self, monkeypatch, n):
+        # in_line keeps lane 1 in the calling thread whatever the CPU count;
+        # at n = 2048 three datasets go in a lane stack of two and a short one
+        block = BlockStructure((2, 1))
+        pk = ProductKernel.homogeneous(block, KernelFamily.GAUSSIAN, 1.0)
+        values = np.array([random_dataset(rnglib.derive(n, r), n, block, rho=0.6).values for r in range(3)])
+        callers = set()
+        real_tile = LagTiles.__call__
+
+        def traced_tile(*args, **kwargs):
+            callers.add(threading.get_ident())
+            return real_tile(*args, **kwargs)
+
+        monkeypatch.setattr(LagTiles, "__call__", traced_tile)
+        with lane_pool(LANES):
+            threaded = block_stats_batch(pk, values)
+            assert len(callers) == LANES
+            callers.clear()
+            in_line = block_stats_batch(pk, values, in_line=True)
+        assert callers == {threading.get_ident()}
+        assert hexes(in_line.total) == hexes(threaded.total)
+        assert hexes(in_line.rows.ravel()) == hexes(threaded.rows.ravel())
+
     def test_concurrent_calls_get_the_inline_bits(self):
         pk, ds = self._case(THREAD_MIN_N + 100, (2, 1), KernelFamily.GAUSSIAN)
         with lane_pool(1):
@@ -481,9 +505,9 @@ class TestStacks:
         values = np.array([random_dataset(rnglib.derive(n, r), n, block, rho=0.6).values for r in range(reps)])
         tile_pass, callers = estimators._tile_pass, []
 
-        def recording(pk, values):
+        def recording(pk, values, in_line):
             callers.append(threading.current_thread() is threading.main_thread())
-            return tile_pass(pk, values)
+            return tile_pass(pk, values, in_line)
 
         monkeypatch.setattr(estimators, "_tile_pass", recording)
         runs = {}

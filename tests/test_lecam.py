@@ -39,6 +39,7 @@ from hsiclab import estimators, lecam
 from hsiclab.cli import main as cli_main
 from hsiclab import rng as rnglib
 from hsiclab.estimators import stack_size
+from hsiclab.kernels import LagTiles
 from hsiclab.lecam import certificate_table
 
 from helpers import adversarial_terms
@@ -147,19 +148,21 @@ class TestHarnessEqualsLibrary:
     def test_lane_stacks_replicate_by_replicate(self, monkeypatch, n, dims, workers):
         # from THREAD_MIN_N on the tile pass runs in lanes: 3 replicates at
         # n = 2048 go in a lane stack of two and a short one, at n = 3000
-        # one at a time, on one or on two lane workers
+        # one at a time, on one or on two lane workers; both distributions
+        # run in this process, where the calls are recorded
         block = BlockStructure(dims)
         pk = ProductKernel.homogeneous(block, KernelFamily.GAUSSIAN, 1.0)
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(lecam, "in_two_processes", lambda run, units: {})
         tile_pass, stacks, chunks = estimators._tile_pass, [], []
         real_stats = lecam.block_stats_batch
 
-        def recording_pass(pk, values):
+        def recording_pass(pk, values, in_line):
             stacks.append(len(values))
-            return tile_pass(pk, values)
+            return tile_pass(pk, values, in_line)
 
-        def stats_batch(pk, values):
-            out = real_stats(pk, values)
+        def stats_batch(pk, values, *args):
+            out = real_stats(pk, values, *args)
             chunks.append((values, out))
             return out
 
@@ -168,7 +171,7 @@ class TestHarnessEqualsLibrary:
         reps, seed = 3, 5
         vu = (Estimator("v", "v"), Estimator("u", "u"))
         config = ExperimentConfig(gamma=1.0, block=block, n_grid=(n,), estimators=vu, reps=reps, seed=seed)
-        run_experiment(config)
+        risks = run_experiment(config).risks
         assert stacks == {2048: [2, 1], 3000: [1, 1, 1]}[n] * 2
         risk_seed = rnglib.derive(seed, "risk", n)
         null, alt = build_pair(n, block)
@@ -177,11 +180,20 @@ class TestHarnessEqualsLibrary:
         u_stats = [u for _, stats in chunks for u in stats.u_statistic()]
         labelled = [(label, measure, r) for label, measure in (("null", null), ("alt", alt)) for r in range(reps)]
         assert len(datasets) == len(labelled)
+        errors = {"v": [], "u": []}
         for (label, measure, r), ds, v, u in zip(labelled, datasets, v_stats, u_stats):
             alone = sample(measure, n, rnglib.derive(risk_seed, label, r), block)
             assert np.array_equal(ds, alone.values)
             assert v.hex() == hsic_v(pk, alone).hex()
             assert u.hex() == hsic_u(pk, alone).hex()
+            true_hsic = hsic2_gaussian(measure, block, 1.0).hsic
+            errors["v"].append(abs(math.sqrt(max(0.0, v)) - true_hsic))
+            errors["u"].append(abs(math.sqrt(max(0.0, u)) - true_hsic))
+        # each distribution's risks are its own, whichever unit ran it
+        for name, err in errors.items():
+            null_err, alt_err = np.array(err[:reps]), np.array(err[reps:])
+            assert risks[name]["rmse_null"] == [float(np.sqrt(np.mean(null_err * null_err)))]
+            assert risks[name]["rmse_alt"] == [float(np.sqrt(np.mean(alt_err * alt_err)))]
 
     def check_replicates(self, monkeypatch, n, reps=9):
         block = BlockStructure((2, 2))
@@ -190,8 +202,8 @@ class TestHarnessEqualsLibrary:
         calls = {"stats": [], "nystrom": []}
         real_stats, real_nystrom = lecam.block_stats_batch, lecam.hsic_nystrom_batch
 
-        def stats_batch(pk, values):
-            out = real_stats(pk, values)
+        def stats_batch(pk, values, *args):
+            out = real_stats(pk, values, *args)
             calls["stats"].append((values, out))
             return out
 
@@ -545,13 +557,27 @@ def minimax_documents(tmp_path, argv):
     return (code, out.getvalue(), err.getvalue(), *documents)
 
 
+NULL, ALT, WHOLE = ("null",), ("alt",), lecam.DISTRIBUTIONS
+
+
 class TestTwoProcesses:
-    """Budgets below THREAD_MIN_N split between the calling process and one
-    forked worker give the report of one process, bit for bit."""
+    """A grid's budgets split between the calling process and one forked
+    worker, below THREAD_MIN_N whole and from there on by distribution, give
+    the report of one process, bit for bit."""
 
     @pytest.mark.parametrize("grid", [SMALL_GRID, (64, 128, 256, 512, 1024, 2048)], ids=["8-256", "64-2048"])
     @pytest.mark.parametrize("dims", [(1, 1), (2, 2)])
     def test_the_worker_changes_no_bit(self, monkeypatch, forks, dims, grid):
+        self.check_one_report(monkeypatch, forks, dims, grid)
+
+    @pytest.mark.parametrize("grid", [(1024, 2048, 3000, 4096), DEFAULT_N_GRID], ids=["1024-4096", "default"])
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 1)])
+    def test_lanes_in_line_change_no_bit(self, monkeypatch, forks, dims, grid):
+        # from THREAD_MIN_N on each side runs its distributions' lanes in
+        # line, where one process runs them on two threads
+        self.check_one_report(monkeypatch, forks, dims, grid)
+
+    def check_one_report(self, monkeypatch, forks, dims, grid):
         config = ExperimentConfig(gamma=1.0, block=BlockStructure(dims), n_grid=grid, estimators=V_U_NYSTROM, reps=3, seed=4)
         reports = {}
         for cpus in (1, 2):
@@ -572,44 +598,92 @@ class TestTwoProcesses:
         assert len(forks) == 1
         no_child_left()
 
-    def test_one_small_budget_starts_no_worker(self, monkeypatch, forks):
+    def test_no_thread_starts_in_either_process(self, monkeypatch, forks, tmp_path):
+        # every tile call writes its process and the live thread count to
+        # one file, which both processes append to
+        log = tmp_path / "tiles"
+        real_tile = LagTiles.__call__
+
+        def traced_tile(*args, **kwargs):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {threading.active_count()}\n")
+            return real_tile(*args, **kwargs)
+
+        def thread_counts():
+            counts = {}
+            for line in log.read_text().splitlines():
+                pid, count = map(int, line.split())
+                counts.setdefault(pid, set()).add(count)
+            log.unlink()
+            return counts
+
+        monkeypatch.setattr(LagTiles, "__call__", traced_tile)
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
-        config = ExperimentConfig(gamma=1.0, block=B11, n_grid=(256, 2048), estimators=V_U_NYSTROM[:2], reps=3)
+        config = ExperimentConfig(gamma=1.0, block=B11, n_grid=(1024, 2048, 4096), estimators=V_U_NYSTROM[:2], reps=2)
         run_experiment(config)
-        assert forks == []
+        assert len(forks) == 1
+        assert thread_counts() == {os.getpid(): {1}, forks[0]: {1}}
+        no_child_left()
+        # outside the split a lone call still runs lane 1 on a helper thread
+        null, _ = build_pair(2048, B11)
+        hsic_v(ProductKernel.homogeneous(B11, KernelFamily.GAUSSIAN, 1.0), sample(null, 2048, 0, B11))
+        assert 2 in thread_counts()[os.getpid()]
+
+    def test_one_small_budget_starts_no_worker(self, monkeypatch, forks):
+        # one unit alone runs here; a budget from THREAD_MIN_N on is two
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
+        for grid in ((256,), (256, 2048)):
+            config = ExperimentConfig(gamma=1.0, block=B11, n_grid=grid, estimators=V_U_NYSTROM[:2], reps=3)
+            run_experiment(config)
+        assert len(forks) == 1
+        no_child_left()
 
     def test_the_split_is_fixed_by_the_sizes(self, monkeypatch, forks):
-        # largest first, each to the side with the smaller sum of n^2 so far;
-        # sizes from THREAD_MIN_N on are left to the caller
+        # largest first, each to the side with the smaller sum of n^2 per
+        # distribution so far; from THREAD_MIN_N on a budget's null goes
+        # first, so to the caller, and its alternative to the worker
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
         cases = {
-            SMALL_GRID: {256},
-            (100, 2048, 500, 1000, 4096, 600, 1024): {1024, 500, 100},
-            (64, 128, 256, 512, 1024, 2048, 4096): {1024},
-            (3, 2): {3},
+            SMALL_GRID: {(256, WHOLE)},
+            (100, 2048, 500, 1000, 4096, 600, 1024): {(4096, NULL), (2048, NULL), (1024, WHOLE), (500, WHOLE), (100, WHOLE)},
+            DEFAULT_N_GRID: {(4096, NULL), (2048, NULL), (1024, WHOLE)},
+            (2048,): {(2048, NULL)},
+            (3, 2): {(3, WHOLE)},
         }
         for sizes, mine in cases.items():
+            units = lecam._split_units(sizes)
             for _ in range(2):
-                ran = estimators.in_two_processes(lambda n: (n, os.getpid()), sizes)
-                small = [n for n in sizes if n < estimators.THREAD_MIN_N]
-                assert list(ran) == small
-                assert all(ran[n][0] == n for n in small)
-                assert {n for n in small if ran[n][1] == os.getpid()} == mine
-                assert {pid for n, pid in ran.values() if n not in mine} == {forks[-1]}
+                ran = estimators.in_two_processes(lambda unit: (unit, os.getpid()), units)
+                assert list(ran) == list(units)
+                assert all(ran[unit][0] == unit for unit in units)
+                assert {unit for unit in units if ran[unit][1] == os.getpid()} == mine
+                assert {pid for unit, pid in ran.values() if unit not in mine} == {forks[-1]}
         assert len(forks) == 2 * len(cases)
         no_child_left()
+
+    def test_units_are_whole_budgets_below_thread_min_n(self):
+        units = lecam._split_units((4096, 64, 2048, 2047))
+        assert units == {
+            (4096, NULL): 4096**2,
+            (4096, ALT): 4096**2,
+            (64, WHOLE): 2 * 64**2,
+            (2048, NULL): 2048**2,
+            (2048, ALT): 2048**2,
+            (2047, WHOLE): 2 * 2047**2,
+        }
+        assert list(units) == [(4096, NULL), (4096, ALT), (64, WHOLE), (2048, NULL), (2048, ALT), (2047, WHOLE)]
 
     def test_no_worker_without_a_second_cpu_or_beside_a_thread(self, monkeypatch, forks):
         calls = []
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: 1)
-        assert estimators.in_two_processes(calls.append, SMALL_GRID) == {}
+        assert estimators.in_two_processes(calls.append, lecam._split_units(DEFAULT_N_GRID)) == {}
         monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
-        assert estimators.in_two_processes(calls.append, (8, 2048)) == {}
+        assert estimators.in_two_processes(calls.append, lecam._split_units((1024,))) == {}
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
         thread.start()
         try:
-            assert estimators.in_two_processes(calls.append, SMALL_GRID) == {}
+            assert estimators.in_two_processes(calls.append, lecam._split_units(DEFAULT_N_GRID)) == {}
         finally:
             release.set()
             thread.join(timeout=10)
@@ -650,13 +724,14 @@ class TestWorkerLifecycle:
         yield
         no_child_left()
 
-    def failing_simulate(self, monkeypatch, n_failing, error):
+    def failing_simulate(self, monkeypatch, n_failing, error, label=None):
+        # fails at budget n_failing, or only where it runs distribution label
         real = lecam._simulate
 
-        def simulate(config, n, *args):
-            if n == n_failing:
+        def simulate(config, n, measures, *args):
+            if n == n_failing and (label is None or label in measures):
                 raise error
-            return real(config, n, *args)
+            return real(config, n, measures, *args)
 
         monkeypatch.setattr(lecam, "_simulate", simulate)
 
@@ -664,10 +739,22 @@ class TestWorkerLifecycle:
     def test_memory_error_exits_three_with_one_line(self, monkeypatch, forks, tmp_path, n):
         # 256 is the calling process's budget, 8 to 128 the worker's
         self.failing_simulate(monkeypatch, n, MemoryError("injected"))
+        self.check_one_error_line(monkeypatch, forks, tmp_path, self.ARGV)
+
+    @pytest.mark.parametrize("label", ["alt", "null"], ids=["worker-alt-half", "caller-null-half"])
+    def test_memory_error_in_a_lane_half_exits_three_with_one_line(self, monkeypatch, forks, tmp_path, label):
+        # n = 2048's null half is the calling process's, its alternative
+        # half the worker's (test_the_split_is_fixed_by_the_sizes); one
+        # process meets either in the whole budget
+        self.failing_simulate(monkeypatch, 2048, MemoryError("injected"), label)
+        argv = ["--blocks", "1,1", "--n-grid", "8,16,2048", "--reps", "2", "--est", "v", "--est", "u"]
+        self.check_one_error_line(monkeypatch, forks, tmp_path, argv)
+
+    def check_one_error_line(self, monkeypatch, forks, tmp_path, argv):
         results = {}
         for cpus in (1, 2):
             monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
-            results[cpus] = minimax_documents(tmp_path, self.ARGV)
+            results[cpus] = minimax_documents(tmp_path, argv)
         assert results[1] == results[2] == (3, "", "error: out of memory: injected\n", None, None)
         assert len(forks) == 1
 
